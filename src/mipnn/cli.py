@@ -66,8 +66,6 @@ class RunConfig:
     quantize_biases: bool = True
     symmetry: bool = True
     pool_global_m: bool = False
-    bounds: str = "interval"      # interval | samples
-    bounds_slack: float = 0.5
     engine: str = "bnb"           # oracle | bnb | external
     solver: str = None            # external argv template
     emit: str = "lp"              # lp | mps

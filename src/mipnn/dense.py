@@ -15,6 +15,8 @@ expands each weight into binary digits with exact product linearization,
 yielding a true MILP.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from . import ir
@@ -221,6 +223,79 @@ class DenseBuild:
         trace.append((out, out))
         obj = self.direct_objective(params, gamma, out)
         return obj, max(viol, 0.0), trace
+
+    @cached_property
+    def _structural_columns(self):
+        """Columns of the gammas, (L,), and per weight layer of its digits,
+        (n_out, n_in + 1, bits) with the bias as column n_in, in the
+        structural-bit vector."""
+        col = {name: c for c, name in enumerate(self.structural)}
+        widths = self.arch.widths
+        digits = []
+        for l in range(self.L + 1):
+            n_in = widths[l]
+            if (l, 0, n_in) not in self._digit_names:
+                raise BuildError("free biases: bits do not determine the net")
+            digits.append(np.array(
+                [[[col[d] for d in self._digit_names[(l, j, k)]]
+                  for k in range(n_in + 1)] for j in range(widths[l + 1])]))
+        gammas = np.array([col[vn("gamma", g)] for g in range(self.L)])
+        return gammas, digits
+
+    def complete_batch(self, values):
+        """Objective and violation of B structural-bit vectors in one pass.
+
+        ``values`` is a (B, len(structural)) array in ``structural`` order of
+        a train-quantized build.  Every family ``complete`` checks is checked
+        here too; the weights decode exactly, but the sums may associate
+        differently, so the results agree with ``complete`` to rounding only.
+        Returns two (B,) arrays: objective and violation.
+        """
+        h = self.hyper
+        quant = QuantSpec(h.bits, h.w_max)
+        gamma_cols, digit_cols = self._structural_columns
+        gamma = values[:, gamma_cols]
+        place = 2.0 ** np.arange(h.bits)
+        params = []
+        for cols in digit_cols:
+            P = quant.step * (values[:, cols] * place).sum(axis=-1) - quant.w_max
+            params.append((P[:, :, :-1], P[:, :, -1]))
+
+        viol = np.abs(gamma[:, 0] - 1.0)
+        for g in range(self.L - 1):
+            viol = np.maximum(viol, gamma[:, g + 1] - gamma[:, g])
+        for l in range(self.L):
+            W, b = params[l]
+            gate = h.big_m * gamma[:, l]
+            viol = np.maximum(viol, np.abs(W).max(axis=(1, 2)) - gate)
+            viol = np.maximum(viol, np.abs(b).max(axis=1) - gate)
+            if h.symmetry:
+                sums = W.sum(axis=2)
+                viol = np.maximum(
+                    viol, np.max(sums[:, 1:] - sums[:, :-1], axis=1, initial=0.0))
+
+        a = self.data.inputs
+        for hh in range(self.L):
+            W, b = params[hh]
+            z = a @ W.swapaxes(1, 2) + b[:, None, :]
+            if h.per_unit_bounds:
+                lb = self.btable.layer(hh)
+                lo, hi = lb.unit_lo, lb.unit_hi
+            else:
+                lo, hi = self.hidden_bounds(hh, 0)
+            viol = np.maximum(viol, np.max(lo - z, axis=(1, 2), initial=0.0))
+            viol = np.maximum(viol, np.max(z - hi, axis=(1, 2), initial=0.0))
+            viol = np.maximum(viol, np.abs(z).max(axis=(1, 2))
+                              - h.big_m * gamma[:, hh])
+            a = np.maximum(z, 0.0)
+        W, b = params[self.L]
+        res = a @ W.swapaxes(1, 2) + b[:, None, :] - self.data.targets
+        loss = (np.abs(res) if h.loss == LOSS_ABS else res ** 2).sum(axis=(1, 2))
+        l1 = sum(np.abs(W).sum(axis=(1, 2)) for W, _ in params)
+        fro = sum((W ** 2).sum(axis=(1, 2)) for W, _ in params)
+        obj = (loss + h.alpha * h.lam * l1
+               + 0.5 * h.alpha * (1.0 - h.lam) * fro + h.beta * gamma.sum(axis=1))
+        return obj, np.maximum(viol, 0.0)
 
     def assemble(self, bits, tol=1e-6):
         """Full Assignment for a structural-bit candidate."""

@@ -11,6 +11,7 @@ twice the internal coefficient.  Models carrying bilinear constraint terms are
 rejected: neither format can express them.
 """
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -492,7 +493,8 @@ def write_solution(model, asg, path, objective=None, gap=None):
 
 def read_solution(model, path, fill_missing=False, tol=1e-6):
     """Whitespace-separated name/value lines; ``#`` comments; optional
-    ``# objective <v>`` / ``# gap <v>`` headers.  Binaries within tol of an
+    ``# objective <v>`` / ``# gap <v>`` headers.  A repeated name or a value
+    that is not a finite number is an error.  Binaries within tol of an
     integer are rounded; anything farther off is left for the audit to flag."""
     objective = None
     gap = None
@@ -516,7 +518,16 @@ def read_solution(model, path, fill_missing=False, tol=1e-6):
             name, val = toks
             if name not in model.var_index:
                 raise SolutionError("%s:%d: unknown variable %r" % (path, lineno, name))
-            values[name] = float(val)
+            if name in values:
+                raise SolutionError("%s:%d: repeated variable %r" % (path, lineno, name))
+            try:
+                x = float(val)
+            except ValueError:
+                x = math.nan
+            if not math.isfinite(x):
+                raise SolutionError("%s:%d: value %r of %r is not a finite number"
+                                    % (path, lineno, val, name))
+            values[name] = x
     for v in model.variables:
         if v.name not in values:
             if fill_missing:

@@ -6,6 +6,7 @@ frozen before emission; a frozen model is immutable and safe to share between
 emitters, auditors and solvers.
 """
 
+import math
 from dataclasses import dataclass, field
 
 CONTINUOUS = "continuous"
@@ -91,7 +92,7 @@ class AuditReport:
     objective: float
     max_violation_by_label: dict     # label -> worst absolute violation
     violations: list                 # [Violation] beyond tolerance
-    integrality_violations: list     # [(name, value)] binaries off {0,1}
+    integrality_violations: list     # [(name, value)] binaries off {0,1}, NaN, inf
     tol: float
 
     @property
@@ -248,6 +249,9 @@ class ModelIR:
         integrality = []
         for v in self.variables:
             x = values[v.name]
+            if not math.isfinite(x):
+                integrality.append((v.name, x))
+                continue
             if x < v.lo - tol or x > v.hi + tol:
                 record("bounds:" + v.name.split("[")[0], -1,
                        max(v.lo - x, x - v.hi))

@@ -176,3 +176,12 @@ def test_prepare_rejects_missing_pieces(tmp_path):
     cfg = parse_config(write_xor_cfg(tmp_path, mode="verify"))
     with pytest.raises(ConfigError, match="weights"):
         prepare(cfg)
+
+
+@pytest.mark.parametrize("key, value", [("bounds", "samples"),
+                                        ("bounds_slack", "0.5")])
+def test_removed_bounds_keys_rejected(tmp_path, capsys, key, value):
+    cfg = write_xor_cfg(tmp_path, **{key: value})
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown key %r" % key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -193,3 +193,25 @@ def test_count_forecast_quantized_dense():
     hyper = Hyper(mode=TRAIN_QUANTIZED, bits=2, quantize_biases=True)
     fc = count_forecast(arch, 4, hyper)
     assert fc == {"delta": 8, "gamma": 1, "zeta": 0, "digits": 18}
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999", "abc"])
+def test_solution_non_finite_value_rejected_with_line(tmp_path, text):
+    m = ModelIR()
+    m.add_variable(VarDef("x", CONTINUOUS, 0, 1))
+    m.add_variable(VarDef("y", CONTINUOUS, 0, 1))
+    m.freeze()
+    p = tmp_path / "s.txt"
+    p.write_text("# objective 1\nx 0.5\ny %s\n" % text)
+    with pytest.raises(SolutionError, match=r"s\.txt:3: .*not a finite number"):
+        read_solution(m, str(p))
+
+
+def test_solution_repeated_name_rejected_with_line(tmp_path):
+    m = ModelIR()
+    m.add_variable(VarDef("x", CONTINUOUS, 0, 1))
+    m.freeze()
+    p = tmp_path / "s.txt"
+    p.write_text("x 0.5\n\nx 0.25\n")
+    with pytest.raises(SolutionError, match=r"s\.txt:3: repeated variable 'x'"):
+        read_solution(m, str(p))

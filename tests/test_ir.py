@@ -149,3 +149,23 @@ def test_objective_quadratic_evaluation():
     m.add_objective_constant(1.0)
     m.freeze()
     assert m.evaluate_objective({"x": 3.0}) == pytest.approx(19.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_audit_rejects_non_finite_values(bad):
+    m, _, _ = small_model()
+    m.freeze()
+    for name in ("x", "y"):
+        values = {"x": 1.0, "y": 0.0}
+        values[name] = bad
+        report = m.evaluate_assignment(Assignment(values=values))
+        assert not report.ok
+        assert [n for n, _ in report.integrality_violations] == [name]
+
+
+def test_audit_rejects_all_nan_solution():
+    m, _, _ = small_model()
+    m.freeze()
+    report = m.evaluate_assignment(Assignment(values={"x": math.nan,
+                                                      "y": math.nan}))
+    assert not report.ok and len(report.integrality_violations) == 2

@@ -11,7 +11,8 @@ from mipnn.oracle import (InfeasibleError, OracleError, TimeoutExceededError,
                           enumerate_exact, iter_candidates)
 from mipnn.recon import forward, forward_preactivations, reconstruct
 
-from conftest import quantized_dense_build, verify_dense_build, xor_data
+from conftest import (quantized_dense_build, tiny_conv_build, verify_dense_build,
+                      xor_data)
 
 
 def small_build(**kw):
@@ -139,3 +140,164 @@ def test_objective_matches_direct_computation():
     total = (loss + h.alpha * h.lam * l1
              + 0.5 * h.alpha * (1 - h.lam) * fro + h.beta * float(net.gamma.sum()))
     assert res.objective == pytest.approx(total, abs=1e-9)
+
+
+# -- the block-evaluated search against the scalar reference listing ---------
+
+def _first_minimum(build):
+    """Lexicographically first strict minimum of the scalar listing."""
+    best = None
+    for bits, obj in iter_candidates(build):
+        if best is None or obj < best[1]:
+            best = (bits, obj)
+    return best
+
+
+def _assert_engines_match_listing(build):
+    bits, obj = _first_minimum(build)
+    want = build.assemble(bits)[0].values
+    for res in (enumerate_exact(build), branch_and_bound(build)):
+        assert res.proven and res.objective == obj
+        assert res.assignment.values == want
+        assert all(type(res.assignment.values[n]) is float
+                   for n in build.structural)
+
+
+def _dense_build(data, hidden, freeze=True, **hyper_kw):
+    arch = DenseArch(data.inputs.shape[1], list(hidden), data.targets.shape[1])
+    kw = dict(alpha=0.1, lam=0.9, beta=0.01, big_m=10.0, mode="train-quantized",
+              bits=1, w_max=1.0, quantize_biases=True)
+    kw.update(hyper_kw)
+    hyper = Hyper(**kw)
+    bt = propagate_bounds(arch, data.inputs.min(0), data.inputs.max(0),
+                          -hyper.w_max, hyper.w_max)
+    build = build_dense(arch, data, hyper, bt)
+    if freeze:
+        build.model.freeze()
+    return build
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+def test_search_matches_listing_on_criterion_9_seeds(symmetry):
+    for seed in range(20):
+        r = np.random.default_rng(1000 + seed)
+        data = Dataset(inputs=r.uniform(-1, 1, size=(2, 1)),
+                       targets=r.uniform(-1, 1, size=(2, 1)))
+        _assert_engines_match_listing(
+            quantized_dense_build(data, [2], bits=1, symmetry=symmetry))
+
+
+@pytest.mark.parametrize("hidden, bits", [([2], 1), ([1], 2)])
+def test_search_matches_listing_on_xor(hidden, bits):
+    _assert_engines_match_listing(
+        quantized_dense_build(xor_data(), hidden, bits=bits))
+
+
+def test_search_matches_listing_abs_loss():
+    _assert_engines_match_listing(
+        quantized_dense_build(xor_data(), [2], bits=1, loss="abs"))
+
+
+def test_search_matches_listing_two_hidden_layers_per_unit_bounds():
+    """Two pruning switches (ordering, gates on a switched-off layer) and
+    per-unit pre-activation bounds."""
+    for per_unit in (False, True):
+        _assert_engines_match_listing(
+            _dense_build(xor_data(), [1, 1], per_unit_bounds=per_unit))
+
+
+def test_search_matches_listing_with_injected_constraint():
+    free = enumerate_exact(small_build())
+    build = small_build(freeze=False)
+    # demand the opposite sign of the free optimum's first weight
+    w = build.model.var(vn("W", 0, 0, 0))
+    sign = 1.0 if free.assignment.values[w.name] > 0 else -1.0
+    build.model.add_constraint([(sign, w)], LE, 0.0, "flip_first_weight")
+    build.model.freeze()
+    _assert_engines_match_listing(build)
+    res = enumerate_exact(build)
+    assert sign * res.assignment.values[w.name] <= 0.0
+    assert res.objective >= free.objective
+    assert res.assignment.values != free.assignment.values
+
+
+def test_search_matches_listing_with_bound_fixing():
+    build = quantized_dense_build(xor_data(), [2], bits=1, freeze=False)
+    build.model.set_bounds(build._digit_names[(1, 0, 0)][0], 1.0, 1.0)
+    build.model.freeze()
+    _assert_engines_match_listing(build)
+
+
+def test_search_matches_listing_on_near_ties():
+    """A tiny elastic net leaves many leaves within 1e-5 of each other, so a
+    screen that skipped more than its margin would lose the optimum."""
+    _assert_engines_match_listing(
+        _dense_build(xor_data(), [1], bits=2, alpha=1e-5))
+
+
+def _tightened(build, scale):
+    """Pre-activation bounds shrunk after the build, unit j by scale^(j+1),
+    so that the bound checks of complete() bite."""
+    for l in range(build.L):
+        lb = build.btable.layer(l)
+        factor = scale ** np.arange(1, len(lb.unit_lo) + 1)
+        lb.unit_lo, lb.unit_hi = factor * lb.unit_lo, factor * lb.unit_hi
+    return build
+
+
+@pytest.mark.parametrize("make", [
+    lambda: quantized_dense_build(xor_data(), [2], bits=1, loss="abs"),
+    lambda: quantized_dense_build(xor_data(), [2], bits=1, symmetry=False),
+    lambda: _tightened(_dense_build(xor_data(), [1, 1]), 0.7),
+    lambda: _tightened(_dense_build(xor_data(), [2, 1], per_unit_bounds=True,
+                                    symmetry=False), 0.7),
+], ids=["abs-loss", "no-symmetry", "collapsed-bounds", "per-unit-bounds"])
+def test_batched_values_match_complete_on_every_leaf(make):
+    build = make()
+    n = len(build.structural)
+    values = np.array([[(v >> (n - 1 - t)) & 1 for t in range(n)]
+                       for v in range(2 ** n)], dtype=float)
+    obj, viol = build.complete_batch(values)
+    got = [build.complete(dict(zip(build.structural, map(float, row))))
+           for row in values]
+    assert np.allclose(obj, [o for o, _, _ in got], rtol=1e-12, atol=1e-12)
+    assert np.allclose(viol, [v for _, v, _ in got], rtol=1e-12, atol=1e-12)
+    assert 0 < np.count_nonzero(viol <= 1e-6) < len(viol)
+
+
+def test_batched_objective_matches_complete_on_xor_leaves():
+    build = quantized_dense_build(xor_data(), [2], bits=2)
+    rng = np.random.default_rng(2024)
+    values = rng.integers(0, 2, size=(2000, len(build.structural))).astype(float)
+    obj, viol = build.complete_batch(values)
+    for row, o, v in zip(values, obj, viol):
+        want_obj, want_viol, _ = build.complete(
+            dict(zip(build.structural, map(float, row))))
+        assert abs(o - want_obj) <= 1e-12 * max(1.0, abs(want_obj))
+        assert abs(v - want_viol) <= 1e-12 * max(1.0, abs(want_viol))
+
+
+def test_counters_count_the_work_done():
+    # 10 bits: gamma[0], then 9 digits scored as one block of 512 leaves
+    build = quantized_dense_build(xor_data(), [2], bits=1)
+    enum = enumerate_exact(build)
+    assert enum.nodes == 1 + 2 * (1 + 512)
+    bnb = branch_and_bound(build)
+    assert bnb.nodes == 1 + 1 + 512          # gamma[0] = 0 is cut by a trigger
+    feasible = len(list(iter_candidates(build)))
+    assert enum.candidates == bnb.candidates == feasible
+    # conv builds have no batched evaluator: every leaf is scored alone
+    conv = tiny_conv_build(mode="verify")
+    res = enumerate_exact(conv)
+    assert res.nodes == 2 ** (len(conv.structural) + 1) - 1
+    assert res.candidates == len(list(iter_candidates(conv)))
+
+
+def test_budget_stops_before_a_block_it_would_overrun():
+    build = quantized_dense_build(xor_data(), [2], bits=1)
+    full = branch_and_bound(build)
+    cut = branch_and_bound(build, budget=full.nodes - 1)
+    assert not cut.proven and cut.assignment is None
+    assert cut.nodes == 2 <= full.nodes - 1
+    exact = branch_and_bound(build, budget=full.nodes)
+    assert exact.proven and exact.assignment.values == full.assignment.values

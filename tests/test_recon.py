@@ -6,6 +6,7 @@ from mipnn.recon import (ConvNet, DenseNet, MetricsReport, QuantSpec,
                          ReconError, audit, canonicalize, flatten_index,
                          forward, forward_trace, maxpool2d, metrics,
                          reconstruct)
+from mipnn.ir import Assignment
 from mipnn.nnspec import Dataset, Hyper, TRAIN_QUANTIZED
 
 from conftest import random_dense_weights, verify_dense_build
@@ -165,3 +166,12 @@ def test_metrics_split_bounds_checked():
     data = Dataset(inputs=np.zeros((2, 1)), targets=np.zeros((2, 1)))
     with pytest.raises(ReconError):
         metrics(net, data, split=[5])
+
+
+def test_all_nan_solution_fails_audit_and_reconstruction(rng):
+    build, _, _ = verify_dense_build(rng, (2, 3, 1), n_samples=3)
+    asg = Assignment(values={v.name: float("nan")
+                             for v in build.model.variables})
+    assert not audit(build, asg).ok
+    with pytest.raises(ReconError, match="integrality"):
+        reconstruct(build, asg)
