@@ -74,7 +74,6 @@ class RunConfig:
     limit_bits: int = 24
     budget: int = 10 ** 7
     seed: int = 0
-    jobs: int = 1
 
 
 _BOOL = {"true": True, "yes": True, "1": True, "on": True,
@@ -489,7 +488,7 @@ def build_parser():
 
 
 _OVERRIDES = ("mode", "engine", "emit", "alpha", "lam", "beta", "big_m", "bits",
-              "tolerance", "timeout", "jobs", "seed", "out", "solver")
+              "tolerance", "timeout", "seed", "out", "solver")
 
 
 def _apply_overrides(cfg, ns):

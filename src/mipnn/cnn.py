@@ -13,13 +13,18 @@ Naming (all 0-based):
   indicators     z/delta[i][l][c][h][w], gamma[l][c]
 """
 
+from functools import cached_property
+
 import numpy as np
 
-from .ir import BINARY, CONTINUOUS, EQ, GE, LE, ModelIR, VarDef
-from .dense import (BuildError, encode_relu, encode_quantized_product, vn)
+from .ir import BINARY, CONTINUOUS, EQ, GE, LE, Assignment, ModelIR, VarDef
+from .dense import (BuildError, bit_vector, decode_layers, digit_columns,
+                    encode_relu, encode_quantized_product, fill, gather,
+                    net_quant, vn)
 from .nnspec import (LOSS_ABS, TRAIN_BILINEAR, TRAIN_QUANTIZED, VERIFY,
                      conv_map_shapes, validate_arch)
-from .recon import ConvNet, QuantSpec, flatten_index, maxpool2d
+from .recon import (ConvNet, QuantSpec, flatten_index, forward_trace,
+                    objective_breakdown)
 
 
 def encode_maxpool(model, window_refs, p_ref, zeta_refs, big_m):
@@ -82,199 +87,130 @@ class ConvBuild:
     # solution handling ----------------------------------------------------
 
     def extract_net(self, values):
-        kernels = []
-        gammas = []
-        pools = []
-        strides = []
+        layers = self.arch.conv_layers
         shapes = self.out_shapes
-        for l, layer in enumerate(self.arch.conv_layers):
-            c_out = layer.filters
-            c_in = shapes[l][0]
-            kh, kw = layer.kernel
-            K = np.array([[[[values[vn("Wc", l, c, cp, u, v)]
-                             for v in range(kw)] for u in range(kh)]
-                           for cp in range(c_in)] for c in range(c_out)])
-            b = np.array([values[vn("bc", l, c)] for c in range(c_out)])
-            kernels.append((K, b))
-            gammas.append(np.array([1.0 if values[vn("gamma", l, c)] >= 0.5 else 0.0
-                                    for c in range(c_out)]))
-            pools.append(layer.pool)
-            strides.append(layer.stride)
-        nf = self.head_input_dim()
-        W = np.array([[values[vn("W", self.L, j, k)] for k in range(nf)]
-                      for j in range(self.arch.head_dim)])
-        b = np.array([values[vn("b", self.L, j)] for j in range(self.arch.head_dim)])
-        quant = (QuantSpec(self.hyper.bits, self.hyper.w_max)
-                 if self.hyper.mode == TRAIN_QUANTIZED else None)
-        return ConvNet(kernels=kernels, head=(W, b), gamma=gammas,
-                       pools=pools, strides=strides, quant=quant)
+        kernels = [(gather(values, "Wc",
+                           (layer.filters, shapes[l][0]) + tuple(layer.kernel), l),
+                    gather(values, "bc", (layer.filters,), l))
+                   for l, layer in enumerate(layers)]
+        gammas = [(gather(values, "gamma", (layer.filters,), l) >= 0.5).astype(float)
+                  for l, layer in enumerate(layers)]
+        head = (gather(values, "W", (self.arch.head_dim, self.head_input_dim()), self.L),
+                gather(values, "b", (self.arch.head_dim,), self.L))
+        return ConvNet(kernels=kernels, head=head, gamma=gammas,
+                       pools=[layer.pool for layer in layers],
+                       strides=[layer.stride for layer in layers],
+                       quant=net_quant(self.hyper))
 
-    def decode_params(self, bits):
-        if self.hyper.mode == VERIFY:
-            return [(np.asarray(K, dtype=float), np.asarray(b, dtype=float))
-                    for K, b in self.fixed_weights]
-        quant = QuantSpec(self.hyper.bits, self.hyper.w_max)
-        shapes = self.out_shapes
-        out = []
-        for l, layer in enumerate(self.arch.conv_layers):
-            c_out, c_in = layer.filters, shapes[l][0]
-            kh, kw = layer.kernel
-            K = np.empty((c_out, c_in, kh, kw))
-            b = np.empty(c_out)
-            for c in range(c_out):
-                for cp in range(c_in):
-                    for u in range(kh):
-                        for v in range(kw):
-                            K[c, cp, u, v] = quant.decode(
-                                [bits[d] for d in
-                                 self._digit_names[("Wc", l, c, cp, u, v)]])
-                names = self._digit_names.get(("bc", l, c))
-                if names is None:
-                    raise BuildError("free biases: bits do not determine the net")
-                b[c] = quant.decode([bits[d] for d in names])
-            out.append((K, b))
-        nf = self.head_input_dim()
-        W = np.empty((self.arch.head_dim, nf))
-        b = np.empty(self.arch.head_dim)
-        for j in range(self.arch.head_dim):
-            for k in range(nf):
-                W[j, k] = quant.decode(
-                    [bits[d] for d in self._digit_names[("W", self.L, j, k)]])
-            names = self._digit_names.get(("b", self.L, j))
-            if names is None:
-                raise BuildError("free biases: bits do not determine the net")
-            b[j] = quant.decode([bits[d] for d in names])
-        out.append((W, b))
-        return out
+    @cached_property
+    def _structural_columns(self):
+        """Columns in ``structural`` of the gammas, one array per conv layer,
+        and, in a trained build, ``digit_columns`` of each layer's kernel and
+        biases, then of the head's W and b."""
+        col = {name: c for c, name in enumerate(self.structural)}
+        layers = self.arch.conv_layers
+        gammas = [np.array([col[vn("gamma", l, c)] for c in range(layer.filters)],
+                           dtype=int) for l, layer in enumerate(layers)]
+        tensors = []
+        if self.hyper.mode != VERIFY:
+            params = []
+            for l, layer in enumerate(layers):
+                shape = (layer.filters, self.out_shapes[l][0]) + tuple(layer.kernel)
+                params += [("Wc", l, shape), ("bc", l, shape[:1])]
+            shape = (self.arch.head_dim, self.head_input_dim())
+            params += [("W", self.L, shape), ("b", self.L, shape[:1])]
+            names = self._digit_names
+            tensors = [(shape, lambda *idx, key=(base, l): names[key + idx])
+                       for base, l, shape in params]
+        return (gammas,) + digit_columns(col, tensors, self.hyper.bits)
 
-    def direct_objective(self, params, gammas, outputs):
-        h = self.hyper
-        res = outputs - self.data.targets
-        loss = (float(np.abs(res).sum()) if h.loss == LOSS_ABS
-                else float((res ** 2).sum()))
-        l1 = sum(float(np.abs(W).sum()) for W, _ in params)
-        fro = sum(float((W ** 2).sum()) for W, _ in params)
-        struct = sum(float(g.sum()) for g in gammas)
-        return (loss + h.alpha * h.lam * l1
-                + 0.5 * h.alpha * (1.0 - h.lam) * fro + h.beta * struct)
+    def decode_net(self, bits):
+        """The ConvNet a structural-bit assignment determines."""
+        values = bit_vector(self, bits)
+        params = decode_layers(self, values)
+        layers = self.arch.conv_layers
+        return ConvNet(kernels=params[:-1], head=params[-1],
+                       gamma=[values[cols] for cols in self._structural_columns[0]],
+                       pools=[layer.pool for layer in layers],
+                       strides=[layer.stride for layer in layers],
+                       quant=net_quant(self.hyper))
 
     def complete(self, bits, tol=1e-6):
+        """Objective, violation and ``recon.forward_trace`` of the net a
+        structural-bit assignment determines (see ``DenseBuild.complete``)."""
         h = self.hyper
-        params = self.decode_params(bits)
-        conv_params, head = params[:-1], params[-1]
-        gammas = [np.array([float(bits[vn("gamma", l, c)])
-                            for c in range(layer.filters)])
-                  for l, layer in enumerate(self.arch.conv_layers)]
+        net = self.decode_net(bits)
+        trace = forward_trace(net, self.data.inputs)
         viol = 0.0
-
-        for l, (K, b) in enumerate(conv_params):
-            gate = h.big_m * gammas[l]
-            viol = max(viol,
-                       float(np.max(np.abs(K).reshape(K.shape[0], -1).max(axis=1)
-                                    - gate, initial=0.0)),
-                       float(np.max(np.abs(b) - gate, initial=0.0)))
+        for l, (K, b) in enumerate(net.kernels):
+            z = trace[l][0]
+            # channel gates on the kernel, its bias and its pre-activations
+            gate = h.big_m * net.gamma[l]
+            absK = np.abs(K).reshape(K.shape[0], -1)
+            viol = max(viol, (absK.max(axis=1) - gate).max(initial=0.0),
+                       (np.abs(b) - gate).max(initial=0.0),
+                       (np.abs(z) - gate[:, None, None]).max(initial=0.0))
             if h.symmetry:
-                sums = np.abs(K).reshape(K.shape[0], -1).sum(axis=1)
-                viol = max(viol, float(np.max(sums[1:] - sums[:-1], initial=0.0)))
-
-        # forward propagation
-        a = self.data.inputs
-        trace = []
-        for l, layer in enumerate(self.arch.conv_layers):
-            K, b = conv_params[l]
-            z = _conv_forward(a, K, b, layer.stride)
-            lo_hi = self.btable.layer(l)
+                sums = absK.sum(axis=1)
+                viol = max(viol, (sums[1:] - sums[:-1]).max(initial=0.0))
+            lb = self.btable.layer(l)
             if h.per_unit_bounds:
-                lo = lo_hi.unit_lo[None, :, None, None]
-                hi = lo_hi.unit_hi[None, :, None, None]
+                lo = lb.unit_lo[:, None, None]
+                hi = lb.unit_hi[:, None, None]
             else:
-                lo, hi = lo_hi.z_lo, lo_hi.z_hi
-            viol = max(viol, float(np.max(lo - z, initial=0.0)),
-                       float(np.max(z - hi, initial=0.0)))
-            gate = (h.big_m * gammas[l])[None, :, None, None]
-            viol = max(viol, float(np.max(np.abs(z) - gate, initial=0.0)))
-            act = np.maximum(z, 0.0)
-            pooled = act
-            if layer.pool is not None:
-                window, ps = layer.pool
-                pooled = maxpool2d(act, window, ps)
-            trace.append((z, act, pooled))
-            a = pooled
-        flat = a.reshape(self.data.n, -1)
-        W, b = head
-        out = flat @ W.T + b
-        obj = self.direct_objective(params, gammas, out)
-        return obj, max(viol, 0.0), (trace, flat, out)
+                lo, hi = lb.z_lo, lb.z_hi
+            viol = max(viol, (lo - z).max(initial=0.0), (z - hi).max(initial=0.0))
+        obj = objective_breakdown(net, trace[-1][0], self.data.targets, h)["total"]
+        return obj, float(viol), trace
 
     def assemble(self, bits, tol=1e-6):
-        obj, viol, (trace, flat, out) = self.complete(bits, tol)
-        params = self.decode_params(bits)
+        obj, viol, trace = self.complete(bits, tol)
+        net = self.decode_net(bits)
         values = dict(bits)
-        shapes = self.out_shapes
+        for l, (K, b) in enumerate(net.kernels + [net.head]):
+            w_name, b_name = ("Wc", "bc") if l < self.L else ("W", "b")
+            fill(values, w_name, K, l)
+            fill(values, "u", np.abs(K), l)
+            fill(values, b_name, b, l)
+        fill(values, "a", self.data.inputs, 0, at=1)
         for l, layer in enumerate(self.arch.conv_layers):
-            K, b = params[l]
-            c_out, c_in = layer.filters, shapes[l][0]
-            kh, kw = layer.kernel
-            for c in range(c_out):
-                for cp in range(c_in):
-                    for u in range(kh):
-                        for v in range(kw):
-                            values[vn("Wc", l, c, cp, u, v)] = float(K[c, cp, u, v])
-                            values[vn("u", l, c, cp, u, v)] = float(abs(K[c, cp, u, v]))
-                values[vn("bc", l, c)] = float(b[c])
-        W, bh = params[-1]
-        nf = self.head_input_dim()
-        for j in range(self.arch.head_dim):
-            for k in range(nf):
-                values[vn("W", self.L, j, k)] = float(W[j, k])
-                values[vn("u", self.L, j, k)] = float(abs(W[j, k]))
-            values[vn("b", self.L, j)] = float(bh[j])
-
-        x = self.data.inputs
-        for i in range(self.data.n):
-            c0, h0, w0 = self.arch.input_shape
-            for c in range(c0):
-                for hh in range(h0):
-                    for ww in range(w0):
-                        values[vn("a", i, 0, c, hh, ww)] = float(x[i, c, hh, ww])
-            for l, layer in enumerate(self.arch.conv_layers):
-                z, act, pooled = trace[l]
-                c_l, oh, ow = self.map_shapes[l]
-                for c in range(c_l):
-                    for hh in range(oh):
-                        for ww in range(ow):
-                            values[vn("z", i, l, c, hh, ww)] = float(z[i, c, hh, ww])
-                            values[vn("a", i, l + 1, c, hh, ww)] = float(act[i, c, hh, ww])
-                            values[vn("delta", i, l, c, hh, ww)] = (
-                                1.0 if z[i, c, hh, ww] > 0 else 0.0)
-                if layer.pool is not None:
-                    (ph, pw), ps = layer.pool
-                    qh = (oh - ph) // ps + 1
-                    qw = (ow - pw) // ps + 1
-                    for c in range(c_l):
-                        for hp in range(qh):
-                            for wp in range(qw):
-                                values[vn("p", i, l, c, hp, wp)] = float(
-                                    pooled[i, c, hp, wp])
-                                cells = [(hp * ps + du, wp * ps + dv)
-                                         for du in range(ph) for dv in range(pw)]
-                                best = max(cells,
-                                           key=lambda hw: (act[i, c, hw[0], hw[1]],
-                                                           (-hw[0], -hw[1])))
-                                for (hh, ww) in cells:
-                                    values[vn("zeta", i, l, c, hh, ww)] = (
-                                        1.0 if (hh, ww) == best else 0.0)
-            for f in range(nf):
-                values[vn("a", i, self.L, f)] = float(flat[i, f])
-            for j in range(self.arch.head_dim):
-                values[vn("a", i, self.L + 1, j)] = float(out[i, j])
-                if self.hyper.loss == LOSS_ABS:
-                    values[vn("r", i, j)] = float(
-                        abs(out[i, j] - self.data.targets[i, j]))
+            z, pooled = trace[l]
+            act = np.maximum(z, 0.0)
+            fill(values, "z", z, l, at=1)
+            fill(values, "a", act, l + 1, at=1)
+            fill(values, "delta", z > 0, l, at=1)
+            if layer.pool is not None:
+                fill(values, "p", pooled, l, at=1)
+                self._assemble_selectors(values, l, act)
+        flat = trace[-2][1].reshape(self.data.n, -1)
+        out = trace[-1][0]
+        fill(values, "a", flat, self.L, at=1)
+        fill(values, "a", out, self.L + 1, at=1)
+        if self.hyper.loss == LOSS_ABS:
+            fill(values, "r", np.abs(out - self.data.targets))
         if self.hyper.mode == TRAIN_QUANTIZED:
             self._assemble_products(values, trace, flat, bits)
-        from .ir import Assignment
         return Assignment(values=values), obj, viol
+
+    def _assemble_selectors(self, values, l, act):
+        """zeta of conv layer l: each pool window selects its first maximal
+        cell of the post-ReLU map ``act``."""
+        (ph, pw), ps = self.arch.conv_layers[l].pool
+        _, c_l, oh, ow = act.shape
+        qh = (oh - ph) // ps + 1
+        qw = (ow - pw) // ps + 1
+        for i in range(self.data.n):
+            for c in range(c_l):
+                for hp in range(qh):
+                    for wp in range(qw):
+                        cells = [(hp * ps + du, wp * ps + dv)
+                                 for du in range(ph) for dv in range(pw)]
+                        best = max(cells,
+                                   key=lambda hw: (act[i, c, hw[0], hw[1]],
+                                                   (-hw[0], -hw[1])))
+                        for (hh, ww) in cells:
+                            values[vn("zeta", i, l, c, hh, ww)] = (
+                                1.0 if (hh, ww) == best else 0.0)
 
     def _assemble_products(self, values, trace, flat, bits):
         shapes = self.out_shapes
@@ -282,7 +218,7 @@ class ConvBuild:
             for l, layer in enumerate(self.arch.conv_layers):
                 if l == 0:
                     continue
-                prev = trace[l - 1][2]
+                prev = trace[l - 1][1]
                 c_l, oh, ow = self.map_shapes[l]
                 c_in = shapes[l][0]
                 kh, kw = layer.kernel
@@ -305,19 +241,6 @@ class ConvBuild:
                     for t, d in enumerate(digits):
                         values[vn("y", i, self.L, j, k, t)] = (
                             a_val if bits[d] >= 0.5 else 0.0)
-
-
-def _conv_forward(a, K, b, stride):
-    n, c_in, h, w = a.shape
-    c_out, _, kh, kw = K.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    z = np.empty((n, c_out, oh, ow))
-    for hh in range(oh):
-        for ww in range(ow):
-            patch = a[:, :, hh * stride:hh * stride + kh, ww * stride:ww * stride + kw]
-            z[:, :, hh, ww] = np.tensordot(patch, K, axes=([1, 2, 3], [1, 2, 3]))
-    return z + b[None, :, None, None]
 
 
 def build_cnn(arch, data, hyper, btable, weights=None):

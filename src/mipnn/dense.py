@@ -15,6 +15,7 @@ expands each weight into binary digits with exact product linearization,
 yielding a true MILP.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import ir
 from .ir import BINARY, CONTINUOUS, EQ, GE, LE, ModelIR, VarDef
 from .nnspec import (LOSS_ABS, LOSS_SQUARED, TRAIN_BILINEAR, TRAIN_QUANTIZED,
                      VERIFY)
-from .recon import DenseNet, QuantSpec
+from .recon import DenseNet, QuantSpec, forward_trace, objective_breakdown
 
 
 class BuildError(Exception):
@@ -36,6 +37,71 @@ class IllPosedBoundsError(BuildError):
 
 def vn(base, *idx):
     return base + "".join("[%d]" % i for i in idx)
+
+
+def _names(base, ndim, fixed, at):
+    """``vn`` as a %-pattern over an ndim-index with ``fixed`` inserted at ``at``."""
+    return (base + "[%d]" * at + "".join("[%d]" % i for i in fixed)
+            + "[%d]" * (ndim - at))
+
+
+def fill(values, base, array, *fixed, at=0):
+    """Set ``values[vn(base, *idx[:at], *fixed, *idx[at:])]`` to ``array[idx]``
+    for every index ``idx`` of ``array``."""
+    array = np.asarray(array, dtype=float)
+    name = _names(base, array.ndim, fixed, at)
+    for idx, x in zip(np.ndindex(array.shape), array.ravel().tolist()):
+        values[name % idx] = x
+
+
+def gather(values, base, shape, *fixed, at=0):
+    """The array of shape ``shape`` that ``fill`` would have stored."""
+    name = _names(base, len(shape), fixed, at)
+    return np.array([values[name % idx] for idx in np.ndindex(shape)]).reshape(shape)
+
+
+def bit_vector(build, bits):
+    """A structural-bit assignment as an array in ``build.structural`` order."""
+    return np.array([bits[name] for name in build.structural], dtype=float)
+
+
+def digit_columns(col, tensors, bits):
+    """Columns, by ``col``, of the digits of parameter tensors listed as
+    (shape, names), ``names(*idx)`` naming the digits of an entry: one
+    (entries, bits) index array over the tensors' entries in C order, and the
+    list of shapes."""
+    try:
+        cols = [[col[d] for d in names(*idx)]
+                for shape, names in tensors for idx in np.ndindex(shape)]
+    except KeyError:
+        raise BuildError("free parameters: bits do not determine the net") from None
+    return (np.array(cols, dtype=int).reshape(-1, bits),
+            [shape for shape, _ in tensors])
+
+
+def decode_layers(build, values):
+    """The (W, b) or (K, b) per layer that structural-bit vectors ``values``,
+    of shape (..., len(structural)), determine: the fixed weights in
+    verification mode, else decoded through ``_structural_columns``."""
+    if build.hyper.mode == VERIFY:
+        return [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
+                for W, b in build.fixed_weights]
+    _, digits, shapes = build._structural_columns
+    quant = QuantSpec(build.hyper.bits, build.hyper.w_max)
+    flat = quant.decode_array(values[..., digits])
+    tensors = []
+    start = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        tensors.append(flat[..., start:start + size].reshape(values.shape[:-1] + shape))
+        start += size
+    return list(zip(tensors[0::2], tensors[1::2]))
+
+
+def net_quant(hyper):
+    """The weight grid of a train-quantized net, else None."""
+    return (QuantSpec(hyper.bits, hyper.w_max)
+            if hyper.mode == TRAIN_QUANTIZED else None)
 
 
 def encode_relu(model, z, a, delta, z_lo, z_hi):
@@ -124,123 +190,70 @@ class DenseBuild:
 
     def extract_net(self, values):
         widths = self.arch.widths
-        weights = []
-        for l in range(self.L + 1):
-            n_out, n_in = widths[l + 1], widths[l]
-            W = np.array([[values[vn("W", l, j, k)] for k in range(n_in)]
-                          for j in range(n_out)])
-            b = np.array([values[vn("b", l, j)] for j in range(n_out)])
-            weights.append((W, b))
-        gamma = np.array([1.0 if values[vn("gamma", h)] >= 0.5 else 0.0
-                          for h in range(self.L)])
-        quant = (QuantSpec(self.hyper.bits, self.hyper.w_max)
-                 if self.hyper.mode == TRAIN_QUANTIZED else None)
-        return DenseNet(weights=weights, gamma=gamma, quant=quant)
+        weights = [(gather(values, "W", (widths[l + 1], widths[l]), l),
+                    gather(values, "b", (widths[l + 1],), l))
+                   for l in range(self.L + 1)]
+        gamma = (gather(values, "gamma", (self.L,)) >= 0.5).astype(float)
+        return DenseNet(weights=weights, gamma=gamma, quant=net_quant(self.hyper))
 
-    def decode_params(self, bits):
-        """Weights/biases implied by a structural-bit assignment."""
-        if self.hyper.mode == VERIFY:
-            return [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
-                    for W, b in self.fixed_weights]
-        quant = QuantSpec(self.hyper.bits, self.hyper.w_max)
-        widths = self.arch.widths
-        out = []
-        for l in range(self.L + 1):
-            n_out, n_in = widths[l + 1], widths[l]
-            W = np.empty((n_out, n_in))
-            b = np.empty(n_out)
-            for j in range(n_out):
-                for k in range(n_in):
-                    W[j, k] = quant.decode(
-                        [bits[d] for d in self._digit_names[(l, j, k)]])
-                names = self._digit_names.get((l, j, n_in))
-                if names is None:
-                    raise BuildError("free biases: bits do not determine the net")
-                b[j] = quant.decode([bits[d] for d in names])
-            out.append((W, b))
-        return out
+    @cached_property
+    def _structural_columns(self):
+        """Columns in ``structural`` of the gammas, and, in a trained build,
+        ``digit_columns`` of W and b per weight layer: W0, b0, W1, b1, ..."""
+        col = {name: c for c, name in enumerate(self.structural)}
+        gammas = np.array([col[vn("gamma", g)] for g in range(self.L)], dtype=int)
+        tensors = []
+        if self.hyper.mode != VERIFY:
+            names = self._digit_names
+            widths = self.arch.widths
+            for l in range(self.L + 1):
+                n_out, n_in = widths[l + 1], widths[l]
+                tensors += [((n_out, n_in), lambda j, k, l=l: names[(l, j, k)]),
+                            ((n_out,), lambda j, l=l, k=n_in: names[(l, j, k)])]
+        return (gammas,) + digit_columns(col, tensors, self.hyper.bits)
 
-    def direct_objective(self, params, gamma, outputs):
-        """Objective recomputed by plain arithmetic from net parameters."""
-        h = self.hyper
-        res = outputs - self.data.targets
-        loss = (float(np.abs(res).sum()) if h.loss == LOSS_ABS
-                else float((res ** 2).sum()))
-        l1 = sum(float(np.abs(W).sum()) for W, _ in params)
-        fro = sum(float((W ** 2).sum()) for W, _ in params)
-        struct = float(np.sum(gamma))
-        return (loss + h.alpha * h.lam * l1
-                + 0.5 * h.alpha * (1.0 - h.lam) * fro + h.beta * struct)
+    def decode_net(self, bits):
+        """The DenseNet a structural-bit assignment determines."""
+        values = bit_vector(self, bits)
+        return DenseNet(weights=decode_layers(self, values),
+                        gamma=values[self._structural_columns[0]],
+                        quant=net_quant(self.hyper))
 
     def complete(self, bits, tol=1e-6):
         """Forward-propagate a structural-bit assignment into a full candidate.
 
-        Returns (objective, violation, trace).  ``violation`` is the worst
-        amount by which the candidate breaks any constraint family that is not
-        satisfied by construction; a feasible candidate has violation <= tol.
+        Returns (objective, violation, trace), ``trace`` being the
+        ``recon.forward_trace`` of the decoded net.  ``violation`` is the
+        worst amount by which the candidate breaks any constraint family that
+        is not satisfied by construction; a feasible candidate has
+        violation <= tol.
         """
         h = self.hyper
-        params = self.decode_params(bits)
-        gamma = np.array([float(bits[vn("gamma", g)]) for g in range(self.L)])
-        viol = 0.0
-
-        # structural constraints on gamma
-        viol = max(viol, abs(gamma[0] - 1.0))                      # root layer active
+        net = self.decode_net(bits)
+        gamma = net.gamma
+        trace = forward_trace(net, self.data.inputs)
+        viol = abs(gamma[0] - 1.0)                                 # root layer active
         for g in range(self.L - 1):
             viol = max(viol, gamma[g + 1] - gamma[g])              # layer ordering
-
-        # pruning gates on hidden-layer parameters
-        for l, (W, b) in enumerate(params):
-            if l < self.L:
-                gate = h.big_m * gamma[l]
-                viol = max(viol, float(np.abs(W).max(initial=0.0)) - gate,
-                           float(np.abs(b).max(initial=0.0)) - gate)
-        if h.symmetry:
-            for l in range(self.L):
-                sums = params[l][0].sum(axis=1)
-                for j in range(len(sums) - 1):
-                    viol = max(viol, float(sums[j + 1] - sums[j]))
-
-        # forward propagation, checking pre-activation bounds and gates
-        a = self.data.inputs
-        trace = []
-        for hh in range(self.L):
-            W, b = params[hh]
-            z = a @ W.T + b
+        for l in range(self.L):
+            W, b = net.weights[l]
+            z = trace[l][0]
+            # pruning gates on the layer's parameters and pre-activations
+            gate = h.big_m * gamma[l]
+            viol = max(viol, np.abs(W).max(initial=0.0) - gate,
+                       np.abs(b).max(initial=0.0) - gate,
+                       np.abs(z).max(initial=0.0) - gate)
+            if h.symmetry:
+                sums = W.sum(axis=1)
+                viol = max(viol, (sums[1:] - sums[:-1]).max(initial=0.0))
             if h.per_unit_bounds:
-                lb = self.btable.layer(hh)
+                lb = self.btable.layer(l)
                 lo, hi = lb.unit_lo, lb.unit_hi
             else:
-                lo, hi = self.hidden_bounds(hh, 0)
-            viol = max(viol, float(np.max(lo - z, initial=0.0)),
-                       float(np.max(z - hi, initial=0.0)))
-            gate = h.big_m * gamma[hh]
-            viol = max(viol, float(np.max(np.abs(z), initial=0.0)) - gate)
-            a = np.maximum(z, 0.0)
-            trace.append((z, a))
-        W, b = params[self.L]
-        out = a @ W.T + b
-        trace.append((out, out))
-        obj = self.direct_objective(params, gamma, out)
-        return obj, max(viol, 0.0), trace
-
-    @cached_property
-    def _structural_columns(self):
-        """Columns of the gammas, (L,), and per weight layer of its digits,
-        (n_out, n_in + 1, bits) with the bias as column n_in, in the
-        structural-bit vector."""
-        col = {name: c for c, name in enumerate(self.structural)}
-        widths = self.arch.widths
-        digits = []
-        for l in range(self.L + 1):
-            n_in = widths[l]
-            if (l, 0, n_in) not in self._digit_names:
-                raise BuildError("free biases: bits do not determine the net")
-            digits.append(np.array(
-                [[[col[d] for d in self._digit_names[(l, j, k)]]
-                  for k in range(n_in + 1)] for j in range(widths[l + 1])]))
-        gammas = np.array([col[vn("gamma", g)] for g in range(self.L)])
-        return gammas, digits
+                lo, hi = self.hidden_bounds(l, 0)
+            viol = max(viol, (lo - z).max(initial=0.0), (z - hi).max(initial=0.0))
+        obj = objective_breakdown(net, trace[-1][0], self.data.targets, h)["total"]
+        return obj, float(viol), trace
 
     def complete_batch(self, values):
         """Objective and violation of B structural-bit vectors in one pass.
@@ -252,14 +265,8 @@ class DenseBuild:
         Returns two (B,) arrays: objective and violation.
         """
         h = self.hyper
-        quant = QuantSpec(h.bits, h.w_max)
-        gamma_cols, digit_cols = self._structural_columns
-        gamma = values[:, gamma_cols]
-        place = 2.0 ** np.arange(h.bits)
-        params = []
-        for cols in digit_cols:
-            P = quant.step * (values[:, cols] * place).sum(axis=-1) - quant.w_max
-            params.append((P[:, :, :-1], P[:, :, -1]))
+        gamma = values[:, self._structural_columns[0]]
+        params = decode_layers(self, values)
 
         viol = np.abs(gamma[:, 0] - 1.0)
         for g in range(self.L - 1):
@@ -300,40 +307,30 @@ class DenseBuild:
     def assemble(self, bits, tol=1e-6):
         """Full Assignment for a structural-bit candidate."""
         obj, viol, trace = self.complete(bits, tol)
-        params = self.decode_params(bits)
+        net = self.decode_net(bits)
         values = dict(bits)
-        widths = self.arch.widths
-        for l, (W, b) in enumerate(params):
-            for j in range(widths[l + 1]):
-                for k in range(widths[l]):
-                    values[vn("W", l, j, k)] = float(W[j, k])
-                    values[vn("u", l, j, k)] = float(abs(W[j, k]))
-                values[vn("b", l, j)] = float(b[j])
-        x = self.data.inputs
-        for i in range(self.data.n):
-            for j in range(widths[0]):
-                values[vn("a", i, 0, j)] = float(x[i, j])
-            for hh in range(self.L):
-                z, a = trace[hh]
-                for j in range(widths[hh + 1]):
-                    values[vn("z", i, hh, j)] = float(z[i, j])
-                    values[vn("a", i, hh + 1, j)] = float(a[i, j])
-                    values[vn("delta", i, hh, j)] = 1.0 if z[i, j] > 0 else 0.0
-            out = trace[self.L][0]
-            for j in range(widths[self.L + 1]):
-                values[vn("a", i, self.L + 1, j)] = float(out[i, j])
-                if self.hyper.loss == LOSS_ABS:
-                    values[vn("r", i, j)] = float(
-                        abs(out[i, j] - self.data.targets[i, j]))
+        for l, (W, b) in enumerate(net.weights):
+            fill(values, "W", W, l)
+            fill(values, "u", np.abs(W), l)
+            fill(values, "b", b, l)
+        fill(values, "a", self.data.inputs, 0, at=1)
+        for l, (z, a) in enumerate(trace[:-1]):
+            fill(values, "z", z, l, at=1)
+            fill(values, "a", a, l + 1, at=1)
+            fill(values, "delta", z > 0, l, at=1)
+        out = trace[-1][0]
+        fill(values, "a", out, self.L + 1, at=1)
+        if self.hyper.loss == LOSS_ABS:
+            fill(values, "r", np.abs(out - self.data.targets))
         if self.hyper.mode == TRAIN_QUANTIZED:
-            for i in range(self.data.n):
-                for l in range(1, self.L + 1):
-                    for j in range(widths[l + 1]):
-                        for k in range(widths[l]):
-                            a_ik = float(trace[l - 1][1][i, k])
-                            for t, d in enumerate(self._digit_names[(l, j, k)]):
-                                values[vn("y", i, l, j, k, t)] = (
-                                    a_ik if bits[d] >= 0.5 else 0.0)
+            # y[i][l][j][k][t] is a[i][l][k] where digit t of W[l][j][k] is set
+            widths = self.arch.widths
+            for l in range(1, self.L + 1):
+                on = np.array([[[bits[d] >= 0.5 for d in self._digit_names[(l, j, k)]]
+                                for k in range(widths[l])]
+                               for j in range(widths[l + 1])])
+                a = trace[l - 1][1][:, None, :, None]
+                fill(values, "y", np.where(on, a, 0.0), l, at=1)
         return ir.Assignment(values=values), obj, viol
 
 

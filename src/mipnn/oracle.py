@@ -136,7 +136,7 @@ def branch_and_bound(build, budget=10 ** 7, limit_bits=24, tol=1e-6, timeout=Non
     never decreases along a branch, so pruning at bound >= incumbent is safe.
     """
     _check_solvable(build, limit_bits)
-    search = _Search(build, tol, timeout, budget, build_triggers(build))
+    search = _Search(build, tol, timeout, budget, build_triggers(build, tol))
     search.run()
     proven = not search.exhausted
     if search.best_bits is None:
@@ -252,8 +252,10 @@ class _Search:
                 or (self.deadline is not None
                     and time.monotonic() > self.deadline)):
             self.exhausted = True
-            if self.open_bound is None or bound < self.open_bound:
-                self.open_bound = bound
+        # once exhausted, every node the unwinding search offers is left
+        # undone: the lowest of their bounds is a bound on the work left
+        if self.exhausted and (self.open_bound is None or bound < self.open_bound):
+            self.open_bound = bound
         return self.exhausted
 
     def _fire(self, name, bound):
@@ -345,8 +347,11 @@ class _Search:
             self.bits[name] = val
 
 
-def build_triggers(build):
-    """Map structural-bit name -> bound/feasibility callbacks fired when fixed."""
+def build_triggers(build, tol=1e-6):
+    """Map structural-bit name -> bound/feasibility callbacks fired when fixed.
+
+    A pruned layer's weight may be off zero by ``tol``, as in ``complete``
+    and the audit."""
     hyper = build.hyper
     triggers = {}
 
@@ -385,7 +390,7 @@ def build_triggers(build):
                 contrib = 0.0 if is_bias else al * abs(w) + fr * w * w
                 ok = True
                 if gate is not None and gate in bits and bits[gate] < 0.5:
-                    ok = abs(w) <= 1e-9
+                    ok = abs(w) <= tol
                 return contrib, ok
 
             add(last, fn)

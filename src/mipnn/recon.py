@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ir import Assignment, Violation, round_binaries
+from .nnspec import LOSS_ABS
 
 SPARSITY_TOL = 1e-6
 
@@ -32,6 +33,12 @@ class QuantSpec:
         for t, d in enumerate(digits):
             total += (2 ** t) * d
         return self.step * total - self.w_max
+
+    def decode_array(self, digits):
+        """``decode`` over the last axis of a digit array.  The result keeps
+        the memory order of ``digits``: a batch of fancy-indexed digit vectors
+        stays batch-innermost, which the batched forward pass runs fastest on."""
+        return self.step * (digits * 2.0 ** np.arange(self.bits)).sum(axis=-1) - self.w_max
 
     def grid(self):
         return [self.decode(_bits(v, self.bits)) for v in range(2 ** self.bits)]
@@ -64,10 +71,7 @@ class ConvNet:
 
 def forward(net, x):
     """Plain forward pass; returns the raw head outputs for a batch."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(net, DenseNet):
-        return _forward_dense(net, x)[-1][1]
-    return _forward_conv(net, x)[-1][1]
+    return forward_trace(net, x)[-1][1]
 
 
 def forward_trace(net, x):
@@ -268,6 +272,29 @@ def _fmt1(x):
     return "%.1f" % float(x)
 
 
+def objective_breakdown(net, outputs, targets, hyper):
+    """The training objective of a net with head ``outputs`` on ``targets``:
+    its loss, l1, frobenius and structural parts, and their ``total``."""
+    if isinstance(net, DenseNet):
+        params, gamma = net.weights, np.ravel(net.gamma)
+    else:
+        params, gamma = net.kernels + [net.head], np.concatenate(net.gamma)
+    res = outputs - targets
+    loss = (float(np.abs(res).sum()) if hyper.loss == LOSS_ABS
+            else float((res ** 2).sum()))
+    l1 = sum(float(np.abs(W).sum()) for W, _ in params)
+    fro = sum(float((W ** 2).sum()) for W, _ in params)
+    parts = {
+        "loss": loss,
+        "l1": hyper.alpha * hyper.lam * l1,
+        "frobenius": 0.5 * hyper.alpha * (1.0 - hyper.lam) * fro,
+        "structural": hyper.beta * float(gamma.sum()),
+    }
+    # the dict order is the summation order, which the pinned optima rely on
+    parts["total"] = sum(parts.values())
+    return parts
+
+
 def metrics(net, data, split=None, reported_gap=None, hyper=None):
     """Accuracy, per-layer weight sparsity, retained structure and objective parts."""
     inputs, targets = data.inputs, data.targets
@@ -299,27 +326,8 @@ def metrics(net, data, split=None, reported_gap=None, hyper=None):
         sparsity.append(frac)
         neuron_counts.append(int(np.sum(np.abs(W).max(axis=1) > SPARSITY_TOL)))
 
-    breakdown = {}
-    if hyper is not None:
-        res = out - targets
-        all_w = (net.weights if isinstance(net, DenseNet)
-                 else net.kernels + [net.head])
-        l1 = sum(float(np.abs(W).sum()) for W, _ in all_w)
-        fro = sum(float((W ** 2).sum()) for W, _ in all_w)
-        if isinstance(net, DenseNet):
-            structural = sum(float(g) for g in np.ravel(net.gamma))
-        else:
-            structural = sum(float(g) for g in np.ravel(np.concatenate(net.gamma)))
-        from .nnspec import LOSS_ABS
-        loss = (float(np.abs(res).sum()) if hyper.loss == LOSS_ABS
-                else float((res ** 2).sum()))
-        breakdown = {
-            "loss": loss,
-            "l1": hyper.alpha * hyper.lam * l1,
-            "frobenius": 0.5 * hyper.alpha * (1.0 - hyper.lam) * fro,
-            "structural": hyper.beta * structural,
-        }
-        breakdown["total"] = sum(breakdown.values())
+    breakdown = ({} if hyper is None
+                 else objective_breakdown(net, out, targets, hyper))
 
     return MetricsReport(accuracy=accuracy, layer_sparsity=sparsity,
                          retained=retained, neuron_counts=neuron_counts,

@@ -179,7 +179,8 @@ def test_prepare_rejects_missing_pieces(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("bounds", "samples"),
-                                        ("bounds_slack", "0.5")])
+                                        ("bounds_slack", "0.5"),
+                                        ("jobs", "2")])
 def test_removed_bounds_keys_rejected(tmp_path, capsys, key, value):
     cfg = write_xor_cfg(tmp_path, **{key: value})
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG

@@ -126,6 +126,28 @@ def test_budget_exhaustion_unproven():
     assert res.nodes <= 3
 
 
+def test_bnb_bound_on_exhausted_budget_never_falls():
+    """A budget that runs out reports a lower bound of every leaf left
+    undone, so a larger budget cannot report a lower one."""
+    build = quantized_dense_build(xor_data(), [2], bits=2)
+    results = [branch_and_bound(build, budget=b) for b in (60000, 150000, 250000)]
+    bounds = [r.bound for r in results]
+    assert not any(r.proven for r in results)
+    assert bounds == sorted(bounds)
+    assert bounds[-1] <= 0.5800000000000001
+
+
+def test_bnb_cuts_a_pruned_layer_on_the_audit_tolerance():
+    """Weights within tol of zero satisfy a pruned layer's gate in complete
+    and the audit, so bnb must not cut them as infeasible."""
+    build = quantized_dense_build(xor_data(), [1, 1], bits=1, w_max=1e-7)
+    want = enumerate_exact(build)
+    got = branch_and_bound(build)
+    assert got.proven
+    assert got.objective == want.objective == pytest.approx(2.009999636, abs=1e-12)
+    assert got.assignment.values == want.assignment.values
+
+
 def test_objective_matches_direct_computation():
     """The oracle objective equals loss plus elastic net plus structural terms
     computed from the reconstructed network alone."""

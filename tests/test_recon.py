@@ -7,9 +7,10 @@ from mipnn.recon import (ConvNet, DenseNet, MetricsReport, QuantSpec,
                          forward, forward_trace, maxpool2d, metrics,
                          reconstruct)
 from mipnn.ir import Assignment
-from mipnn.nnspec import Dataset, Hyper, TRAIN_QUANTIZED
+from mipnn.nnspec import Dataset, Hyper, TRAIN_QUANTIZED, VERIFY
 
-from conftest import random_dense_weights, verify_dense_build
+from conftest import (quantized_dense_build, random_dense_weights,
+                      tiny_conv_build, verify_dense_build, xor_data)
 
 
 def test_forward_dense_matches_manual():
@@ -175,3 +176,23 @@ def test_all_nan_solution_fails_audit_and_reconstruction(rng):
     assert not audit(build, asg).ok
     with pytest.raises(ReconError, match="integrality"):
         reconstruct(build, asg)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: quantized_dense_build(xor_data(), [2, 2], bits=2, symmetry=False),
+    lambda: tiny_conv_build(n_samples=3, bits=2),
+    lambda: tiny_conv_build(n_samples=3, mode=VERIFY),
+], ids=["dense-quantized", "conv-quantized", "conv-verify"])
+def test_metrics_total_is_the_complete_objective(make):
+    """The objective the search ranks candidates by and the one metrics.txt
+    reports for the reconstructed net are the same float."""
+    build = make()
+    rng = np.random.default_rng(7)
+    bits = {name: 1.0 if name.startswith("gamma") else float(rng.integers(0, 2))
+            for name in build.structural}
+    obj, viol, _ = build.complete(bits)
+    asg, obj2, _ = build.assemble(bits)
+    assert viol <= 1e-6
+    net = reconstruct(build, asg)
+    total = metrics(net, build.data, hyper=build.hyper).objective_breakdown["total"]
+    assert total == obj == obj2
