@@ -24,7 +24,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import emit, nnspec, oracle, recon
 from .cnn import build_cnn
-from .dense import build_dense
+from .dense import BuildError, build_dense
 from .nnspec import (LOSS_ABS, LOSS_SQUARED, TRAIN_BILINEAR, TRAIN_QUANTIZED,
                      VERIFY, ConvArch, ConvLayer, DenseArch, Dataset, Hyper)
 
@@ -521,7 +521,7 @@ def _run_one(args):
         cfg = _apply_overrides(parse_config(path), ns)
         return _dispatch(ns, cfg)
     except (ConfigError, nnspec.SpecError, nnspec.ParseError,
-            emit.EmitError) as e:
+            emit.EmitError, BuildError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     except oracle.InfeasibleError as e:

@@ -1,4 +1,5 @@
-"""Compile a dense network spec into its complete mixed-integer program.
+"""Compile a dense network spec into its complete mixed-integer program, and
+the per-tensor emitters the dense and convolutional builders share.
 
 Layer index conventions (all 0-based, used verbatim in variable names):
   weight layers   l in 0..L      (0..L-1 hidden, L = linear head)
@@ -13,17 +14,23 @@ weights (the system is exactly linear), ``train-bilinear`` carries the raw
 products for solvers that accept nonconvex quadratics, and ``train-quantized``
 expands each weight into binary digits with exact product linearization,
 yielding a true MILP.
+
+Both builders describe their parameters as one ordered list of ``Tensor``s
+(``param_tensors``): the dense layers, or the conv layers and then the head.
+The declarations, the weight-times-input rows, the ReLU units, the head rows
+and the objective are emitted from that list by the functions below.
 """
 
 import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import ir
 from .ir import BINARY, CONTINUOUS, EQ, GE, LE, ModelIR, VarDef
-from .nnspec import (LOSS_ABS, LOSS_SQUARED, TRAIN_BILINEAR, TRAIN_QUANTIZED,
-                     VERIFY)
+from .nnspec import (LOSS_ABS, TRAIN_BILINEAR, TRAIN_QUANTIZED, VERIFY,
+                     DenseArch, validate_arch)
 from .recon import DenseNet, QuantSpec, forward_trace, objective_breakdown
 
 
@@ -36,7 +43,7 @@ class IllPosedBoundsError(BuildError):
 
 
 def vn(base, *idx):
-    return base + "".join("[%d]" % i for i in idx)
+    return base + "[%d]" * len(idx) % idx
 
 
 def _names(base, ndim, fixed, at):
@@ -104,6 +111,47 @@ def net_quant(hyper):
             if hyper.mode == TRAIN_QUANTIZED else None)
 
 
+@dataclass(frozen=True)
+class Tensor:
+    """The parameters of weight layer ``l``: weights ``w[l][row][...]`` of
+    ``shape`` (rows first) and biases ``b[l][row]``.  ``gates[row]`` names
+    the pruning switch of each row (empty for the ungated head) and ``label``
+    the rows that apply the layer.  Weight digits are ``d[l][row][...][t]``,
+    keyed ``(l, row, ...)``; bias digits are keyed ``(l, row) + bias_col`` and
+    named ``d`` with that key when ``bias_col`` is set (dense puts the bias
+    at column n_in), else ``db[l][row][t]``."""
+    w: str
+    b: str
+    l: int
+    shape: tuple
+    gates: tuple
+    label: str
+    bias_col: tuple
+
+    def bias_key(self, row):
+        return (self.l, row) + self.bias_col
+
+
+def param_tensors(arch):
+    """The parameter tensors of ``arch`` in declaration order: the dense
+    layers, or each conv layer's kernels and then the dense head."""
+    if isinstance(arch, DenseArch):
+        L, widths = arch.num_hidden, arch.widths
+        return [Tensor("W", "b", l, (widths[l + 1], widths[l]),
+                       (vn("gamma", l),) * widths[l + 1] if l < L else (),
+                       "affine_map" if l < L else "output_map", (widths[l],))
+                for l in range(L + 1)]
+    shapes = validate_arch(arch)
+    tensors = [Tensor("Wc", "bc", l,
+                      (layer.filters, shapes[l][0]) + tuple(layer.kernel),
+                      tuple(vn("gamma", l, c) for c in range(layer.filters)),
+                      "conv_map", ())
+               for l, layer in enumerate(arch.conv_layers)]
+    c, h, w = shapes[-1]
+    return tensors + [Tensor("W", "b", len(tensors), (arch.head_dim, c * h * w),
+                             (), "output_map", ())]
+
+
 def encode_relu(model, z, a, delta, z_lo, z_hi):
     """The four-inequality exact ReLU encoding driven by one binary indicator."""
     if not (z_lo <= 0.0 <= z_hi):
@@ -121,17 +169,12 @@ def encode_quantized_product(model, digits, a_ref, a_lo, a_hi, quant, y_namer):
     """Exact linearization of (quantized weight) * (bounded activation).
 
     Creates one product variable per digit, constrained so it equals the
-    digit-activation product.  Returns the weight expression and the product
-    expression, each as (terms, constant).
+    digit-activation product.  Returns the terms of the product expression.
     """
     if not np.isfinite(a_lo) or not np.isfinite(a_hi):
         raise BuildError("activation %s must be bounded for quantization" % a_ref.name)
-    step = quant.step
-    w_terms = []
     p_terms = []
     for t, d in enumerate(digits):
-        coef = step * (2 ** t)
-        w_terms.append((coef, d))
         y = model.add_variable(VarDef(y_namer(t), CONTINUOUS,
                                       min(a_lo, 0.0), max(a_hi, 0.0)))
         model.add_constraint([(1.0, y), (-a_hi, d)], LE, 0.0, "quant_product")
@@ -140,83 +183,289 @@ def encode_quantized_product(model, digits, a_ref, a_lo, a_hi, quant, y_namer):
                              "quant_product")
         model.add_constraint([(1.0, y), (-1.0, a_ref), (-a_hi, d)], GE, -a_hi,
                              "quant_product")
-        p_terms.append((coef, y))
+        p_terms.append((quant.step * (2 ** t), y))
     p_terms.append((-quant.w_max, a_ref))
-    return (w_terms, -quant.w_max), (p_terms, 0.0)
+    return p_terms
 
 
-class DenseBuild:
-    """The compiled program plus everything needed to interpret its solutions."""
+# shared emitters --------------------------------------------------------------
 
-    def __init__(self, model, arch, data, hyper, btable, fixed_weights):
+def declare_params(build):
+    """Every parameter variable: each row's weights then its bias, per tensor;
+    every l1 auxiliary u; the pruning switches; in train-quantized mode each
+    row's weight digits and then its bias digits, each group with the row
+    defining its parameter.  Parameters are fixed in verification mode and
+    boxed by ``w_max`` in train-quantized mode, by ``big_m`` otherwise."""
+    model, hyper = build.model, build.hyper
+    box = hyper.w_max if hyper.mode == TRAIN_QUANTIZED else hyper.big_m
+
+    def param(name, fixed):
+        lo, hi = (-box, box) if fixed is None else (float(fixed), float(fixed))
+        model.add_variable(VarDef(name, CONTINUOUS, lo, hi))
+
+    for t in build.tensors:
+        W = b = None
+        if hyper.mode == VERIFY:
+            W, b = build.fixed_weights[t.l]
+            W, b = np.asarray(W), np.asarray(b).ravel()
+        for row in range(t.shape[0]):
+            for idx in np.ndindex(t.shape[1:]):
+                param(vn(t.w, t.l, row, *idx), None if W is None else W[row][idx])
+            param(vn(t.b, t.l, row), None if b is None else b[row])
+    for t in build.tensors:
+        for idx in np.ndindex(t.shape):
+            model.add_variable(VarDef(vn("u", t.l, *idx), CONTINUOUS,
+                                      0.0, float("inf")))
+    for g in build.gammas:
+        model.add_variable(VarDef(g, BINARY))
+        build.structural.append(g)
+    if hyper.mode != TRAIN_QUANTIZED:
+        return
+
+    quant = QuantSpec(hyper.bits, hyper.w_max)
+
+    def digits(key, base, target, label):
+        names = tuple(vn(base, *key, t) for t in range(hyper.bits))
+        for nm in names:
+            model.add_variable(VarDef(nm, BINARY))
+            build.structural.append(nm)
+        build._digit_names[key] = names
+        terms = [(1.0, model.var(target))]
+        terms += [(-quant.step * (2 ** t), model.var(nm)) for t, nm in enumerate(names)]
+        model.add_constraint(terms, EQ, -quant.w_max, label)
+
+    for t in build.tensors:
+        for row in range(t.shape[0]):
+            for idx in np.ndindex(t.shape[1:]):
+                key = (t.l, row) + idx
+                digits(key, "d", vn(t.w, *key), "quant_weight_def")
+            if hyper.quantize_biases:
+                digits(t.bias_key(row), "d" if t.bias_col else "db",
+                       vn(t.b, t.l, row), "quant_bias_def")
+
+
+def l1_rows(model, u, w):
+    """u >= |w|."""
+    model.add_constraint([(1.0, u), (-1.0, w)], GE, 0.0, "l1_linearization")
+    model.add_constraint([(1.0, u), (1.0, w)], GE, 0.0, "l1_linearization")
+
+
+def prune_rows(model, ref, gate, big_m, label):
+    """|ref| <= big_m * gate."""
+    model.add_constraint([(1.0, ref), (-big_m, gate)], LE, 0.0, label)
+    model.add_constraint([(-1.0, ref), (-big_m, gate)], LE, 0.0, label)
+
+
+def input_rows(build, i):
+    """a[i][0][...] fixed at the inputs of sample i."""
+    x = build.data.inputs[i]
+    for idx in np.ndindex(x.shape):
+        xv = float(x[idx])
+        ref = build.model.add_variable(VarDef(vn("a", i, 0, *idx), CONTINUOUS, xv, xv))
+        build.model.add_constraint([(1.0, ref)], EQ, xv, "input_assignment")
+
+
+def product_row(build, t, i, row, out, src, cells, pos=()):
+    """The row ``out`` = bias + weight row ``row`` of ``t`` times its inputs.
+
+    ``cells`` pairs each weight entry (the index after ``row``) with the cell
+    of sample i's input map it multiplies; ``src`` = (base, index) names that
+    map's variables ``base[i][index][cell]``.  Fixed weights and a first layer,
+    whose inputs are data, give a linear row; otherwise the products stay
+    bilinear, or in train-quantized mode are linearized digit by digit into
+    y[i][l][row][entry][pos][t].
+    """
+    model, hyper = build.model, build.hyper
+    terms = [(1.0, out), (-1.0, model.var(vn(t.b, t.l, row)))]
+    if hyper.mode != VERIFY and t.l == 0:
+        x = build.data.inputs[i]
+        terms += [(-float(x[cell]), model.var(vn(t.w, 0, row, *e)))
+                  for e, cell in cells]
+        model.add_constraint(terms, EQ, 0.0, t.label)
+        return
+    base, index = src
+    ins = [(e, model.var(vn(base, i, index, *cell))) for e, cell in cells]
+    if hyper.mode == VERIFY:
+        W = np.asarray(build.fixed_weights[t.l][0], dtype=float)[row]
+        terms += [(-float(W[e]), a) for e, a in ins]
+    elif hyper.mode == TRAIN_BILINEAR:
+        quad = [(-1.0, model.var(vn(t.w, t.l, row, *e)), a) for e, a in ins]
+        model.add_bilinear_constraint(quad, terms, EQ, 0.0, t.label)
+        return
+    else:
+        quant = QuantSpec(hyper.bits, hyper.w_max)
+        a_hi = build.btable.layer(t.l - 1).a_hi
+        for e, a in ins:
+            digits = [model.var(nm) for nm in build._digit_names[(t.l, row) + e]]
+            p_terms = encode_quantized_product(
+                model, digits, a, 0.0, a_hi, quant,
+                lambda s, e=e: vn("y", i, t.l, row, *e, *pos, s))
+            terms += [(-c, r) for c, r in p_terms]
+    model.add_constraint(terms, EQ, 0.0, t.label)
+
+
+def relu_units(build, t, i, row, src, windows):
+    """z, a and delta of the units (row, *pos) of ReLU layer ``t.l`` for
+    sample i, ``windows`` listing each pos with its ``product_row`` cells:
+    the unit's product row, the ReLU encoding and the rows that hold a and z
+    at 0 when the row's switch is off."""
+    model = build.model
+    z_lo, z_hi = build.unit_bounds(t.l, row)
+    g = model.var(t.gates[row])
+    M = build.hyper.big_m
+    for pos, cells in windows:
+        z = model.add_variable(VarDef(vn("z", i, t.l, row, *pos), CONTINUOUS,
+                                      z_lo, z_hi))
+        a = model.add_variable(VarDef(vn("a", i, t.l + 1, row, *pos), CONTINUOUS,
+                                      0.0, max(0.0, z_hi)))
+        d = model.add_variable(VarDef(vn("delta", i, t.l, row, *pos), BINARY))
+        product_row(build, t, i, row, z, src, cells, pos)
+        encode_relu(model, z, a, d, z_lo, z_hi)
+        model.add_constraint([(1.0, a), (-M, g)], LE, 0.0, "pruning_activation")
+        prune_rows(model, z, g, M, "pruning_activation")
+
+
+def head_rows(build, i):
+    """The head outputs a[i][L+1][j] of sample i over a[i][L], and in
+    absolute-loss mode the residuals r[i][j] >= |a[i][L+1][j] - target|."""
+    model = build.model
+    t = build.tensors[-1]
+    L = t.l
+    cells = [((k,), (k,)) for k in range(t.shape[1])]
+    for j in range(t.shape[0]):
+        out = model.add_variable(VarDef(vn("a", i, L + 1, j), CONTINUOUS,
+                                        float("-inf"), float("inf")))
+        product_row(build, t, i, j, out, ("a", L), cells)
+    if build.hyper.loss == LOSS_ABS:
+        for j in range(t.shape[0]):
+            r = model.add_variable(VarDef(vn("r", i, j), CONTINUOUS, 0.0, float("inf")))
+            out = model.var(vn("a", i, L + 1, j))
+            y = float(build.data.targets[i, j])
+            model.add_constraint([(1.0, r), (-1.0, out)], GE, -y, "abs_loss")
+            model.add_constraint([(1.0, r), (1.0, out)], GE, y, "abs_loss")
+
+
+def add_objective(build):
+    """Loss + alpha * (lam * l1 + (1 - lam) / 2 * frobenius) + beta * switches."""
+    model, hyper = build.model, build.hyper
+    head = build.tensors[-1]
+    for i in range(build.data.n):
+        for j in range(head.shape[0]):
+            if hyper.loss == LOSS_ABS:
+                model.add_objective_linear(1.0, model.var(vn("r", i, j)))
+            else:
+                out = model.var(vn("a", i, head.l + 1, j))
+                y = float(build.data.targets[i, j])
+                model.add_objective_quadratic(1.0, out, out)
+                model.add_objective_linear(-2.0 * y, out)
+                model.add_objective_constant(y * y)
+    al = hyper.alpha * hyper.lam
+    fr = 0.5 * hyper.alpha * (1.0 - hyper.lam)
+    for t in build.tensors:
+        for idx in np.ndindex(t.shape):
+            if al:
+                model.add_objective_linear(al, model.var(vn("u", t.l, *idx)))
+            if fr:
+                W = model.var(vn(t.w, t.l, *idx))
+                model.add_objective_quadratic(fr, W, W)
+    if hyper.beta:
+        for g in build.gammas:
+            model.add_objective_linear(hyper.beta, model.var(g))
+
+
+class Build:
+    """The compiled program plus everything needed to interpret its solutions.
+
+    ``map_shapes[l]`` is the shape of ReLU layer l's units: (n_l,) dense,
+    (C, H, W) pre-pool conv.  Subclasses define ``net(params, gammas)``, the
+    recon net of (W, b) per tensor and the switches per gated tensor."""
+
+    def __init__(self, model, arch, data, hyper, btable, fixed_weights, map_shapes):
         self.model = model
         self.arch = arch
         self.data = data
         self.hyper = hyper
         self.btable = btable
-        self.fixed_weights = fixed_weights
+        self.fixed_weights = fixed_weights    # [(W, b)] per tensor in verification mode
+        self.map_shapes = map_shapes
+        self.tensors = param_tensors(arch)
+        self.gammas = list(dict.fromkeys(g for t in self.tensors for g in t.gates))
         self.structural = []          # binary names the oracle branches on
-        self._digit_names = {}        # (l, j, k) -> tuple of digit names; k == n_in is the bias
+        self._digit_names = {}        # digit key (see Tensor) -> tuple of digit names
         self.built_constraints = 0
-
-    # naming shortcuts -----------------------------------------------------
 
     @property
     def L(self):
-        return self.arch.num_hidden
+        return len(self.tensors) - 1
 
     def relu_pairs(self):
-        out = []
-        for i in range(self.data.n):
-            for h in range(self.L):
-                for j in range(self.arch.widths[h + 1]):
-                    out.append((vn("z", i, h, j), vn("delta", i, h, j)))
-        return out
+        return [(vn("z", i, l, *idx), vn("delta", i, l, *idx))
+                for i in range(self.data.n)
+                for l, shape in enumerate(self.map_shapes)
+                for idx in np.ndindex(shape)]
 
-    def hidden_bounds(self, h, j):
-        if self.hyper.per_unit_bounds:
-            return self.btable.relu_bounds(h, j)
-        return self.btable.relu_bounds(h)
-
-    def act_hi(self, h):
-        """Upper bound of activation layer h (input of weight layer h)."""
-        if h == 0:
-            x = self.data.inputs
-            return float(x.min()), float(x.max())
-        lb = self.btable.layer(h - 1)
-        return 0.0, lb.a_hi
-
-    # solution handling ----------------------------------------------------
-
-    def extract_net(self, values):
-        widths = self.arch.widths
-        weights = [(gather(values, "W", (widths[l + 1], widths[l]), l),
-                    gather(values, "b", (widths[l + 1],), l))
-                   for l in range(self.L + 1)]
-        gamma = (gather(values, "gamma", (self.L,)) >= 0.5).astype(float)
-        return DenseNet(weights=weights, gamma=gamma, quant=net_quant(self.hyper))
+    def unit_bounds(self, l, row):
+        """(z_lo, z_hi) of unit or channel ``row`` of ReLU layer l."""
+        return self.btable.relu_bounds(l, row if self.hyper.per_unit_bounds else None)
 
     @cached_property
     def _structural_columns(self):
-        """Columns in ``structural`` of the gammas, and, in a trained build,
-        ``digit_columns`` of W and b per weight layer: W0, b0, W1, b1, ..."""
+        """Columns in ``structural`` of each gated tensor's switches, and, in
+        a trained build, ``digit_columns`` of each tensor's W and then b."""
         col = {name: c for c, name in enumerate(self.structural)}
-        gammas = np.array([col[vn("gamma", g)] for g in range(self.L)], dtype=int)
+        gates = [np.array([col[g] for g in dict.fromkeys(t.gates)], dtype=int)
+                 for t in self.tensors if t.gates]
         tensors = []
         if self.hyper.mode != VERIFY:
             names = self._digit_names
-            widths = self.arch.widths
-            for l in range(self.L + 1):
-                n_out, n_in = widths[l + 1], widths[l]
-                tensors += [((n_out, n_in), lambda j, k, l=l: names[(l, j, k)]),
-                            ((n_out,), lambda j, l=l, k=n_in: names[(l, j, k)])]
-        return (gammas,) + digit_columns(col, tensors, self.hyper.bits)
+            for t in self.tensors:
+                tensors += [(t.shape, lambda *idx, l=t.l: names[(l,) + idx]),
+                            (t.shape[:1], lambda row, t=t: names[t.bias_key(row)])]
+        return (gates,) + digit_columns(col, tensors, self.hyper.bits)
+
+    def extract_net(self, values):
+        """The net a full assignment holds."""
+        params = [(gather(values, t.w, t.shape, t.l),
+                   gather(values, t.b, t.shape[:1], t.l)) for t in self.tensors]
+        gammas = [np.array([values[g] >= 0.5 for g in dict.fromkeys(t.gates)],
+                           dtype=float)
+                  for t in self.tensors if t.gates]
+        return self.net(params, gammas)
 
     def decode_net(self, bits):
-        """The DenseNet a structural-bit assignment determines."""
+        """The net a structural-bit assignment determines."""
         values = bit_vector(self, bits)
-        return DenseNet(weights=decode_layers(self, values),
-                        gamma=values[self._structural_columns[0]],
+        return self.net(decode_layers(self, values),
+                        [values[cols] for cols in self._structural_columns[0]])
+
+    def fill_params(self, values, params):
+        """W, u = |W| and b of every tensor from (W, b) pairs."""
+        for t, (W, b) in zip(self.tensors, params):
+            fill(values, t.w, W, t.l)
+            fill(values, "u", np.abs(W), t.l)
+            fill(values, t.b, b, t.l)
+
+    def fill_products(self, values, bits, t, inputs):
+        """y[i][l][row][entry][pos][t] of tensor ``t``: the input it multiplies
+        where digit t of the weight is set, else 0.  ``inputs[i][entry][pos]``
+        is that input; ``pos`` indexes the output positions of a conv layer."""
+        on = np.array([[bits[d] >= 0.5 for d in self._digit_names[(t.l,) + idx]]
+                       for idx in np.ndindex(t.shape)])
+        npos = inputs.ndim - len(t.shape)
+        on = on.reshape((1,) + t.shape + (1,) * npos + (-1,))
+        fill(values, "y", np.where(on, inputs[:, None, ..., None], 0.0), t.l, at=1)
+
+
+class DenseBuild(Build):
+
+    def __init__(self, model, arch, data, hyper, btable, fixed_weights):
+        super().__init__(model, arch, data, hyper, btable, fixed_weights,
+                         [(n,) for n in arch.hidden_widths])
+
+    # solution handling ----------------------------------------------------
+
+    def net(self, params, gammas):
+        return DenseNet(weights=params, gamma=np.concatenate(gammas),
                         quant=net_quant(self.hyper))
 
     def complete(self, bits, tol=1e-6):
@@ -250,7 +499,7 @@ class DenseBuild:
                 lb = self.btable.layer(l)
                 lo, hi = lb.unit_lo, lb.unit_hi
             else:
-                lo, hi = self.hidden_bounds(l, 0)
+                lo, hi = self.btable.relu_bounds(l)
             viol = max(viol, (lo - z).max(initial=0.0), (z - hi).max(initial=0.0))
         obj = objective_breakdown(net, trace[-1][0], self.data.targets, h)["total"]
         return obj, float(viol), trace
@@ -265,7 +514,7 @@ class DenseBuild:
         Returns two (B,) arrays: objective and violation.
         """
         h = self.hyper
-        gamma = values[:, self._structural_columns[0]]
+        gamma = values[:, np.concatenate(self._structural_columns[0])]
         params = decode_layers(self, values)
 
         viol = np.abs(gamma[:, 0] - 1.0)
@@ -289,7 +538,7 @@ class DenseBuild:
                 lb = self.btable.layer(hh)
                 lo, hi = lb.unit_lo, lb.unit_hi
             else:
-                lo, hi = self.hidden_bounds(hh, 0)
+                lo, hi = self.btable.relu_bounds(hh)
             viol = np.maximum(viol, np.max(lo - z, axis=(1, 2), initial=0.0))
             viol = np.maximum(viol, np.max(z - hi, axis=(1, 2), initial=0.0))
             viol = np.maximum(viol, np.abs(z).max(axis=(1, 2))
@@ -309,10 +558,7 @@ class DenseBuild:
         obj, viol, trace = self.complete(bits, tol)
         net = self.decode_net(bits)
         values = dict(bits)
-        for l, (W, b) in enumerate(net.weights):
-            fill(values, "W", W, l)
-            fill(values, "u", np.abs(W), l)
-            fill(values, "b", b, l)
+        self.fill_params(values, net.weights)
         fill(values, "a", self.data.inputs, 0, at=1)
         for l, (z, a) in enumerate(trace[:-1]):
             fill(values, "z", z, l, at=1)
@@ -323,14 +569,8 @@ class DenseBuild:
         if self.hyper.loss == LOSS_ABS:
             fill(values, "r", np.abs(out - self.data.targets))
         if self.hyper.mode == TRAIN_QUANTIZED:
-            # y[i][l][j][k][t] is a[i][l][k] where digit t of W[l][j][k] is set
-            widths = self.arch.widths
-            for l in range(1, self.L + 1):
-                on = np.array([[[bits[d] >= 0.5 for d in self._digit_names[(l, j, k)]]
-                                for k in range(widths[l])]
-                               for j in range(widths[l + 1])])
-                a = trace[l - 1][1][:, None, :, None]
-                fill(values, "y", np.where(on, a, 0.0), l, at=1)
+            for t in self.tensors[1:]:
+                self.fill_products(values, bits, t, trace[t.l - 1][1])
         return ir.Assignment(values=values), obj, viol
 
 
@@ -352,217 +592,45 @@ def build_dense(arch, data, hyper, btable, weights=None):
 
     model = ModelIR("dense")
     build = DenseBuild(model, arch, data, hyper, btable, weights)
-    L = arch.num_hidden
-    widths = arch.widths
-    n = data.n
     M = hyper.big_m
-    quant = QuantSpec(hyper.bits, hyper.w_max)
-
-    def wb_bounds(l):
-        if hyper.mode == VERIFY:
-            return None
-        if hyper.mode == TRAIN_QUANTIZED:
-            return (-hyper.w_max, hyper.w_max)
-        return (-M, M)
-
-    # parameters -----------------------------------------------------------
-    for l in range(L + 1):
-        n_out, n_in = widths[l + 1], widths[l]
-        for j in range(n_out):
-            for k in range(n_in):
-                if hyper.mode == VERIFY:
-                    w = float(np.asarray(weights[l][0])[j, k])
-                    model.add_variable(VarDef(vn("W", l, j, k), CONTINUOUS, w, w))
-                else:
-                    lo, hi = wb_bounds(l)
-                    model.add_variable(VarDef(vn("W", l, j, k), CONTINUOUS, lo, hi))
-            if hyper.mode == VERIFY:
-                bv = float(np.asarray(weights[l][1]).ravel()[j])
-                model.add_variable(VarDef(vn("b", l, j), CONTINUOUS, bv, bv))
-            elif hyper.mode == TRAIN_QUANTIZED and hyper.quantize_biases:
-                model.add_variable(VarDef(vn("b", l, j), CONTINUOUS,
-                                          -hyper.w_max, hyper.w_max))
-            else:
-                lo, hi = wb_bounds(l)
-                model.add_variable(VarDef(vn("b", l, j), CONTINUOUS, lo, hi))
-    for l in range(L + 1):
-        for j in range(widths[l + 1]):
-            for k in range(widths[l]):
-                model.add_variable(VarDef(vn("u", l, j, k), CONTINUOUS,
-                                          0.0, float("inf")))
-    for h in range(L):
-        model.add_variable(VarDef(vn("gamma", h), BINARY))
-        build.structural.append(vn("gamma", h))
-
-    if hyper.mode == TRAIN_QUANTIZED:
-        for l in range(L + 1):
-            n_out, n_in = widths[l + 1], widths[l]
-            for j in range(n_out):
-                cols = list(range(n_in)) + ([n_in] if hyper.quantize_biases else [])
-                for k in cols:
-                    names = tuple(vn("d", l, j, k, t) for t in range(hyper.bits))
-                    for nm in names:
-                        model.add_variable(VarDef(nm, BINARY))
-                        build.structural.append(nm)
-                    build._digit_names[(l, j, k)] = names
-                    target = vn("b", l, j) if k == n_in else vn("W", l, j, k)
-                    label = "quant_bias_def" if k == n_in else "quant_weight_def"
-                    terms = [(1.0, model.var(target))]
-                    terms += [(-quant.step * (2 ** t), model.var(nm))
-                              for t, nm in enumerate(names)]
-                    model.add_constraint(terms, EQ, -quant.w_max, label)
+    declare_params(build)
 
     # parameter-side constraints -------------------------------------------
-    for l in range(L + 1):
-        for j in range(widths[l + 1]):
-            for k in range(widths[l]):
-                u = model.var(vn("u", l, j, k))
-                W = model.var(vn("W", l, j, k))
-                model.add_constraint([(1.0, u), (-1.0, W)], GE, 0.0,
-                                     "l1_linearization")
-                model.add_constraint([(1.0, u), (1.0, W)], GE, 0.0,
-                                     "l1_linearization")
-    for h in range(L):
-        g = model.var(vn("gamma", h))
-        for j in range(widths[h + 1]):
-            for k in range(widths[h]):
-                W = model.var(vn("W", h, j, k))
-                model.add_constraint([(1.0, W), (-M, g)], LE, 0.0, "prune_weights")
-                model.add_constraint([(-1.0, W), (-M, g)], LE, 0.0, "prune_weights")
-            b = model.var(vn("b", h, j))
-            model.add_constraint([(1.0, b), (-M, g)], LE, 0.0, "prune_biases")
-            model.add_constraint([(-1.0, b), (-M, g)], LE, 0.0, "prune_biases")
-    for h in range(L - 1):
-        model.add_constraint([(1.0, model.var(vn("gamma", h + 1))),
-                              (-1.0, model.var(vn("gamma", h)))],
+    hidden = build.tensors[:-1]
+    for t in build.tensors:
+        for idx in np.ndindex(t.shape):
+            l1_rows(model, model.var(vn("u", t.l, *idx)), model.var(vn("W", t.l, *idx)))
+    for t in hidden:
+        for j in range(t.shape[0]):
+            g = model.var(t.gates[j])
+            for k in range(t.shape[1]):
+                prune_rows(model, model.var(vn("W", t.l, j, k)), g, M, "prune_weights")
+            prune_rows(model, model.var(vn("b", t.l, j)), g, M, "prune_biases")
+    gammas = [model.var(g) for g in build.gammas]
+    for h in range(len(gammas) - 1):
+        model.add_constraint([(1.0, gammas[h + 1]), (-1.0, gammas[h])],
                              LE, 0.0, "layer_ordering")
-    model.add_constraint([(1.0, model.var(vn("gamma", 0)))], EQ, 1.0,
-                         "root_layer_active")
+    model.add_constraint([(1.0, gammas[0])], EQ, 1.0, "root_layer_active")
     if hyper.symmetry:
-        for h in range(L):
-            for j in range(widths[h + 1] - 1):
-                terms = [(1.0, model.var(vn("W", h, j, k)))
-                         for k in range(widths[h])]
-                terms += [(-1.0, model.var(vn("W", h, j + 1, k)))
-                          for k in range(widths[h])]
+        for t in hidden:
+            n_out, n_in = t.shape
+            for j in range(n_out - 1):
+                terms = [(1.0, model.var(vn("W", t.l, j, k))) for k in range(n_in)]
+                terms += [(-1.0, model.var(vn("W", t.l, j + 1, k)))
+                          for k in range(n_in)]
                 model.add_constraint(terms, GE, 0.0, "symmetry_breaking")
 
     # per-sample network ----------------------------------------------------
-    x = data.inputs
-    for i in range(n):
-        for j in range(widths[0]):
-            xa = model.add_variable(VarDef(vn("a", i, 0, j), CONTINUOUS,
-                                           float(x[i, j]), float(x[i, j])))
-            model.add_constraint([(1.0, xa)], EQ, float(x[i, j]),
-                                 "input_assignment")
-        for h in range(L):
-            n_out, n_in = widths[h + 1], widths[h]
-            g = model.var(vn("gamma", h))
-            for j in range(n_out):
-                z_lo, z_hi = build.hidden_bounds(h, j)
-                z = model.add_variable(VarDef(vn("z", i, h, j), CONTINUOUS,
-                                              z_lo, z_hi))
-                a = model.add_variable(VarDef(vn("a", i, h + 1, j), CONTINUOUS,
-                                              0.0, max(0.0, z_hi)))
-                d = model.add_variable(VarDef(vn("delta", i, h, j), BINARY))
-                _affine_constraint(build, i, h, j, z)
-                encode_relu(model, z, a, d, z_lo, z_hi)
-                model.add_constraint([(1.0, a), (-M, g)], LE, 0.0,
-                                     "pruning_activation")
-                model.add_constraint([(1.0, z), (-M, g)], LE, 0.0,
-                                     "pruning_activation")
-                model.add_constraint([(-1.0, z), (-M, g)], LE, 0.0,
-                                     "pruning_activation")
-        for j in range(widths[L + 1]):
-            out = model.add_variable(VarDef(vn("a", i, L + 1, j), CONTINUOUS,
-                                            float("-inf"), float("inf")))
-            _affine_constraint(build, i, L, j, out, output=True)
-        if hyper.loss == LOSS_ABS:
-            for j in range(widths[L + 1]):
-                r = model.add_variable(VarDef(vn("r", i, j), CONTINUOUS,
-                                              0.0, float("inf")))
-                out = model.var(vn("a", i, L + 1, j))
-                t = float(data.targets[i, j])
-                model.add_constraint([(1.0, r), (-1.0, out)], GE, -t, "abs_loss")
-                model.add_constraint([(1.0, r), (1.0, out)], GE, t, "abs_loss")
+    windows = [[((), [((k,), (k,)) for k in range(t.shape[1])])] for t in hidden]
+    for i in range(data.n):
+        input_rows(build, i)
+        for t in hidden:
+            for j in range(t.shape[0]):
+                relu_units(build, t, i, j, ("a", t.l), windows[t.l])
+        head_rows(build, i)
 
-    _dense_objective(build)
+    add_objective(build)
     # callers may still inject extra constraints or tighten bounds before
     # freezing; the watermark tells the solver which rows came later
     build.built_constraints = len(model.constraints)
     return build
-
-
-def _affine_constraint(build, i, l, j, z_ref, output=False):
-    """z (or head output) minus the affine map of the previous activations."""
-    model = build.model
-    hyper = build.hyper
-    widths = build.arch.widths
-    n_in = widths[l]
-    label = "output_map" if output else "affine_map"
-    b_ref = model.var(vn("b", l, j))
-    terms = [(1.0, z_ref), (-1.0, b_ref)]
-
-    if hyper.mode == VERIFY:
-        W = np.asarray(build.fixed_weights[l][0], dtype=float)
-        for k in range(n_in):
-            terms.append((-float(W[j, k]), model.var(vn("a", i, l, k))))
-        model.add_constraint(terms, EQ, 0.0, label)
-        return
-
-    if l == 0:
-        xi = build.data.inputs[i]
-        for k in range(n_in):
-            terms.append((-float(xi[k]), model.var(vn("W", l, j, k))))
-        model.add_constraint(terms, EQ, 0.0, label)
-        return
-
-    if hyper.mode == TRAIN_BILINEAR:
-        quad = [(-1.0, model.var(vn("W", l, j, k)), model.var(vn("a", i, l, k)))
-                for k in range(n_in)]
-        model.add_bilinear_constraint(quad, terms, EQ, 0.0, label)
-        return
-
-    # quantized products
-    quant = QuantSpec(hyper.bits, hyper.w_max)
-    a_lo, a_hi = build.act_hi(l)
-    for k in range(n_in):
-        a_ref = model.var(vn("a", i, l, k))
-        digits = [model.var(nm) for nm in build._digit_names[(l, j, k)]]
-        _, (p_terms, p_const) = encode_quantized_product(
-            model, digits, a_ref, a_lo, a_hi, quant,
-            lambda t, i=i, l=l, j=j, k=k: vn("y", i, l, j, k, t))
-        terms += [(-c, r) for c, r in p_terms]
-    model.add_constraint(terms, EQ, 0.0, label)
-
-
-def _dense_objective(build):
-    model = build.model
-    hyper = build.hyper
-    arch = build.arch
-    L = arch.num_hidden
-    widths = arch.widths
-
-    for i in range(build.data.n):
-        for j in range(widths[L + 1]):
-            if hyper.loss == LOSS_ABS:
-                model.add_objective_linear(1.0, model.var(vn("r", i, j)))
-            else:
-                out = model.var(vn("a", i, L + 1, j))
-                t = float(build.data.targets[i, j])
-                model.add_objective_quadratic(1.0, out, out)
-                model.add_objective_linear(-2.0 * t, out)
-                model.add_objective_constant(t * t)
-    al = hyper.alpha * hyper.lam
-    fr = 0.5 * hyper.alpha * (1.0 - hyper.lam)
-    for l in range(L + 1):
-        for j in range(widths[l + 1]):
-            for k in range(widths[l]):
-                if al:
-                    model.add_objective_linear(al, model.var(vn("u", l, j, k)))
-                if fr:
-                    W = model.var(vn("W", l, j, k))
-                    model.add_objective_quadratic(fr, W, W)
-    if hyper.beta:
-        for h in range(L):
-            model.add_objective_linear(hyper.beta, model.var(vn("gamma", h)))

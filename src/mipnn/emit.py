@@ -618,23 +618,9 @@ def count_forecast(arch, n, hyper=None):
     else:
         raise TypeError("unknown architecture %r" % (arch,))
     if hyper is not None and hyper.mode == "train-quantized":
-        bits = hyper.bits
-        if isinstance(arch, DenseArch):
-            widths = arch.widths
-            wcount = sum(widths[l + 1] * widths[l] for l in range(len(widths) - 1))
-            bcount = sum(widths[1:]) if hyper.quantize_biases else 0
-        else:
-            shapes = conv_map_shapes(arch)
-            wcount = 0
-            c_in = arch.input_shape[0]
-            for l, layer in enumerate(arch.conv_layers):
-                kh, kw = layer.kernel
-                wcount += layer.filters * c_in * kh * kw
-                c_in = layer.filters
-            from .nnspec import validate_arch
-            c, h, w = validate_arch(arch)[-1]
-            wcount += arch.head_dim * c * h * w
-            bcount = (sum(layer.filters for layer in arch.conv_layers)
-                      + arch.head_dim) if hyper.quantize_biases else 0
-        out["digits"] = bits * (wcount + bcount)
+        from .dense import param_tensors
+        tensors = param_tensors(arch)
+        wcount = sum(math.prod(t.shape) for t in tensors)
+        bcount = sum(t.shape[0] for t in tensors) if hyper.quantize_biases else 0
+        out["digits"] = hyper.bits * (wcount + bcount)
     return out

@@ -175,15 +175,6 @@ def preprocess(data, standardize=False, one_hot=False):
                    zero_variance=zero_var)
 
 
-def destandardize(data, x):
-    """Invert the standardization transform for a batch of inputs."""
-    if data.feature_mean is None:
-        return x
-    flat = np.asarray(x, dtype=float).reshape(len(x), -1)
-    flat = flat * data.feature_std.reshape(-1) + data.feature_mean.reshape(-1)
-    return flat.reshape(np.shape(x))
-
-
 def conv_output_shape(shape, layer):
     """Feature-map shape after one conv layer (and its pool stage, if any)."""
     c, h, w = shape

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseBuild, vn
+from .dense import DenseBuild
 from .ir import Assignment
 from .nnspec import TRAIN_BILINEAR
 
@@ -358,13 +358,7 @@ def build_triggers(build, tol=1e-6):
     def add(name, fn):
         triggers.setdefault(name, []).append(fn)
 
-    if isinstance(build, DenseBuild):
-        gammas = [vn("gamma", h) for h in range(build.L)]
-    else:
-        gammas = [vn("gamma", l, c)
-                  for l, layer in enumerate(build.arch.conv_layers)
-                  for c in range(layer.filters)]
-
+    gammas = build.gammas
     for g in gammas:
         add(g, lambda bits, g=g: (hyper.beta * bits[g], True))
     # root/ordering checks once the relevant switches are known
@@ -380,12 +374,9 @@ def build_triggers(build, tol=1e-6):
         quant = QuantSpec(hyper.bits, hyper.w_max)
         al = hyper.alpha * hyper.lam
         fr = 0.5 * hyper.alpha * (1.0 - hyper.lam)
-        for key, names in build._digit_names.items():
-            last = names[-1]
-            is_bias = _is_bias_group(build, key)
-            gate = _gamma_gate_name(build, key)
 
-            def fn(bits, names=names, is_bias=is_bias, gate=gate):
+        def group(names, is_bias, gate):
+            def fn(bits):
                 w = quant.decode([bits[d] for d in names])
                 contrib = 0.0 if is_bias else al * abs(w) + fr * w * w
                 ok = True
@@ -393,24 +384,13 @@ def build_triggers(build, tol=1e-6):
                     ok = abs(w) <= tol
                 return contrib, ok
 
-            add(last, fn)
+            add(names[-1], fn)
+
+        for t in build.tensors:
+            for row in range(t.shape[0]):
+                gate = t.gates[row] if t.gates else None
+                for idx in np.ndindex(t.shape[1:]):
+                    group(build._digit_names[(t.l, row) + idx], False, gate)
+                if t.bias_key(row) in build._digit_names:
+                    group(build._digit_names[t.bias_key(row)], True, gate)
     return triggers
-
-
-def _is_bias_group(build, key):
-    if isinstance(build, DenseBuild):
-        l, j, k = key
-        return k == build.arch.widths[l]
-    return key[0] in ("bc", "b")
-
-
-def _gamma_gate_name(build, key):
-    """Pruning switch gating this digit group, or None for ungated layers."""
-    if isinstance(build, DenseBuild):
-        l = key[0]
-        return vn("gamma", l) if l < build.L else None
-    kind = key[0]
-    if kind in ("Wc", "bc"):
-        l, c = key[1], key[2]
-        return vn("gamma", l, c)
-    return None

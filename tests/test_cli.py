@@ -186,3 +186,29 @@ def test_removed_bounds_keys_rejected(tmp_path, capsys, key, value):
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     assert "unknown key %r" % key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def write_conv_cfg(tmp_path, **overrides):
+    rng = np.random.default_rng(0)
+    rows = ["%s,%d" % (",".join("%.3f" % v for v in rng.uniform(0, 1, 25)), i % 2)
+            for i in range(4)]
+    csv = tmp_path / "img.csv"
+    csv.write_text(",".join("p%d" % k for k in range(25)) + ",label\n"
+                   + "\n".join(rows) + "\n")
+    keys = {"data": str(csv), "one_hot": "true", "arch": "conv",
+            "input_shape": "1,5,5", "conv": "1x2x2", "mode": "train-quantized",
+            "bits": "1", "out": str(tmp_path / "out")}
+    keys.update(overrides)
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("".join("%s = %s\n" % kv for kv in keys.items()))
+    return cfg
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("quantize_biases", "false", "requires quantized biases"),
+    ("conv", "1x2x2p2x2s1", "overlaps")])
+def test_build_error_is_a_config_error(tmp_path, capsys, key, value, message):
+    cfg = write_conv_cfg(tmp_path, **{key: value})
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -10,7 +10,8 @@ from mipnn.emit import count_forecast, model_stats
 from mipnn.ir import BINARY, CONTINUOUS, Assignment, ModelIR, VarDef
 from mipnn.nnspec import (TRAIN_QUANTIZED, VERIFY, ConvArch, ConvLayer,
                           Dataset, Hyper)
-from mipnn.recon import ConvNet, ReconError, flatten_index, forward_trace
+from mipnn.recon import (ConvNet, ReconError, flatten_index, forward,
+                         forward_trace)
 
 from conftest import tiny_conv_build
 
@@ -199,6 +200,29 @@ def test_quantized_conv_requires_quantized_biases(rng):
     bt = propagate_bounds(arch, X[0], X[0], -1.0, 1.0)
     with pytest.raises(BuildError):
         build_cnn(arch, data, hyper, bt)
+
+
+@pytest.mark.parametrize("pool", [((2, 2), 1), ((2, 1), 1), ((1, 2), 1)])
+def test_overlapping_pool_rejected_by_builder_only(rng, pool):
+    """Overlapping windows would share the selectors zeta, which are indexed
+    by pre-pool cell; the builder refuses such pools, while bounds and the
+    forward pass still accept them."""
+    layer = ConvLayer(filters=1, kernel=(2, 2), pool=pool)
+    arch = ConvArch(input_shape=(1, 5, 5), conv_layers=(layer,), head_dim=1)
+    (ph, pw), _ = pool
+    X = rng.uniform(0, 1, size=(2, 1, 5, 5))
+    weights = [(rng.uniform(-1, 1, size=(1, 1, 2, 2)), rng.uniform(-1, 1, size=1)),
+               (rng.uniform(-1, 1, size=(1, (5 - ph) * (5 - pw))),
+                rng.uniform(-1, 1, size=1))]
+    bt = propagate_bounds(arch, X.min(0), X.max(0), 0.0, 0.0,
+                          fixed_weights=weights)
+    net = ConvNet(kernels=weights[:1], head=weights[1], gamma=[np.ones(1)],
+                  pools=[pool])
+    assert forward(net, X).shape == (2, 1)
+    data = Dataset(inputs=X, targets=np.zeros((2, 1)))
+    with pytest.raises(BuildError, match="overlaps"):
+        build_cnn(arch, data, Hyper(mode=VERIFY, symmetry=False), bt,
+                  weights=weights)
 
 
 def test_zeta_assembled_on_first_argmax(rng):

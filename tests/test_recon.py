@@ -97,14 +97,13 @@ def test_audit_flags_wrong_relu_indicator(rng):
     asg, _, viol = build.assemble(bits)
     assert viol <= 1e-6
     assert audit(build, asg).ok
-    # force one indicator against the sign of its pre-activation
-    z_name, d_name = build.relu_pairs()[0]
-    if abs(asg.values[z_name]) > 1e-6:
-        asg.values[d_name] = 1.0 - asg.values[d_name]
-        rep = audit(build, asg)
-        assert not rep.ok
-        assert any(v.label.startswith("relu_indicator:") or True
-                   for v in rep.violations)
+    # force one indicator against the sign of a nonzero pre-activation
+    z_name, d_name = next((z, d) for z, d in build.relu_pairs()
+                          if abs(asg.values[z]) > 1e-6)
+    asg.values[d_name] = 1.0 - asg.values[d_name]
+    rep = audit(build, asg)
+    assert not rep.ok
+    assert any(v.label == "relu_indicator:" + d_name for v in rep.violations)
 
 
 def test_reconstruct_requires_clean_audit(rng):
