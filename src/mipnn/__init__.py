@@ -6,7 +6,7 @@ against the model, and reconstructs and scores the encoded network.  A
 desk-scale exact solver is included for instances with few binaries.
 """
 
-from .bounds import BoundsTable, calibrate_from_samples, propagate_bounds
+from .bounds import BoundsTable, propagate_bounds
 from .cnn import build_cnn
 from .dense import build_dense
 from .emit import (count_forecast, model_stats, read_lp, read_mps,
@@ -24,7 +24,7 @@ __all__ = [
     "Assignment", "BoundsTable", "ConvArch", "ConvLayer", "ConvNet",
     "Dataset", "DenseArch", "DenseNet", "Hyper", "MetricsReport", "ModelIR",
     "QuantSpec", "SolveResult", "VarDef", "audit", "branch_and_bound",
-    "build_cnn", "build_dense", "calibrate_from_samples", "canonicalize",
+    "build_cnn", "build_dense", "canonicalize",
     "count_forecast", "enumerate_exact", "forward", "load_dataset", "metrics",
     "model_stats", "preprocess", "propagate_bounds", "read_lp", "read_mps",
     "read_solution", "reconstruct", "write_lp", "write_mps", "write_solution",

@@ -1,9 +1,8 @@
 """Pre-activation interval bounds feeding every ReLU big-M constant.
 
-Two routes: rigorous interval propagation through the architecture (sound for
-any weights inside the declared boxes), and empirical calibration from forward
-passes of a fixed network over a dataset, widened by a user slack.  Either way
-each interval is widened to include 0 so the ReLU encoding stays well posed.
+Bounds come from interval propagation through the architecture, which is sound
+for any weights inside the declared boxes.  Each interval is widened to include
+0 so the ReLU encoding stays well posed.
 """
 
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ class LayerBounds:
     layer: int                 # 0-based hidden/conv layer index
     unit_lo: np.ndarray        # per unit (dense) or per channel (conv)
     unit_hi: np.ndarray
-    provenance: str            # "interval" or "sampled"
+    provenance: str            # "interval"
 
     @property
     def z_lo(self):
@@ -64,30 +63,6 @@ class BoundsTable:
                                 float(lb.unit_hi[j]), lb.provenance))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text):
-        per_layer = {}
-        prov = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            layer_s, unit_s, lo_s, hi_s, p = line.split()
-            l = int(layer_s)
-            prov[l] = p
-            if unit_s == "*":
-                continue
-            per_layer.setdefault(l, []).append((int(unit_s), float(lo_s), float(hi_s)))
-        layers = []
-        for l in sorted(per_layer):
-            rows = sorted(per_layer[l])
-            layers.append(LayerBounds(
-                layer=l,
-                unit_lo=np.array([r[1] for r in rows]),
-                unit_hi=np.array([r[2] for r in rows]),
-                provenance=prov[l]))
-        return cls(layers)
-
 
 def _widen(lo, hi, slack):
     lo = np.where(lo < 0, lo * (1.0 + slack), lo)
@@ -104,7 +79,7 @@ def _interval_dot(w_lo, w_hi, a_lo, a_hi):
 
 
 def propagate_bounds(arch, input_lo, input_hi, weight_lo, weight_hi,
-                     bias_lo=None, bias_hi=None, fixed_weights=None):
+                     fixed_weights=None):
     """Interval forward pass yielding sound per-unit pre-activation bounds.
 
     ``weight_lo``/``weight_hi`` are scalars boxing every weight and bias; pass
@@ -115,19 +90,16 @@ def propagate_bounds(arch, input_lo, input_hi, weight_lo, weight_hi,
     input_hi = np.asarray(input_hi, dtype=float)
     if np.any(~np.isfinite(input_lo)) or np.any(~np.isfinite(input_hi)):
         raise BoundsError("input box must be finite")
-    if bias_lo is None:
-        bias_lo, bias_hi = weight_lo, weight_hi
-
     if isinstance(arch, DenseArch):
         return _propagate_dense(arch, input_lo, input_hi, weight_lo, weight_hi,
-                                bias_lo, bias_hi, fixed_weights)
+                                fixed_weights)
     if isinstance(arch, ConvArch):
         return _propagate_conv(arch, input_lo, input_hi, weight_lo, weight_hi,
-                               bias_lo, bias_hi, fixed_weights)
+                               fixed_weights)
     raise TypeError("unknown architecture %r" % (arch,))
 
 
-def _propagate_dense(arch, a_lo, a_hi, w_lo_s, w_hi_s, b_lo_s, b_hi_s, fixed):
+def _propagate_dense(arch, a_lo, a_hi, w_lo_s, w_hi_s, fixed):
     widths = arch.widths
     layers = []
     for l in range(arch.num_hidden + 1):
@@ -139,8 +111,8 @@ def _propagate_dense(arch, a_lo, a_hi, w_lo_s, w_hi_s, b_lo_s, b_hi_s, fixed):
         else:
             w_lo = np.full((n_out, n_in), w_lo_s)
             w_hi = np.full((n_out, n_in), w_hi_s)
-            b_lo = np.full(n_out, b_lo_s)
-            b_hi = np.full(n_out, b_hi_s)
+            b_lo = np.full(n_out, w_lo_s)
+            b_hi = np.full(n_out, w_hi_s)
         z_lo, z_hi = _interval_dot(w_lo, w_hi, a_lo[None, :], a_hi[None, :])
         z_lo, z_hi = z_lo + b_lo, z_hi + b_hi
         if l < arch.num_hidden:
@@ -152,7 +124,7 @@ def _propagate_dense(arch, a_lo, a_hi, w_lo_s, w_hi_s, b_lo_s, b_hi_s, fixed):
     return table
 
 
-def _propagate_conv(arch, a_lo, a_hi, w_lo_s, w_hi_s, b_lo_s, b_hi_s, fixed):
+def _propagate_conv(arch, a_lo, a_hi, w_lo_s, w_hi_s, fixed):
     map_shapes = conv_map_shapes(arch)
     layers = []
     for l, layer in enumerate(arch.conv_layers):
@@ -166,8 +138,8 @@ def _propagate_conv(arch, a_lo, a_hi, w_lo_s, w_hi_s, b_lo_s, b_hi_s, fixed):
         else:
             k_lo = np.full((c_out, c_in, kh, kw), w_lo_s)
             k_hi = np.full((c_out, c_in, kh, kw), w_hi_s)
-            b_lo = np.full(c_out, b_lo_s)
-            b_hi = np.full(c_out, b_hi_s)
+            b_lo = np.full(c_out, w_lo_s)
+            b_hi = np.full(c_out, w_hi_s)
         z_lo = np.empty((c_out, oh, ow))
         z_hi = np.empty((c_out, oh, ow))
         s = layer.stride
@@ -199,31 +171,4 @@ def _propagate_conv(arch, a_lo, a_hi, w_lo_s, w_hi_s, b_lo_s, b_hi_s, fixed):
                     p_lo[:, h, w] = win_lo.reshape(c_out, -1).max(axis=1)
                     p_hi[:, h, w] = win_hi.reshape(c_out, -1).max(axis=1)
             a_lo, a_hi = p_lo, p_hi
-    return BoundsTable(layers)
-
-
-def calibrate_from_samples(arch, net, data, slack=0.5):
-    """Empirical per-layer bounds from forward passes of a fixed net.
-
-    Layer l's interval is the min/max realized pre-activation over all samples
-    and units, widened multiplicatively by (1 + slack) and then to include 0.
-    """
-    from .recon import forward_preactivations
-
-    if data.n == 0:
-        raise BoundsError("empty dataset")
-    layers = []
-    for l, z in enumerate(forward_preactivations(net, data.inputs)):
-        # z has shape (n, units...) ; reduce over samples, keep per-unit axes
-        flat = z.reshape(data.n, -1)
-        if isinstance(arch, ConvArch):
-            c = z.shape[1]
-            per = z.reshape(data.n, c, -1)
-            lo = per.min(axis=(0, 2))
-            hi = per.max(axis=(0, 2))
-        else:
-            lo = flat.min(axis=0)
-            hi = flat.max(axis=0)
-        lo, hi = _widen(lo, hi, slack)
-        layers.append(LayerBounds(l, lo, hi, "sampled"))
     return BoundsTable(layers)

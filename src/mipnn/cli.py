@@ -2,8 +2,10 @@
 
 Configs are flat ``key = value`` files (``#`` comments); command-line flags
 override config values.  Artifacts are plain text and byte-identical across
-reruns of the same config, except for timing lines, which always start with
-``# time`` and live only in run.log so they are trivially excluded from diffs.
+reruns of the same config, except run.log: its ``# time`` lines give the
+build, solve and total wall time, its ``# count`` lines the search's nodes,
+candidates, bound and proof flag and the largest |coefficient| per constraint
+label.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 audit failure,
 3 infeasible model, 4 external solver failure.
@@ -24,7 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import emit, nnspec, oracle, recon
 from .cnn import build_cnn
-from .dense import BuildError, build_dense
+from .dense import BuildError, build_dense, param_box
 from .nnspec import (LOSS_ABS, LOSS_SQUARED, TRAIN_BILINEAR, TRAIN_QUANTIZED,
                      VERIFY, ConvArch, ConvLayer, DenseArch, Dataset, Hyper)
 
@@ -235,11 +237,8 @@ def prepare(cfg):
         btable = bounds_mod.propagate_bounds(arch, in_lo, in_hi, 0.0, 0.0,
                                              fixed_weights=fixed)
     else:
-        w_box = cfg.w_max if hyper.mode == TRAIN_QUANTIZED else cfg.big_m
-        b_box = w_box if (hyper.mode != TRAIN_QUANTIZED
-                          or cfg.quantize_biases) else cfg.big_m
-        btable = bounds_mod.propagate_bounds(arch, in_lo, in_hi, -w_box, w_box,
-                                             bias_lo=-b_box, bias_hi=b_box)
+        box = param_box(hyper)
+        btable = bounds_mod.propagate_bounds(arch, in_lo, in_hi, -box, box)
 
     if isinstance(arch, DenseArch):
         build = build_dense(arch, data, hyper, btable, weights=fixed)
@@ -280,10 +279,11 @@ def write_model(prep):
 
 
 def solve(prep):
-    """Run the configured engine; returns an emit.SolutionFile."""
+    """Run the configured engine; returns an emit.SolutionFile and the
+    search's oracle.SolveResult (None for an external solver)."""
     cfg = prep.cfg
     if cfg.engine == "external":
-        return _solve_external(prep)
+        return _solve_external(prep), None
     if cfg.engine == "oracle":
         res = oracle.enumerate_exact(prep.build, limit_bits=cfg.limit_bits,
                                      tol=cfg.tolerance, timeout=cfg.timeout)
@@ -297,7 +297,7 @@ def solve(prep):
                 "search exhausted its budget without an incumbent")
         gap = 0.0 if res.proven else _gap(res.objective, res.bound)
     return emit.SolutionFile(assignment=res.assignment,
-                             objective=res.objective, gap=gap)
+                             objective=res.objective, gap=gap), res
 
 
 def _gap(objective, bound):
@@ -338,8 +338,10 @@ def audit_text(report):
     return "\n".join(lines) + "\n"
 
 
-def evaluate(prep, solution):
-    net = recon.reconstruct(prep.build, solution.assignment, prep.cfg.tolerance)
+def evaluate(prep, solution, report):
+    """The net and metrics of a solution that ``report``, its audit, passed."""
+    net = recon.reconstruct(prep.build, solution.assignment, prep.cfg.tolerance,
+                            report=report)
     gap_pct = None if solution.gap is None else 100.0 * solution.gap
     return net, recon.metrics(net, prep.data, split=prep.eval_split,
                               reported_gap=gap_pct, hyper=prep.hyper)
@@ -371,7 +373,7 @@ def cmd_stats(cfg):
 def cmd_solve(cfg):
     prep = prepare(cfg)
     write_model(prep)
-    solution = solve(prep)
+    solution, _ = solve(prep)
     emit.write_solution(prep.build.model, solution.assignment, _solution_path(cfg),
                         objective=solution.objective, gap=solution.gap)
     print("objective %r" % solution.objective)
@@ -395,7 +397,8 @@ def cmd_eval(cfg, solution_path):
     prep = prepare(cfg)
     solution = emit.read_solution(prep.build.model, solution_path,
                                   tol=cfg.tolerance)
-    _, rep = evaluate(prep, solution)
+    report = recon.audit(prep.build, solution.assignment, cfg.tolerance)
+    _, rep = evaluate(prep, solution, report)
     os.makedirs(cfg.out, exist_ok=True)
     with open(os.path.join(cfg.out, "metrics.txt"), "w") as fh:
         fh.write(rep.to_kv_lines())
@@ -407,7 +410,8 @@ def cmd_report(cfg, solution_path):
     prep = prepare(cfg)
     solution = emit.read_solution(prep.build.model, solution_path,
                                   tol=cfg.tolerance)
-    _, rep = evaluate(prep, solution)
+    report = recon.audit(prep.build, solution.assignment, cfg.tolerance)
+    _, rep = evaluate(prep, solution, report)
     text = report_text(prep, rep)
     os.makedirs(cfg.out, exist_ok=True)
     with open(os.path.join(cfg.out, "report.txt"), "w") as fh:
@@ -422,12 +426,19 @@ def cmd_run(cfg):
     prep = prepare(cfg)
     write_model(prep)
     log.append("# time build %.3f" % (time.monotonic() - t0))
+    log += ["# count max_coef %s %r" % item
+            for item in prep.build.model.max_abs_coef_by_label().items()]
 
     t1 = time.monotonic()
-    solution = solve(prep)
+    solution, search = solve(prep)
     emit.write_solution(prep.build.model, solution.assignment, _solution_path(cfg),
                         objective=solution.objective, gap=solution.gap)
     log.append("# time solve %.3f" % (time.monotonic() - t1))
+    if search is not None:
+        log += ["# count nodes %d" % search.nodes,
+                "# count candidates %d" % search.candidates,
+                "# count bound %r" % search.bound,
+                "# count proven %d" % search.proven]
 
     report = recon.audit(prep.build, solution.assignment, cfg.tolerance)
     with open(os.path.join(cfg.out, "audit.txt"), "w") as fh:
@@ -438,7 +449,7 @@ def cmd_run(cfg):
               file=sys.stderr)
         return EXIT_AUDIT
 
-    _, rep = evaluate(prep, solution)
+    _, rep = evaluate(prep, solution, report)
     with open(os.path.join(cfg.out, "metrics.txt"), "w") as fh:
         fh.write(rep.to_kv_lines())
     with open(os.path.join(cfg.out, "report.txt"), "w") as fh:

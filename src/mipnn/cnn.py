@@ -122,8 +122,9 @@ class ConvBuild(Build):
 
     def _assemble_selectors(self, values, l, act):
         """zeta of conv layer l: each pool window selects its first maximal
-        cell of the post-ReLU map ``act``."""
+        cell of the post-ReLU map ``act``; cells no window covers stay 0."""
         (ph, pw), ps = self.arch.conv_layers[l].pool
+        fill(values, "zeta", np.zeros(act.shape), l, at=1)
         _, c_l, oh, ow = act.shape
         qh = (oh - ph) // ps + 1
         qw = (ow - pw) // ps + 1

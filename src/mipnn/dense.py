@@ -188,6 +188,13 @@ def encode_quantized_product(model, digits, a_ref, a_lo, a_hi, quant, y_namer):
     return p_terms
 
 
+def param_box(hyper):
+    """The box |w|, |b| <= box of every trained weight and bias: ``w_max``
+    in train-quantized mode, ``big_m`` otherwise.  The model's variable
+    bounds and the interval bounds behind its big-M constants both use it."""
+    return hyper.w_max if hyper.mode == TRAIN_QUANTIZED else hyper.big_m
+
+
 # shared emitters --------------------------------------------------------------
 
 def declare_params(build):
@@ -197,7 +204,7 @@ def declare_params(build):
     defining its parameter.  Parameters are fixed in verification mode and
     boxed by ``w_max`` in train-quantized mode, by ``big_m`` otherwise."""
     model, hyper = build.model, build.hyper
-    box = hyper.w_max if hyper.mode == TRAIN_QUANTIZED else hyper.big_m
+    box = param_box(hyper)
 
     def param(name, fixed):
         lo, hi = (-box, box) if fixed is None else (float(fixed), float(fixed))

@@ -4,10 +4,23 @@ Variables and constraints are stored append-only in insertion order so that two
 builds of the same input produce byte-identical emitted files.  A model must be
 frozen before emission; a frozen model is immutable and safe to share between
 emitters, auditors and solvers.
+
+Storage is columnar.  Variables are a list of ``names`` and the arrays ``lo``,
+``hi`` and ``is_binary``.  Linear rows are one CSR matrix (``indptr``, ``cols``,
+``coefs``) with a ``sense`` code, a ``rhs`` and a ``row_label`` id (into
+``labels``) per row.  While a model is built these live in ``array`` buffers;
+``freeze`` turns them into read-only numpy arrays.  No object is kept per row
+or per variable, so a large model puts no load on the garbage collector.
+``variables`` and ``constraints`` are read-only views that build a ``VarDef``
+or a ``LinCon`` on each access.
 """
 
-import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -15,6 +28,10 @@ BINARY = "binary"
 LE = "<="
 EQ = "="
 GE = ">="
+# a row's sense code is its index here
+SENSES = (LE, EQ, GE)
+_SENSE_CODE = {s: k for k, s in enumerate(SENSES)}
+_LE, _EQ, _GE = range(3)
 
 # Default feasibility / integrality tolerance used throughout.
 DEFAULT_TOL = 1e-6
@@ -52,16 +69,19 @@ class VarDef:
     hi: float = float("inf")
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(NamedTuple):
     """Stable handle to a variable of one model."""
     model_id: int
     index: int
     name: str
 
 
+_tuple_new = tuple.__new__
+
+
 @dataclass
 class LinCon:
+    """One linear row, as the ``constraints`` view presents it."""
     terms: list          # list of (coef, VarRef)
     sense: str           # one of LE, EQ, GE
     rhs: float
@@ -106,6 +126,43 @@ class AuditReport:
         return max(self.max_violation_by_label.values())
 
 
+class _Variables(Sequence):
+    """Read-only view: the model's variables as ``VarDef``s."""
+
+    def __init__(self, model):
+        self._m = model
+
+    def __len__(self):
+        return len(self._m.names)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        m = self._m
+        return VarDef(m.names[i], BINARY if m.is_binary[i] else CONTINUOUS,
+                      float(m.lo[i]), float(m.hi[i]))
+
+
+class _Constraints(Sequence):
+    """Read-only view: the model's linear rows as ``LinCon``s."""
+
+    def __init__(self, model):
+        self._m = model
+
+    def __len__(self):
+        return len(self._m.sense)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        m = self._m
+        i = range(len(self))[i]
+        terms = [(float(m.coefs[k]), m.ref(int(m.cols[k])))
+                 for k in range(m.indptr[i], m.indptr[i + 1])]
+        return LinCon(terms, SENSES[m.sense[i]], float(m.rhs[i]),
+                      m.labels[m.row_label[i]])
+
+
 class ModelIR:
     """A mixed-integer program with linear constraints and a quadratic objective.
 
@@ -119,12 +176,30 @@ class ModelIR:
         self.name = name
         self.model_id = ModelIR._next_id
         ModelIR._next_id += 1
-        self.variables = []          # [VarDef]
+        self.names = []              # variable names in insertion order
         self.var_index = {}          # name -> index
-        self.constraints = []        # [LinCon]
+        self.lo = array("d")
+        self.hi = array("d")
+        self.is_binary = array("b")
+        self.indptr = array("q", [0])
+        self.cols = array("q")
+        self.coefs = array("d")
+        self.sense = array("b")      # index into SENSES
+        self.rhs = array("d")
+        self.row_label = array("i")  # index into labels
+        self.labels = []             # in order of first use
+        self._label_ids = {}
         self.bilinear_constraints = []   # [(quad_terms, lin_terms, sense, rhs, label)]
         self.objective = Objective()
         self.frozen = False
+
+    @property
+    def variables(self):
+        return _Variables(self)
+
+    @property
+    def constraints(self):
+        return _Constraints(self)
 
     # -- construction -----------------------------------------------------
 
@@ -134,38 +209,117 @@ class ModelIR:
 
     def add_variable(self, vdef):
         self._check_mutable()
-        if vdef.name in self.var_index:
-            raise DuplicateNameError(vdef.name)
-        if vdef.kind == BINARY:
-            vdef = VarDef(vdef.name, BINARY, 0.0, 1.0)
-        if vdef.lo > vdef.hi:
-            raise InvertedBoundsError(
-                "%s: lo %r > hi %r" % (vdef.name, vdef.lo, vdef.hi))
-        idx = len(self.variables)
-        self.variables.append(vdef)
-        self.var_index[vdef.name] = idx
-        return VarRef(self.model_id, idx, vdef.name)
+        name = vdef.name
+        if name in self.var_index:
+            raise DuplicateNameError(name)
+        binary = vdef.kind == BINARY
+        lo, hi = (0.0, 1.0) if binary else (vdef.lo, vdef.hi)
+        if lo > hi:
+            raise InvertedBoundsError("%s: lo %r > hi %r" % (name, lo, hi))
+        idx = len(self.names)
+        self.names.append(name)
+        self.var_index[name] = idx
+        self.lo.append(lo)
+        self.hi.append(hi)
+        self.is_binary.append(binary)
+        return VarRef(self.model_id, idx, name)
+
+    def add_variables(self, names, lo, hi, is_binary):
+        """Append many variables at once; ``lo``/``hi`` are taken as given,
+        binaries included."""
+        self._check_mutable()
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        bad = np.flatnonzero(lo > hi)
+        if bad.size:
+            k = int(bad[0])
+            raise InvertedBoundsError("%s: lo %r > hi %r"
+                                      % (names[k], float(lo[k]), float(hi[k])))
+        start = len(self.names)
+        new = dict(zip(names, range(start, start + len(names))))
+        if len(new) < len(names) or not new.keys().isdisjoint(self.var_index):
+            seen = set(self.var_index)
+            raise DuplicateNameError(next(n for n in names
+                                          if n in seen or seen.add(n)))
+        self.var_index.update(new)
+        self.names.extend(names)
+        self.lo.frombytes(lo.tobytes())
+        self.hi.frombytes(hi.tobytes())
+        self.is_binary.frombytes(np.asarray(is_binary, dtype=np.int8).tobytes())
 
     def var(self, name):
         idx = self.var_index.get(name)
         if idx is None:
             raise MissingVariableError(name)
-        return VarRef(self.model_id, idx, name)
+        # VarRef(...) without the Python-level __new__ of a NamedTuple
+        return _tuple_new(VarRef, (self.model_id, idx, name))
+
+    def ref(self, index):
+        return VarRef(self.model_id, index, self.names[index])
 
     def _check_refs(self, refs):
         for r in refs:
             if r.model_id != self.model_id:
                 raise ForeignVariableError(r.name)
 
-    def add_linear_constraint(self, con):
-        self._check_mutable()
-        self._check_refs(r for _, r in con.terms)
-        merged = _merge_terms(con.terms)
-        self.constraints.append(LinCon(merged, con.sense, con.rhs, con.label))
-        return len(self.constraints) - 1
+    def _label_id(self, label):
+        lid = self._label_ids.get(label)
+        if lid is None:
+            lid = self._label_ids[label] = len(self.labels)
+            self.labels.append(label)
+        return lid
 
     def add_constraint(self, terms, sense, rhs, label):
-        return self.add_linear_constraint(LinCon(list(terms), sense, rhs, label))
+        """Append the row sum(coef * var) <sense> rhs; terms on the same
+        variable merge into the first, their coefficients summed in order."""
+        self._check_mutable()
+        coefs, cols = (), ()
+        # transposed at C speed: the builders call this once per row
+        transposed = list(zip(*terms))
+        if transposed:
+            coefs, refs = transposed
+            models, cols, _ = zip(*refs)
+            if models.count(self.model_id) < len(models):
+                raise ForeignVariableError(next(
+                    r.name for r in refs if r.model_id != self.model_id))
+            if len(set(cols)) < len(cols):
+                cols, coefs = _merge_terms(cols, coefs)
+        self.cols.extend(cols)
+        self.coefs.extend(coefs)
+        self.indptr.append(len(self.cols))
+        self.sense.append(_sense_code(sense))
+        self.rhs.append(rhs)
+        self.row_label.append(self._label_id(label))
+        return len(self.sense) - 1
+
+    def add_rows(self, indptr, cols, coefs, sense, rhs, labels):
+        """Append many rows at once: the CSR ``indptr``/``cols``/``coefs``
+        (column indices of this model), and per row a sense string, a rhs
+        and a label.  Terms merge as in ``add_constraint``."""
+        self._check_mutable()
+        indptr = np.asarray(indptr, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        coefs = np.asarray(coefs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        n = len(indptr) - 1
+        if not (indptr[0] == 0 and indptr[-1] == len(cols) == len(coefs)
+                and len(sense) == len(rhs) == len(labels) == n
+                and np.all(np.diff(indptr) >= 0)):
+            raise ModelError("rows do not match their CSR arrays")
+        if cols.size and (cols.min() < 0 or cols.max() >= len(self.names)):
+            raise MissingVariableError("column index out of range")
+        try:
+            codes = bytes(map(_SENSE_CODE.__getitem__, sense))
+        except KeyError as e:
+            raise ModelError("unknown constraint sense %r" % e.args) from None
+        indptr, cols, coefs = _merge_rows(indptr, cols, coefs)
+        ids = {label: self._label_id(label) for label in dict.fromkeys(labels)}
+        self.indptr.frombytes((indptr[1:] + self.indptr[-1]).tobytes())
+        self.cols.frombytes(cols.tobytes())
+        self.coefs.frombytes(coefs.tobytes())
+        self.sense.frombytes(codes)
+        self.rhs.frombytes(rhs.tobytes())
+        self.row_label.extend(map(ids.__getitem__, labels))
 
     def add_bilinear_constraint(self, quad_terms, lin_terms, sense, rhs, label):
         self._check_mutable()
@@ -174,7 +328,7 @@ class ModelIR:
             self._check_refs((r1, r2))
         quad = [_order_pair(c, r1, r2) for c, r1, r2 in quad_terms]
         self.bilinear_constraints.append(
-            (quad, _merge_terms(lin_terms), sense, rhs, label))
+            (quad, _merge_refs(lin_terms), sense, rhs, label))
 
     def add_objective_linear(self, coef, ref):
         self._check_mutable()
@@ -191,15 +345,21 @@ class ModelIR:
         self.objective.constant += c
 
     def freeze(self):
-        self.objective.linear = _merge_terms(self.objective.linear)
+        if self.frozen:
+            return self
+        self.objective.linear = _merge_refs(self.objective.linear)
         self.objective.quadratic = _merge_quadratic(self.objective.quadratic)
+        for attr, dtype in (("lo", float), ("hi", float), ("is_binary", bool),
+                            ("indptr", np.int64), ("cols", np.int64),
+                            ("coefs", float), ("sense", np.int8),
+                            ("rhs", float), ("row_label", np.int32)):
+            arr = np.frombuffer(getattr(self, attr), dtype=dtype)
+            arr.flags.writeable = False
+            setattr(self, attr, arr)
         self.frozen = True
         return self
 
     # -- queries ----------------------------------------------------------
-
-    def binaries(self):
-        return [v for v in self.variables if v.kind == BINARY]
 
     def set_bounds(self, name, lo, hi):
         """Tighten a variable's bounds in place (pre-freeze only)."""
@@ -207,12 +367,51 @@ class ModelIR:
         idx = self.var_index.get(name)
         if idx is None:
             raise MissingVariableError(name)
-        v = self.variables[idx]
         if lo > hi:
             raise InvertedBoundsError("%s: lo %r > hi %r" % (name, lo, hi))
-        self.variables[idx] = VarDef(v.name, v.kind, lo, hi)
+        self.lo[idx] = lo
+        self.hi[idx] = hi
+
+    def row_ids(self, start=0):
+        """The row of each stored term from row ``start`` on."""
+        counts = np.diff(np.asarray(self.indptr)[start:])
+        return np.repeat(np.arange(start, start + len(counts)), counts)
+
+    def max_abs_coef_by_label(self):
+        """The largest |coefficient| in the rows of each label: how large
+        the big-M constants of each constraint family are."""
+        best = np.zeros(len(self.labels))
+        labels = np.asarray(self.row_label)[self.row_ids()]
+        np.maximum.at(best, labels, np.abs(np.asarray(self.coefs)))
+        return dict(zip(self.labels, best.tolist()))
 
     # -- evaluation -------------------------------------------------------
+
+    def vector(self, values):
+        """``values`` (variable name -> number) as an array in variable order."""
+        try:
+            return np.array([values[n] for n in self.names], dtype=float)
+        except KeyError:
+            raise MissingVariableError(
+                next(n for n in self.names if n not in values)) from None
+
+    def row_violations(self, x, start=0):
+        """The ``_violation`` of each row from ``start`` on at the variable
+        vector ``x``.  Each lhs is summed term by term in stored order,
+        starting from 0.0, as a plain left-to-right loop would."""
+        indptr = np.asarray(self.indptr)
+        first = indptr[start]
+        rows = self.row_ids(start) - start
+        rhs = np.asarray(self.rhs)[start:]
+        sense = np.asarray(self.sense)[start:]
+        # 0 * inf and inf - inf give NaN silently, as Python floats do
+        with np.errstate(invalid="ignore"):
+            products = np.asarray(self.coefs)[first:] * x[np.asarray(self.cols)[first:]]
+            lhs = np.bincount(rows, weights=products,
+                              minlength=len(indptr) - 1 - start)
+            d = np.where(sense == _GE, rhs - lhs, lhs - rhs)
+        # max(0.0, d) keeps 0.0 for a NaN d, as the scalar rule does
+        return np.where(sense == _EQ, np.abs(d), np.where(d > 0.0, d, 0.0))
 
     def evaluate_objective(self, values):
         obj = self.objective.constant
@@ -223,14 +422,29 @@ class ModelIR:
         return obj
 
     def evaluate_assignment(self, asg, tol=DEFAULT_TOL):
-        """Audit an assignment: constraint violations, bounds, integrality, objective."""
-        values = asg.values
-        for v in self.variables:
-            if v.name not in values:
-                raise MissingVariableError(v.name)
+        """Audit an assignment: constraint violations, bounds, integrality, objective.
 
-        max_by_label = {}
-        violations = []
+        Violations are listed rows first, in row order, then bilinear rows,
+        then bounds in variable order; ``max_violation_by_label`` keeps its
+        labels in the order their first positive violation appears.  NaN
+        amounts count nowhere: a NaN value is reported as an integrality
+        violation instead.
+        """
+        values = asg.values
+        x = self.vector(values)
+        labels = self.labels
+
+        amount = self.row_violations(x)
+        hit = np.flatnonzero(amount > 0.0)
+        hit_labels = np.asarray(self.row_label)[hit]
+        best = np.zeros(len(labels))
+        np.maximum.at(best, hit_labels, amount[hit])
+        max_by_label = {labels[k]: float(best[k])
+                        for k in dict.fromkeys(hit_labels.tolist())}
+        bad = np.flatnonzero(amount > tol)
+        violations = [Violation(labels[k], i, a) for i, k, a in zip(
+            bad.tolist(), np.asarray(self.row_label)[bad].tolist(),
+            amount[bad].tolist())]
 
         def record(label, index, amount):
             if amount > max_by_label.get(label, 0.0):
@@ -238,25 +452,23 @@ class ModelIR:
             if amount > tol:
                 violations.append(Violation(label, index, amount))
 
-        for i, con in enumerate(self.constraints):
-            lhs = sum(c * values[r.name] for c, r in con.terms)
-            record(con.label, i, _violation(lhs, con.sense, con.rhs))
         for i, (quad, lin, sense, rhs, label) in enumerate(self.bilinear_constraints):
             lhs = sum(c * values[r.name] for c, r in lin)
             lhs += sum(c * values[r1.name] * values[r2.name] for c, r1, r2 in quad)
             record(label, i, _violation(lhs, sense, rhs))
 
-        integrality = []
-        for v in self.variables:
-            x = values[v.name]
-            if not math.isfinite(x):
-                integrality.append((v.name, x))
-                continue
-            if x < v.lo - tol or x > v.hi + tol:
-                record("bounds:" + v.name.split("[")[0], -1,
-                       max(v.lo - x, x - v.hi))
-            if v.kind == BINARY and min(abs(x), abs(x - 1.0)) > tol:
-                integrality.append((v.name, x))
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        finite = np.isfinite(x)
+        outside = finite & ((x < lo - tol) | (x > hi + tol))
+        for k in np.flatnonzero(outside).tolist():
+            v = float(x[k])
+            record("bounds:" + self.names[k].split("[")[0], -1,
+                   max(float(lo[k]) - v, v - float(hi[k])))
+        with np.errstate(invalid="ignore"):
+            fractional = np.minimum(np.abs(x), np.abs(x - 1.0)) > tol
+        off = ~finite | (np.asarray(self.is_binary, dtype=bool) & fractional)
+        integrality = [(self.names[k], values[self.names[k]])
+                       for k in np.flatnonzero(off).tolist()]
 
         return AuditReport(
             objective=self.evaluate_objective(values),
@@ -267,6 +479,13 @@ class ModelIR:
         )
 
 
+def _sense_code(sense):
+    try:
+        return _SENSE_CODE[sense]
+    except KeyError:
+        raise ModelError("unknown constraint sense %r" % (sense,)) from None
+
+
 def _violation(lhs, sense, rhs):
     if sense == LE:
         return max(0.0, lhs - rhs)
@@ -275,7 +494,45 @@ def _violation(lhs, sense, rhs):
     return abs(lhs - rhs)
 
 
-def _merge_terms(terms):
+def _merge_terms(cols, coefs):
+    """One row's terms with repeated columns merged into the first."""
+    pos = {}
+    out_cols = []
+    out_coefs = []
+    for j, c in zip(cols, coefs):
+        k = pos.get(j)
+        if k is None:
+            pos[j] = len(out_cols)
+            out_cols.append(j)
+            out_coefs.append(c)
+        else:
+            out_coefs[k] += c
+    return out_cols, out_coefs
+
+
+def _merge_rows(indptr, cols, coefs):
+    """``_merge_terms`` over every row of a CSR matrix."""
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    key = rows * (int(cols.max(initial=0)) + 1) + cols
+    order = np.argsort(key, kind="stable")
+    repeat = key[order][1:] == key[order][:-1]
+    if not repeat.any():
+        return indptr, cols, coefs
+    # each repeated term adds, in stored order, into its first occurrence
+    run_start = np.flatnonzero(np.concatenate(([True], ~repeat)))
+    run = np.cumsum(np.concatenate(([True], ~repeat))) - 1
+    later = order[1:][repeat]
+    merged = coefs.copy()
+    np.add.at(merged, order[run_start[run[1:][repeat]]], coefs[later])
+    keep = np.ones(len(cols), dtype=bool)
+    keep[later] = False
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep],
+                                                        minlength=len(counts)))))
+    return indptr, cols[keep], merged[keep]
+
+
+def _merge_refs(terms):
     by_index = {}
     order = []
     for c, r in terms:
@@ -309,11 +566,12 @@ def _merge_quadratic(terms):
 def round_binaries(model, values, tol=DEFAULT_TOL):
     """Snap near-integral binary values onto {0,1}; leave others untouched."""
     out = dict(values)
-    for v in model.variables:
-        if v.kind == BINARY and v.name in out:
-            x = out[v.name]
+    for k in np.flatnonzero(np.asarray(model.is_binary)).tolist():
+        name = model.names[k]
+        if name in out:
+            x = out[name]
             if abs(x) <= tol:
-                out[v.name] = 0.0
+                out[name] = 0.0
             elif abs(x - 1.0) <= tol:
-                out[v.name] = 1.0
+                out[name] = 1.0
     return out

@@ -71,32 +71,30 @@ def _structural_domains(build):
     return out
 
 
-def _extra_constraints(build):
-    return build.model.constraints[build.built_constraints:]
+def _has_extras(build):
+    """Whether rows were injected into the model after the build."""
+    return len(build.model.constraints) > build.built_constraints
 
 
-def _check_extras(build, extras, bits, tol):
-    """Evaluate post-build injected constraints on the assembled candidate."""
-    from .ir import _violation
+def _check_extras(build, bits, tol):
+    """The worst violation of the post-build injected rows by the assembled
+    candidate."""
     asg, _, _ = build.assemble(bits, tol)
-    worst = 0.0
-    for con in extras:
-        lhs = sum(c * asg.values[r.name] for c, r in con.terms)
-        worst = max(worst, _violation(lhs, con.sense, con.rhs))
-    return worst
+    model = build.model
+    amount = model.row_violations(model.vector(asg.values), build.built_constraints)
+    return float(np.max(amount, initial=0.0, where=amount > 0.0))
 
 
 def iter_candidates(build, tol=1e-6):
     """All feasible structural candidates as (bits, objective), lexicographic."""
     domains = _structural_domains(build)
-    extras = _extra_constraints(build)
-    names = [n for n, _ in domains]
+    extras = _has_extras(build)
 
     def rec(idx, bits):
         if idx == len(domains):
             obj, viol, _ = build.complete(bits, tol)
             if viol <= tol and (not extras
-                                or _check_extras(build, extras, bits, tol) <= tol):
+                                or _check_extras(build, bits, tol) <= tol):
                 yield dict(bits), obj
             return
         name, dom = domains[idx]
@@ -124,7 +122,8 @@ def enumerate_exact(build, limit_bits=24, tol=1e-6, timeout=None):
         raise InfeasibleError("no feasible structural assignment")
     asg = _audited(build, search.best_bits, tol, "winning candidate")
     return SolveResult(assignment=asg, objective=search.best_obj,
-                       candidates=search.candidates, nodes=search.nodes)
+                       bound=search.best_obj, candidates=search.candidates,
+                       nodes=search.nodes)
 
 
 def branch_and_bound(build, budget=10 ** 7, limit_bits=24, tol=1e-6, timeout=None):
@@ -224,7 +223,7 @@ class _Search:
         self.budget = budget
         self.triggers = triggers
         self.domains = _structural_domains(build)
-        self.extras = _extra_constraints(build)
+        self.extras = _has_extras(build)
         self.start = _block_start(build, self.domains)
         tail = self.domains[self.start:]
         self.block_names = [name for name, _ in tail]
@@ -301,7 +300,7 @@ class _Search:
             return False
         if ((self.best_obj is None or obj < self.best_obj)
                 and (not self.extras or _check_extras(
-                    self.build, self.extras, self.bits, self.tol) <= self.tol)):
+                    self.build, self.bits, self.tol) <= self.tol)):
             self.best_obj = obj
             self.best_bits = dict(self.bits)
         return True

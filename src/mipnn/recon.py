@@ -170,9 +170,12 @@ def audit(build, asg, tol=1e-6):
     return report
 
 
-def reconstruct(build, asg, tol=1e-6):
-    """Rebuild the network encoded by a solution; the audit must pass first."""
-    report = audit(build, asg, tol)
+def reconstruct(build, asg, tol=1e-6, report=None):
+    """Rebuild the network encoded by a solution that passes its audit.
+    ``report`` is the caller's ``audit`` of ``asg``; without one the
+    assignment is audited here.  A failed audit is refused."""
+    if report is None:
+        report = audit(build, asg, tol)
     if not report.ok:
         raise ReconError(
             "audit failed: %d violations, worst %g (%s)"

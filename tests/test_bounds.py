@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mipnn.bounds import (BoundsError, BoundsTable, LayerBounds, _widen,
-                          calibrate_from_samples, propagate_bounds)
-from mipnn.nnspec import ConvArch, ConvLayer, Dataset, DenseArch
+                          propagate_bounds)
+from mipnn.nnspec import ConvArch, ConvLayer, DenseArch
 from mipnn.recon import DenseNet, forward_preactivations
 
 from conftest import random_dense_weights
@@ -86,35 +86,6 @@ def test_infinite_input_box_rejected():
     arch = DenseArch(2, [2], 1)
     with pytest.raises(BoundsError):
         propagate_bounds(arch, np.array([0.0, -np.inf]), np.ones(2), -1.0, 1.0)
-
-
-def test_calibration_covers_samples_with_slack(rng):
-    widths = (2, 3, 1)
-    weights = random_dense_weights(rng, widths)
-    net = DenseNet(weights=weights, gamma=np.ones(1))
-    arch = DenseArch(2, [3], 1)
-    X = rng.uniform(-1, 1, size=(30, 2))
-    data = Dataset(inputs=X, targets=np.zeros((30, 1)))
-    bt = calibrate_from_samples(arch, net, data, slack=0.5)
-    z = forward_preactivations(net, X)[0]
-    lb = bt.layer(0)
-    assert lb.provenance == "sampled"
-    assert np.all(z >= lb.unit_lo[None, :] - 1e-12)
-    assert np.all(z <= lb.unit_hi[None, :] + 1e-12)
-    # widening keeps zero inside every unit interval
-    assert np.all(lb.unit_lo <= 0.0) and np.all(lb.unit_hi >= 0.0)
-
-
-def test_table_text_round_trip(rng):
-    arch = DenseArch(2, [3, 2], 1)
-    bt = propagate_bounds(arch, -np.ones(2), np.ones(2), -1.0, 1.0)
-    back = BoundsTable.from_text(bt.to_text())
-    assert len(back) == len(bt)
-    for l in range(len(bt)):
-        a, b = bt.layer(l), back.layer(l)
-        assert a.provenance == b.provenance
-        assert np.array_equal(a.unit_lo, b.unit_lo)
-        assert np.array_equal(a.unit_hi, b.unit_hi)
 
 
 def test_relu_bounds_collapse():

@@ -77,9 +77,9 @@ def test_run_pipeline_artifacts_and_determinism(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 0
     for name, blob in snap.items():
         assert (out / name).read_bytes() == blob, name
-    # timing lines are confined to run.log and marked
+    # timing and count lines are confined to run.log and marked
     log = (out / "run.log").read_text()
-    assert all(ln.startswith("# time") for ln in log.splitlines() if ln)
+    assert all(ln.startswith(("# time", "# count")) for ln in log.splitlines() if ln)
 
 
 def test_verify_accepts_solver_solution(tmp_path):
