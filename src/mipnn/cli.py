@@ -440,7 +440,9 @@ def cmd_run(cfg):
                 "# count bound %r" % search.bound,
                 "# count proven %d" % search.proven]
 
-    report = recon.audit(prep.build, solution.assignment, cfg.tolerance)
+    # the search has already run the model's audit of its answer
+    report = recon.audit(prep.build, solution.assignment, cfg.tolerance,
+                         report=None if search is None else search.report)
     with open(os.path.join(cfg.out, "audit.txt"), "w") as fh:
         fh.write(audit_text(report))
     if not report.ok:

@@ -14,34 +14,57 @@ Naming (all 0-based):
   indicators     z/delta[i][l][c][h][w], gamma[l][c]
 """
 
+import math
+from functools import partial
+
 import numpy as np
 
-from .ir import BINARY, CONTINUOUS, EQ, GE, LE, Assignment, ModelIR, VarDef
-from .dense import (Build, BuildError, add_objective, declare_params, fill,
-                    head_rows, input_rows, l1_rows, net_quant, prune_rows,
-                    relu_units, vn)
-from .nnspec import (LOSS_ABS, TRAIN_QUANTIZED, VERIFY, conv_map_shapes,
-                     validate_arch)
-from .recon import ConvNet, flatten_index, forward_trace, objective_breakdown
+from .ir import EQ, GE, LE, Assignment, ModelIR
+from .dense import (Build, BuildError, Field, Rows, SampleBlock, add_objective,
+                    declare_params, emit_rows, fill, head_rows, input_rows,
+                    l1_rows, name_template, net_quant, prune_rows, ref_columns,
+                    relu_layer, vn)
+from .nnspec import LOSS_ABS, TRAIN_QUANTIZED, VERIFY, conv_map_shapes
+from .recon import ConvNet, forward_trace, objective_breakdown
+
+
+def maxpool_rows(a, p, zeta, big_m):
+    """Select-the-max encoding of each pooling window: the window's cells
+    ``a`` and selectors ``zeta`` on the last axis, its output ``p``."""
+    if not a.shape[-1]:
+        raise BuildError("empty pooling window")
+    a, zeta = np.broadcast_arrays(a, zeta)
+    cells = a.shape[-1]
+    p = np.broadcast_to(np.asarray(p)[..., None], a.shape)
+    per_cell = np.stack([p, a, p, a, zeta], axis=-1).reshape(a.shape[:-1] + (-1,))
+    return Rows.of(a.shape[:-1], [cells] + [2, 3] * cells, [EQ] + [GE, LE] * cells,
+                   ["maxpool_select"] + ["maxpool_lb", "maxpool_ub"] * cells,
+                   [zeta, per_cell],
+                   [[1.0] * cells + [1.0, -1.0, 1.0, -1.0, big_m] * cells],
+                   [[1.0] + [0.0, big_m] * cells])
 
 
 def encode_maxpool(model, window_refs, p_ref, zeta_refs, big_m):
-    """Select-the-max encoding over one pooling window."""
-    if not window_refs:
-        raise BuildError("empty pooling window")
-    model.add_constraint([(1.0, zr) for zr in zeta_refs], EQ, 1.0,
-                         "maxpool_select")
-    for ar, zr in zip(window_refs, zeta_refs):
-        model.add_constraint([(1.0, p_ref), (-1.0, ar)], GE, 0.0, "maxpool_lb")
-        model.add_constraint([(1.0, p_ref), (-1.0, ar), (big_m, zr)], LE, big_m,
-                             "maxpool_ub")
+    """``maxpool_rows`` of one window."""
+    emit_rows(model, maxpool_rows(ref_columns(model, *window_refs),
+                                  ref_columns(model, p_ref)[0],
+                                  ref_columns(model, *zeta_refs), big_m))
+
+
+def _pool_windows(pool, hw):
+    """Index arrays that take the (qh, qw, ph, pw) windows of a map of
+    height and width ``hw`` from its last two axes."""
+    (ph, pw), ps = pool
+    qh = (hw[0] - ph) // ps + 1
+    qw = (hw[1] - pw) // ps + 1
+    return ((ps * np.arange(qh))[:, None, None, None] + np.arange(ph)[:, None],
+            (ps * np.arange(qw))[:, None, None] + np.arange(pw))
 
 
 class ConvBuild(Build):
     def __init__(self, model, arch, data, hyper, btable, fixed_weights):
         super().__init__(model, arch, data, hyper, btable, fixed_weights,
                          conv_map_shapes(arch))
-        self.out_shapes = validate_arch(arch)     # post-pool, incl. input at [0]
 
     def pool_big_m(self, l):
         if self.hyper.pool_global_m:
@@ -115,41 +138,62 @@ class ConvBuild(Build):
             fill(values, "r", np.abs(out - self.data.targets))
         if self.hyper.mode == TRAIN_QUANTIZED:
             for t, layer in zip(self.tensors[1:-1], self.arch.conv_layers[1:]):
-                self.fill_products(values, bits, t, _patches(
-                    trace[t.l - 1][1], layer, self.map_shapes[t.l][1:]))
+                patches = _patches(trace[t.l - 1][1], layer, self.map_shapes[t.l][1:])
+                self.fill_products(values, bits, t, np.moveaxis(patches, (1, 2), (4, 5)))
             self.fill_products(values, bits, self.tensors[-1], flat)
         return Assignment(values=values), obj, viol
 
     def _assemble_selectors(self, values, l, act):
         """zeta of conv layer l: each pool window selects its first maximal
         cell of the post-ReLU map ``act``; cells no window covers stay 0."""
-        (ph, pw), ps = self.arch.conv_layers[l].pool
-        fill(values, "zeta", np.zeros(act.shape), l, at=1)
-        _, c_l, oh, ow = act.shape
-        qh = (oh - ph) // ps + 1
-        qw = (ow - pw) // ps + 1
-        for i in range(self.data.n):
-            for c in range(c_l):
-                for hp in range(qh):
-                    for wp in range(qw):
-                        cells = [(hp * ps + du, wp * ps + dv)
-                                 for du in range(ph) for dv in range(pw)]
-                        best = max(cells,
-                                   key=lambda hw: (act[i, c, hw[0], hw[1]],
-                                                   (-hw[0], -hw[1])))
-                        for (hh, ww) in cells:
-                            values[vn("zeta", i, l, c, hh, ww)] = (
-                                1.0 if (hh, ww) == best else 0.0)
+        hh, ww = _pool_windows(self.arch.conv_layers[l].pool, act.shape[2:])
+        windows = act[:, :, hh, ww]
+        flat = windows.reshape(windows.shape[:4] + (-1,))
+        zeta = np.zeros(act.shape)
+        zeta[:, :, hh, ww] = (np.arange(flat.shape[-1])
+                              == flat.argmax(axis=-1)[..., None]).reshape(windows.shape)
+        fill(values, "zeta", zeta, l, at=1)
 
 
 def _patches(a, layer, out_hw):
-    """patches[i, c, u, v, h, w] = a[i, c, h * stride + u, w * stride + v]:
+    """patches[..., h, w, c, u, v] = a[..., c, h * stride + u, w * stride + v]:
     the input cell kernel entry (c, u, v) meets at output position (h, w)."""
     (kh, kw), s = layer.kernel, layer.stride
     oh, ow = out_hw
-    rows = np.arange(kh)[:, None, None, None] + s * np.arange(oh)[:, None]
-    cols = np.arange(kw)[:, None, None] + s * np.arange(ow)
-    return a[:, :, rows, cols]
+    rows = (s * np.arange(oh))[:, None, None, None, None] + np.arange(kh)[:, None]
+    cols = (s * np.arange(ow))[:, None, None, None] + np.arange(kw)
+    return a[..., np.arange(a.shape[-3])[:, None, None], rows, cols]
+
+
+def pool_rows(build, block, l, a):
+    """Selectors zeta and outputs p of conv layer l's pool over its
+    post-ReLU map, whose columns are ``a``, per channel; returns p's."""
+    c_l, oh, ow = build.map_shapes[l]
+    pool = build.arch.conv_layers[l].pool
+    hh, ww = _pool_windows(pool, (oh, ow))
+    qh, qw = hh.shape[0], ww.shape[0]
+    zeta, p = block.group(
+        (c_l,),
+        Field(lambda c: [name_template("zeta", l, c, *cell)
+                         for cell in np.ndindex(oh, ow)], (oh, ow), 0.0, 1.0, True),
+        Field(lambda c: [name_template("p", l, c, *cell) for cell in np.ndindex(qh, qw)],
+              (qh, qw), 0.0, max(0.0, build.btable.layer(l).a_hi)))
+    cells = (c_l, qh, qw, -1)
+    block.rows.append(maxpool_rows(a[:, hh, ww].reshape(cells), p,
+                                   zeta[:, hh, ww].reshape(cells), build.pool_big_m(l)))
+    return p
+
+
+def flatten_rows(build, block, src):
+    """a[i][L][f] = the cell f, channel-major, of the map whose columns are
+    ``src``; returns their columns."""
+    units = (src.size,)
+    flat, = block.group(units, Field(lambda f: [name_template("a", build.L, f)],
+                                     (), 0.0, math.inf))
+    block.rows.append(Rows.of(units, [2], [EQ], ["flatten"],
+                              [flat[:, None], src.reshape(-1, 1)], [[1.0, -1.0]],
+                              [[0.0]]))
+    return flat
 
 
 def build_cnn(arch, data, hyper, btable, weights=None):
@@ -203,57 +247,17 @@ def build_cnn(arch, data, hyper, btable, weights=None):
                 model.add_constraint(terms, GE, 0.0, "symmetry_breaking")
 
     # per-sample network ----------------------------------------------------
-    # per conv layer and output position, each kernel entry with its input cell
-    windows = []
+    block = SampleBlock(build)
+    maps = {("a", 0): input_rows(build, block)}
     for t, layer in zip(convs, arch.conv_layers):
-        s = layer.stride
-        entries = list(np.ndindex(t.shape[1:]))
-        windows.append([((hh, ww), [(e, (e[0], hh * s + e[1], ww * s + e[2]))
-                                    for e in entries])
-                        for hh, ww in np.ndindex(build.map_shapes[t.l][1:])])
-    for i in range(data.n):
-        input_rows(build, i)
-        for t, layer in zip(convs, arch.conv_layers):
-            l = t.l
-            src = build.map_source(l)
-            for c in range(t.shape[0]):
-                relu_units(build, t, i, c, src, windows[l])
-            if layer.pool is not None:
-                c_l, oh, ow = build.map_shapes[l]
-                (ph, pw), ps = layer.pool
-                qh = (oh - ph) // ps + 1
-                qw = (ow - pw) // ps + 1
-                pool_m = build.pool_big_m(l)
-                for c in range(c_l):
-                    for hh in range(oh):
-                        for ww in range(ow):
-                            model.add_variable(VarDef(vn("zeta", i, l, c, hh, ww),
-                                                      BINARY))
-                    for hp in range(qh):
-                        for wp in range(qw):
-                            p = model.add_variable(VarDef(
-                                vn("p", i, l, c, hp, wp), CONTINUOUS, 0.0,
-                                max(0.0, build.btable.layer(l).a_hi)))
-                            cells = [(hp * ps + du, wp * ps + dv)
-                                     for du in range(ph) for dv in range(pw)]
-                            encode_maxpool(
-                                model,
-                                [model.var(vn("a", i, l + 1, c, hh, ww))
-                                 for hh, ww in cells],
-                                p,
-                                [model.var(vn("zeta", i, l, c, hh, ww))
-                                 for hh, ww in cells],
-                                pool_m)
-        # flatten, channel-major, and head
-        base, index = build.map_source(L)
-        c_last, h_last, w_last = build.out_shapes[-1]
-        for c, hh, ww in np.ndindex(c_last, h_last, w_last):
-            f = flatten_index(c, hh, ww, h_last, w_last)
-            src = model.var(vn(base, i, index, c, hh, ww))
-            ref = model.add_variable(VarDef(vn("a", i, L, f), CONTINUOUS,
-                                            0.0, float("inf")))
-            model.add_constraint([(1.0, ref), (-1.0, src)], EQ, 0.0, "flatten")
-        head_rows(build, i)
+        l = t.l
+        maps["a", l + 1] = relu_layer(
+            build, block, t, maps[build.map_source(l)],
+            partial(_patches, layer=layer, out_hw=build.map_shapes[l][1:]))
+        if layer.pool is not None:
+            maps["p", l] = pool_rows(build, block, l, maps["a", l + 1])
+    head_rows(build, block, flatten_rows(build, block, maps[build.map_source(L)]))
+    block.finish()
 
     add_objective(build)
     build.built_constraints = len(model.constraints)

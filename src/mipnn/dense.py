@@ -24,6 +24,7 @@ and the objective are emitted from that list by the functions below.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,40 +153,254 @@ def param_tensors(arch):
                              (), "output_map", ())]
 
 
+# constraint families ----------------------------------------------------------
+#
+# The per-sample network repeats one structure for every sample: only its
+# columns move, by one sample's size, and a few numbers come from the data.
+# The builders lay it out once and emit each constraint family as arrays.
+# A family's ``Rows`` repeat a pattern of rows over units.  ``cols``,
+# ``coefs`` and ``rhs`` have the shape (samples,) + units + (entries,), where
+# samples is 1 except for numbers taken from the data, and always 1 for
+# ``cols``, which hold sample 0's columns.
+
+
+def _stack(parts, units):
+    """Concatenate on the last axis arrays that broadcast over (1,) + units."""
+    parts = [np.asarray(p) for p in parts]
+    lead = [1, *units]
+    for p in parts:
+        for k in range(2, p.ndim + 1):
+            if p.shape[-k] != 1:
+                lead[-k + 1] = p.shape[-k]
+    out = np.empty(lead + [sum(p.shape[-1] for p in parts)],
+                   dtype=np.result_type(*parts))
+    k = 0
+    for p in parts:
+        out[..., k:k + p.shape[-1]] = p
+        k += p.shape[-1]
+    return out
+
+
+class Rows:
+    """The rows of a family: per unit, rows of ``lengths`` terms with
+    ``senses`` and ``labels``, their terms on the last axis of ``cols`` and
+    ``coefs`` and their right-hand sides on that of ``rhs``."""
+
+    def __init__(self, lengths, senses, labels, cols, coefs, rhs):
+        self.lengths, self.senses, self.labels = list(lengths), list(senses), list(labels)
+        self.cols, self.coefs, self.rhs = cols, coefs, rhs
+
+    @classmethod
+    def of(cls, units, lengths, senses, labels, cols, coefs, rhs):
+        """Rows over ``units`` from parts of their terms and rhs (``_stack``)."""
+        return cls(lengths, senses, labels, _stack(cols, units),
+                   _stack(coefs, units), _stack(rhs, units))
+
+    def fold(self, axes=None):
+        """These rows with their last ``axes`` unit axes (all by default)
+        folded into the pattern, which repeats per folded unit in C order."""
+        units = self.cols.shape[1:-1]
+        keep = units[:len(units) - axes] if axes else ()
+        k = math.prod(units[len(keep):])
+        arrays = (x.reshape(x.shape[:1] + keep + (-1,))
+                  for x in (self.cols, self.coefs, self.rhs))
+        return Rows(self.lengths * k, self.senses * k, self.labels * k, *arrays)
+
+    @classmethod
+    def join(cls, *parts):
+        """Per unit, the rows of each part in turn; None parts add nothing."""
+        parts = [p for p in parts if p is not None]
+        units = parts[0].cols.shape[1:-1]
+        return cls(*(sum((getattr(p, a) for p in parts), [])
+                     for a in ("lengths", "senses", "labels")),
+                   *(_stack([getattr(p, a) for p in parts], units)
+                     for a in ("cols", "coefs", "rhs")))
+
+
+def emit_rows(model, rows, n=1, start=0, size=0):
+    """Append ``rows`` once per sample i < n, their columns from ``start`` on
+    moved by ``i * size``."""
+    rows = rows.fold()
+    cols = rows.cols[0]
+    cols = cols + np.where(cols >= start, size, 0) * np.arange(n)[:, None]
+    count = len(rows.lengths)
+    indptr = np.zeros(n * count + 1, dtype=np.int64)
+    np.cumsum(np.tile(rows.lengths, n), out=indptr[1:])
+    model.add_rows(indptr, cols.ravel(),
+                   np.broadcast_to(rows.coefs, cols.shape).ravel(),
+                   rows.senses * n,
+                   np.broadcast_to(rows.rhs, (n, count)).ravel(), rows.labels * n)
+
+
+def relu_rows(z, a, delta, z_lo, z_hi):
+    """The four-inequality exact ReLU encoding of the units with columns z,
+    a and delta, each driven by its binary indicator; the bounds broadcast
+    over the units."""
+    units = np.shape(z)
+    z_lo, z_hi = (np.broadcast_to(np.asarray(v, dtype=float), units)[..., None]
+                  for v in (z_lo, z_hi))
+    bad = np.flatnonzero(~((z_lo <= 0.0) & (0.0 <= z_hi)))
+    if bad.size:
+        raise IllPosedBoundsError("ReLU bounds must straddle 0, got [%r, %r]"
+                                  % (float(z_lo.flat[bad[0]]),
+                                     float(z_hi.flat[bad[0]])))
+    z, a, delta = (np.asarray(c)[..., None] for c in (z, a, delta))
+    return Rows.of(units, (1, 2, 3, 2), (GE, GE, LE, LE),
+                   ("relu_lower", "relu_identity_lb", "relu_identity_ub",
+                    "relu_activation_bound"),
+                   [a, a, z, a, z, delta, a, delta],
+                   [[1.0, 1.0, -1.0, 1.0, -1.0], -z_lo, [1.0], -z_hi],
+                   [[0.0, 0.0], -z_lo, [0.0]])
+
+
+def quant_rows(y, d, a, a_lo, a_hi):
+    """The four rows that hold each product column y at digit d times the
+    activation a in [a_lo, a_hi]; the three broadcast together."""
+    y, d, a = (c[..., None] for c in np.broadcast_arrays(y, d, a))
+    return Rows.of(y.shape[:-1], (2, 2, 3, 3), (LE, GE, LE, GE),
+                   ("quant_product",) * 4,
+                   [y, d, y, d, y, a, d, y, a, d],
+                   [[1.0, -a_hi, 1.0, -a_lo, 1.0, -1.0, -a_lo, 1.0, -1.0, -a_hi]],
+                   [[0.0, 0.0, -a_lo, -a_hi]])
+
+
+def gate_rows(z, a, g, big_m):
+    """a <= big_m * g and |z| <= big_m * g for the units with columns z and
+    a and switches g."""
+    z, a, g = (c[..., None] for c in np.broadcast_arrays(z, a, g))
+    return Rows.of(z.shape[:-1], (2, 2, 2), (LE, LE, LE),
+                   ("pruning_activation",) * 3, [a, g, z, g, z, g],
+                   [[1.0, -big_m, 1.0, -big_m, -1.0, -big_m]], [[0.0, 0.0, 0.0]])
+
+
+def ref_columns(model, *refs):
+    """The columns of ``refs``, which must be this model's variables."""
+    model._check_refs(refs)
+    return np.array([r.index for r in refs], dtype=np.int64)
+
+
 def encode_relu(model, z, a, delta, z_lo, z_hi):
-    """The four-inequality exact ReLU encoding driven by one binary indicator."""
-    if not (z_lo <= 0.0 <= z_hi):
-        raise IllPosedBoundsError(
-            "ReLU bounds must straddle 0, got [%r, %r]" % (z_lo, z_hi))
-    model.add_constraint([(1.0, a)], GE, 0.0, "relu_lower")
-    model.add_constraint([(1.0, a), (-1.0, z)], GE, 0.0, "relu_identity_lb")
-    model.add_constraint([(1.0, a), (-1.0, z), (-z_lo, delta)], LE, -z_lo,
-                         "relu_identity_ub")
-    model.add_constraint([(1.0, a), (-z_hi, delta)], LE, 0.0,
-                         "relu_activation_bound")
+    """``relu_rows`` of one unit."""
+    emit_rows(model, relu_rows(*ref_columns(model, z, a, delta), z_lo, z_hi))
+
+
+def _check_bounded(a_lo, a_hi, what):
+    if not np.isfinite(a_lo) or not np.isfinite(a_hi):
+        raise BuildError("%s must be bounded for quantization" % what)
 
 
 def encode_quantized_product(model, digits, a_ref, a_lo, a_hi, quant, y_namer):
     """Exact linearization of (quantized weight) * (bounded activation).
 
-    Creates one product variable per digit, constrained so it equals the
-    digit-activation product.  Returns the terms of the product expression.
+    Creates one product variable per digit, held at the digit-activation
+    product by ``quant_rows``.  Returns the terms of the product expression.
     """
-    if not np.isfinite(a_lo) or not np.isfinite(a_hi):
-        raise BuildError("activation %s must be bounded for quantization" % a_ref.name)
-    p_terms = []
-    for t, d in enumerate(digits):
-        y = model.add_variable(VarDef(y_namer(t), CONTINUOUS,
-                                      min(a_lo, 0.0), max(a_hi, 0.0)))
-        model.add_constraint([(1.0, y), (-a_hi, d)], LE, 0.0, "quant_product")
-        model.add_constraint([(1.0, y), (-a_lo, d)], GE, 0.0, "quant_product")
-        model.add_constraint([(1.0, y), (-1.0, a_ref), (-a_lo, d)], LE, -a_lo,
-                             "quant_product")
-        model.add_constraint([(1.0, y), (-1.0, a_ref), (-a_hi, d)], GE, -a_hi,
-                             "quant_product")
-        p_terms.append((quant.step * (2 ** t), y))
-    p_terms.append((-quant.w_max, a_ref))
-    return p_terms
+    _check_bounded(a_lo, a_hi, "activation %s" % a_ref.name)
+    k = len(digits)
+    first = len(model.names)
+    model.add_variables([y_namer(t) for t in range(k)], [min(a_lo, 0.0)] * k,
+                        [max(a_hi, 0.0)] * k, [False] * k)
+    emit_rows(model, quant_rows(np.arange(first, first + k),
+                                ref_columns(model, *digits),
+                                ref_columns(model, a_ref), a_lo, a_hi))
+    return ([(quant.step * (2 ** t), model.ref(first + t)) for t in range(k)]
+            + [(-quant.w_max, a_ref)])
+
+
+def name_template(base, *idx):
+    """``vn(base, i, *idx)`` with the sample index i left as ``%d``."""
+    return (base + "[%%d]" + "[%d]" * len(idx)) % idx
+
+
+class Field(NamedTuple):
+    """The variables of each unit of a group: ``names(*unit)`` lists their
+    ``name_template``s, ``shape`` is their index shape, and ``lo``/``hi``
+    broadcast over (samples,) + units + shape."""
+    names: object
+    shape: tuple
+    lo: object
+    hi: object
+    binary: bool = False
+
+
+class SampleBlock:
+    """The per-sample network of a build: variables and rows laid out once,
+    in sample 0's columns, and appended for every sample, each sample's
+    columns ``size`` after the previous one's."""
+
+    def __init__(self, build):
+        self.build = build
+        self.start = len(build.model.names)
+        self.size = 0
+        self.names = []          # per variable, its name_template
+        self.lo, self.hi = [], []    # per group, bounds of shape (samples, vars)
+        self.binary = []
+        self.rows = []           # per section, its Rows, in row order
+        self.bilinear = []       # (label, lin, quad) in sample 0's columns
+        self.relu = []           # per ReLU layer, the (z, delta) columns
+
+    def group(self, units, *fields):
+        """The variables of every unit of shape ``units`` in C order, per
+        unit each field's in turn; returns each field's columns, shaped
+        units + the field's shape."""
+        count = math.prod(units)
+        sizes = [math.prod(f.shape) for f in fields]
+        first = (self.start + self.size
+                 + sum(sizes) * np.arange(count, dtype=np.int64)[:, None])
+        offsets = np.cumsum([0] + sizes).tolist()
+        cols = [(first + off + np.arange(k)).reshape(units + f.shape)
+                for f, k, off in zip(fields, sizes, offsets)]
+        self.size += count * sum(sizes)
+        self.names += [name for u in np.ndindex(units)
+                       for f in fields for name in f.names(*u)]
+
+        def side(attr):
+            out = np.empty((self.build.data.n, count, sum(sizes)))
+            for f, k, off in zip(fields, sizes, offsets):
+                v = getattr(f, attr)
+                if np.ndim(v):
+                    v = np.broadcast_to(v, np.broadcast_shapes(np.shape(v),
+                                                               (1,) + units + f.shape))
+                    v = v.reshape(len(v), count, k)
+                out[:, :, off:off + k] = v
+            return out.reshape(len(out), -1)
+
+        self.lo.append(side("lo"))
+        self.hi.append(side("hi"))
+        self.binary.append(np.tile(np.repeat([f.binary for f in fields], sizes),
+                                   count))
+        return cols
+
+    def columns(self, parts):
+        """Every sample's columns of sample 0's columns ``parts``,
+        sample-major."""
+        cols = np.concatenate([np.zeros(0, np.int64)] + [p.ravel() for p in parts])
+        return (cols + self.size * np.arange(self.build.data.n)[:, None]).ravel()
+
+    def finish(self):
+        """Append every sample's variables, rows and bilinear rows to the
+        model, and record the build's ReLU columns."""
+        build, model = self.build, self.build.model
+        n = build.data.n
+
+        model.add_variables([name % i for i in range(n) for name in self.names],
+                            np.concatenate(self.lo, axis=1).ravel(),
+                            np.concatenate(self.hi, axis=1).ravel(),
+                            np.tile(np.concatenate(self.binary), n))
+        emit_rows(model, Rows.join(*(r.fold() for r in self.rows if r is not None)),
+                  n, self.start, self.size)
+
+        def ref(c, i):
+            c = int(c)
+            return model.ref(c + i * self.size if c >= self.start else c)
+
+        for i in range(n):
+            for label, lin, quad in self.bilinear:
+                model.add_bilinear_constraint(
+                    [(c, ref(w, i), ref(x, i)) for c, w, x in quad],
+                    [(c, ref(v, i)) for c, v in lin], EQ, 0.0, label)
+        build.relu_z = self.columns(z for z, _ in self.relu)
+        build.relu_delta = self.columns(d for _, d in self.relu)
 
 
 def param_box(hyper):
@@ -263,93 +478,145 @@ def prune_rows(model, ref, gate, big_m, label):
     model.add_constraint([(-1.0, ref), (-big_m, gate)], LE, 0.0, label)
 
 
-def input_rows(build, i):
-    """a[i][0][...] fixed at the inputs of sample i."""
-    x = build.data.inputs[i]
-    for idx in np.ndindex(x.shape):
-        xv = float(x[idx])
-        ref = build.model.add_variable(VarDef(vn("a", i, 0, *idx), CONTINUOUS, xv, xv))
-        build.model.add_constraint([(1.0, ref)], EQ, xv, "input_assignment")
+def _param_columns(model, names):
+    return np.array([model.var_index[name] for name in names], dtype=np.int64)
 
 
-def product_row(build, t, i, row, out, src, cells, pos=()):
-    """The row ``out`` = bias + weight row ``row`` of ``t`` times its inputs.
+def input_rows(build, block):
+    """a[i][0][...] fixed at the inputs of every sample; returns the columns
+    of the input map."""
+    x = np.asarray(build.data.inputs, dtype=float)
+    shape = x.shape[1:]
+    cols, = block.group(shape, Field(lambda *idx: [name_template("a", 0, *idx)],
+                                     (), x, x))
+    block.rows.append(Rows.of(shape, [1], [EQ], ["input_assignment"],
+                              [cols[..., None]], [[1.0]], [x[..., None]]))
+    return cols
 
-    ``cells`` pairs each weight entry (the index after ``row``) with the cell
-    of sample i's input map it multiplies; ``src`` = (base, index) names that
-    map's variables ``base[i][index][cell]``.  Fixed weights and a first layer,
-    whose inputs are data, give a linear row; otherwise the products stay
-    bilinear, or in train-quantized mode are linearized digit by digit into
-    y[i][l][row][entry][pos][t].
+
+def _product_fields(build, t):
+    """The products y[i][l][row][entry][pos][t] of each unit (row, *pos) of
+    tensor ``t``: in train-quantized mode, past the first layer."""
+    hyper = build.hyper
+    if hyper.mode != TRAIN_QUANTIZED or t.l == 0:
+        return []
+    a_hi = build.btable.layer(t.l - 1).a_hi
+    _check_bounded(0.0, a_hi, "the activations of layer %d" % t.l)
+    entries = list(np.ndindex(t.shape[1:]))
+    digits = range(hyper.bits)
+    return [Field(lambda row, *pos: [name_template("y", t.l, row, *e, *pos, s)
+                                     for e in entries for s in digits],
+                  t.shape[1:] + (hyper.bits,), 0.0, max(a_hi, 0.0))]
+
+
+def product_rows(build, block, t, out, src, gather=None, y=None):
+    """The rows ``out`` = bias + weight row times its inputs of every unit
+    (row, *pos) of tensor ``t``, ``out`` holding the units' columns.
+
+    ``src`` holds the columns of the map the tensor reads, and ``gather``
+    (the identity by default) maps an array over that map's cells, on its
+    trailing axes, to the cell each weight entry meets at each position, on
+    trailing axes pos + entry.  Fixed weights and a first layer, whose inputs
+    are data, give a linear row; otherwise the products stay bilinear (on the
+    block's list), or in train-quantized mode are linearized digit by digit
+    into the products ``y``, shaped units + entry + (bits,), whose
+    quant_product rows come before each unit's row.
     """
     model, hyper = build.model, build.hyper
-    terms = [(1.0, out), (-1.0, model.var(vn(t.b, t.l, row)))]
+    gather = gather or (lambda cells: cells)
+    units = out.shape
+    rows_at = units[:1] + (1,) * (len(units) - 1)
+    b = _param_columns(model, [vn(t.b, t.l, row) for row in range(units[0])])
+    lhs = ([out[..., None], b.reshape(rows_at + (1,))], [[1.0, -1.0]])
+
+    def weights(shape):
+        return _param_columns(model, [vn(t.w, t.l, *idx) for idx in np.ndindex(t.shape)]
+                              ).reshape(shape)
+
+    def row(cols, coefs):
+        cols, coefs = lhs[0] + [cols], lhs[1] + [coefs]
+        return Rows.of(units, [sum(np.shape(c)[-1] for c in cols)], [EQ], [t.label],
+                       cols, coefs, [[0.0]])
+
     if hyper.mode != VERIFY and t.l == 0:
-        x = build.data.inputs[i]
-        terms += [(-float(x[cell]), model.var(vn(t.w, 0, row, *e)))
-                  for e, cell in cells]
-        model.add_constraint(terms, EQ, 0.0, t.label)
-        return
-    base, index = src
-    ins = [(e, model.var(vn(base, i, index, *cell))) for e, cell in cells]
+        x = gather(np.asarray(build.data.inputs, dtype=float))
+        return row(weights(rows_at + (-1,)),
+                   -x.reshape((len(x), 1) + x.shape[1:len(units)] + (-1,)))
+    ins = gather(src)
+    pos = ins.shape[:len(units) - 1]
     if hyper.mode == VERIFY:
-        W = np.asarray(build.fixed_weights[t.l][0], dtype=float)[row]
-        terms += [(-float(W[e]), a) for e, a in ins]
-    elif hyper.mode == TRAIN_BILINEAR:
-        quad = [(-1.0, model.var(vn(t.w, t.l, row, *e)), a) for e, a in ins]
-        model.add_bilinear_constraint(quad, terms, EQ, 0.0, t.label)
-        return
+        W = np.asarray(build.fixed_weights[t.l][0], dtype=float)
+        return row(ins.reshape((1,) + pos + (-1,)), -W.reshape(rows_at + (-1,)))
+    if hyper.mode == TRAIN_BILINEAR:
+        W = weights(t.shape)
+        for u in np.ndindex(units):
+            block.bilinear.append((t.label, [(1.0, out[u]), (-1.0, b[u[0]])],
+                                   [(-1.0, w, a) for w, a in
+                                    zip(W[u[0]].ravel(), ins[u[1:]].ravel())]))
+        return None
+    quant = QuantSpec(hyper.bits, hyper.w_max)
+    digits = _param_columns(model, [d for idx in np.ndindex(t.shape)
+                                    for d in build._digit_names[(t.l,) + idx]])
+    entries = t.shape[1:]
+    a = ins.reshape((1,) + pos + entries + (1,))
+    products = quant_rows(y, digits.reshape(rows_at + entries + (hyper.bits,)), a,
+                          0.0, build.btable.layer(t.l - 1).a_hi)
+    terms = np.concatenate([y, np.broadcast_to(a, y.shape[:-1] + (1,))], axis=-1)
+    coefs = np.append(-(quant.step * 2.0 ** np.arange(hyper.bits)), quant.w_max)
+    return Rows.join(products.fold(len(entries) + 1),
+                     row(terms.reshape(units + (-1,)),
+                         np.tile(coefs, math.prod(entries))))
+
+
+def relu_layer(build, block, t, src, gather=None):
+    """z, a and delta of every unit (row, *pos) of ReLU layer ``t.l`` over
+    the map whose columns are ``src`` (see ``product_rows``), and per unit
+    its product rows, the ReLU encoding and the rows that hold a and z at 0
+    when the row's switch is off.  Returns the columns of a."""
+    hyper = build.hyper
+    l = t.l
+    units = build.map_shapes[l]
+    rows_at = units[:1] + (1,) * (len(units) - 1)
+    lb = build.btable.layer(l)
+    if hyper.per_unit_bounds:
+        z_lo, z_hi = (np.asarray(v, dtype=float).reshape(rows_at)
+                      for v in (lb.unit_lo, lb.unit_hi))
     else:
-        quant = QuantSpec(hyper.bits, hyper.w_max)
-        a_hi = build.btable.layer(t.l - 1).a_hi
-        for e, a in ins:
-            digits = [model.var(nm) for nm in build._digit_names[(t.l, row) + e]]
-            p_terms = encode_quantized_product(
-                model, digits, a, 0.0, a_hi, quant,
-                lambda s, e=e: vn("y", i, t.l, row, *e, *pos, s))
-            terms += [(-c, r) for c, r in p_terms]
-    model.add_constraint(terms, EQ, 0.0, t.label)
+        z_lo, z_hi = lb.z_lo, lb.z_hi
+    z, a, delta, *y = block.group(
+        units,
+        Field(lambda *u: [name_template("z", l, *u)], (), z_lo, z_hi),
+        Field(lambda *u: [name_template("a", l + 1, *u)], (), 0.0,
+              np.where(np.greater(z_hi, 0.0), z_hi, 0.0)),
+        Field(lambda *u: [name_template("delta", l, *u)], (), 0.0, 1.0, True),
+        *_product_fields(build, t))
+    gates = _param_columns(build.model, t.gates).reshape(rows_at)
+    block.rows.append(Rows.join(product_rows(build, block, t, z, src, gather, *y),
+                                relu_rows(z, a, delta, z_lo, z_hi),
+                                gate_rows(z, a, gates, hyper.big_m)))
+    block.relu.append((z, delta))
+    return a
 
 
-def relu_units(build, t, i, row, src, windows):
-    """z, a and delta of the units (row, *pos) of ReLU layer ``t.l`` for
-    sample i, ``windows`` listing each pos with its ``product_row`` cells:
-    the unit's product row, the ReLU encoding and the rows that hold a and z
-    at 0 when the row's switch is off."""
-    model = build.model
-    z_lo, z_hi = build.unit_bounds(t.l, row)
-    g = model.var(t.gates[row])
-    M = build.hyper.big_m
-    for pos, cells in windows:
-        z = model.add_variable(VarDef(vn("z", i, t.l, row, *pos), CONTINUOUS,
-                                      z_lo, z_hi))
-        a = model.add_variable(VarDef(vn("a", i, t.l + 1, row, *pos), CONTINUOUS,
-                                      0.0, max(0.0, z_hi)))
-        d = model.add_variable(VarDef(vn("delta", i, t.l, row, *pos), BINARY))
-        product_row(build, t, i, row, z, src, cells, pos)
-        encode_relu(model, z, a, d, z_lo, z_hi)
-        model.add_constraint([(1.0, a), (-M, g)], LE, 0.0, "pruning_activation")
-        prune_rows(model, z, g, M, "pruning_activation")
-
-
-def head_rows(build, i):
-    """The head outputs a[i][L+1][j] of sample i over a[i][L], and in
-    absolute-loss mode the residuals r[i][j] >= |a[i][L+1][j] - target|."""
-    model = build.model
+def head_rows(build, block, src):
+    """The head outputs a[i][L+1][j] over the vector whose columns are
+    ``src``, and in absolute-loss mode the residuals
+    r[i][j] >= |a[i][L+1][j] - target|."""
     t = build.tensors[-1]
-    L = t.l
-    cells = [((k,), (k,)) for k in range(t.shape[1])]
-    for j in range(t.shape[0]):
-        out = model.add_variable(VarDef(vn("a", i, L + 1, j), CONTINUOUS,
-                                        float("-inf"), float("inf")))
-        product_row(build, t, i, j, out, ("a", L), cells)
+    units = t.shape[:1]
+    out, *y = block.group(
+        units,
+        Field(lambda j: [name_template("a", t.l + 1, j)], (), -math.inf, math.inf),
+        *_product_fields(build, t))
+    block.rows.append(product_rows(build, block, t, out, src, None, *y))
     if build.hyper.loss == LOSS_ABS:
-        for j in range(t.shape[0]):
-            r = model.add_variable(VarDef(vn("r", i, j), CONTINUOUS, 0.0, float("inf")))
-            out = model.var(vn("a", i, L + 1, j))
-            y = float(build.data.targets[i, j])
-            model.add_constraint([(1.0, r), (-1.0, out)], GE, -y, "abs_loss")
-            model.add_constraint([(1.0, r), (1.0, out)], GE, y, "abs_loss")
+        r, = block.group(units, Field(lambda j: [name_template("r", j)],
+                                      (), 0.0, math.inf))
+        target = np.asarray(build.data.targets, dtype=float)[..., None]
+        r, out = r[:, None], out[:, None]
+        block.rows.append(Rows.of(units, (2, 2), (GE, GE), ("abs_loss",) * 2,
+                                  [r, out, r, out], [[1.0, -1.0, 1.0, 1.0]],
+                                  [-target, target]))
 
 
 def add_objective(build):
@@ -399,6 +666,8 @@ class Build:
         self.gammas = list(dict.fromkeys(g for t in self.tensors for g in t.gates))
         self.structural = []          # binary names the oracle branches on
         self._digit_names = {}        # digit key (see Tensor) -> tuple of digit names
+        # the z and delta column of every ReLU unit, in ``relu_pairs`` order
+        self.relu_z = self.relu_delta = np.zeros(0, dtype=np.int64)
         self.built_constraints = 0
 
     @property
@@ -406,10 +675,11 @@ class Build:
         return len(self.tensors) - 1
 
     def relu_pairs(self):
-        return [(vn("z", i, l, *idx), vn("delta", i, l, *idx))
-                for i in range(self.data.n)
-                for l, shape in enumerate(self.map_shapes)
-                for idx in np.ndindex(shape)]
+        """(z, delta) names of every ReLU unit: per sample, per layer, per
+        unit in C order."""
+        names = self.model.names
+        return [(names[z], names[d])
+                for z, d in zip(self.relu_z.tolist(), self.relu_delta.tolist())]
 
     def unit_bounds(self, l, row):
         """(z_lo, z_hi) of unit or channel ``row`` of ReLU layer l."""
@@ -628,13 +898,12 @@ def build_dense(arch, data, hyper, btable, weights=None):
                 model.add_constraint(terms, GE, 0.0, "symmetry_breaking")
 
     # per-sample network ----------------------------------------------------
-    windows = [[((), [((k,), (k,)) for k in range(t.shape[1])])] for t in hidden]
-    for i in range(data.n):
-        input_rows(build, i)
-        for t in hidden:
-            for j in range(t.shape[0]):
-                relu_units(build, t, i, j, ("a", t.l), windows[t.l])
-        head_rows(build, i)
+    block = SampleBlock(build)
+    a = input_rows(build, block)
+    for t in hidden:
+        a = relu_layer(build, block, t, a)
+    head_rows(build, block, a)
+    block.finish()
 
     add_objective(build)
     # callers may still inject extra constraints or tighten bounds before

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import DenseBuild
-from .ir import Assignment
+from .ir import Assignment, AuditReport
 from .nnspec import TRAIN_BILINEAR
 
 # Leaves per ``complete_batch`` pass.  Peak memory grows with it: measured on
@@ -54,6 +54,7 @@ class SolveResult:
     bound: float = None
     nodes: int = 0           # nodes entered above the blocks + leaves scored
     candidates: int = 0      # leaves that satisfy the built constraints
+    report: AuditReport = None   # the model's audit of ``assignment``
 
 
 def _structural_domains(build):
@@ -120,10 +121,10 @@ def enumerate_exact(build, limit_bits=24, tol=1e-6, timeout=None):
         raise TimeoutExceededError("enumeration exceeded %gs" % timeout)
     if search.best_bits is None:
         raise InfeasibleError("no feasible structural assignment")
-    asg = _audited(build, search.best_bits, tol, "winning candidate")
+    asg, report = _audited(build, search.best_bits, tol, "winning candidate")
     return SolveResult(assignment=asg, objective=search.best_obj,
                        bound=search.best_obj, candidates=search.candidates,
-                       nodes=search.nodes)
+                       nodes=search.nodes, report=report)
 
 
 def branch_and_bound(build, budget=10 ** 7, limit_bits=24, tol=1e-6, timeout=None):
@@ -144,12 +145,12 @@ def branch_and_bound(build, budget=10 ** 7, limit_bits=24, tol=1e-6, timeout=Non
         return SolveResult(assignment=None, objective=None, proven=False,
                            bound=search.open_bound or 0.0, nodes=search.nodes,
                            candidates=search.candidates)
-    asg = _audited(build, search.best_bits, tol, "incumbent")
+    asg, report = _audited(build, search.best_bits, tol, "incumbent")
     bound = search.best_obj if proven else min(
         search.best_obj, search.open_bound or 0.0)
     return SolveResult(assignment=asg, objective=search.best_obj,
                        proven=proven, bound=bound, nodes=search.nodes,
-                       candidates=search.candidates)
+                       candidates=search.candidates, report=report)
 
 
 def _check_solvable(build, limit_bits):
@@ -162,12 +163,13 @@ def _check_solvable(build, limit_bits):
 
 
 def _audited(build, bits, tol, what):
+    """The assembled candidate of ``bits`` and its full audit, which it must pass."""
     asg, _, _ = build.assemble(bits, tol)
     report = build.model.evaluate_assignment(asg, tol)
     if not report.ok:
         raise OracleError("%s failed the full audit (worst %g)"
                           % (what, report.max_violation))
-    return asg
+    return asg, report
 
 
 def _block_start(build, domains):

@@ -4,7 +4,7 @@ The forward pass here is plain numpy arithmetic with no dependency on the
 model IR, so it can serve as an oracle for the encodings.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,22 +151,26 @@ def flatten_index(c, h, w, H, W):
     return c * H * W + h * W + w
 
 
-def audit(build, asg, tol=1e-6):
+def audit(build, asg, tol=1e-6, report=None):
     """Evaluate an assignment against the build's model, with a ReLU sanity check.
 
-    Beyond the raw constraint audit, the ReLU indicators are compared against
-    the sign of the pre-activations; indicators at z = 0 may take either value.
+    ``report`` is the model's ``evaluate_assignment`` of ``asg`` when the
+    caller has one; without one the assignment is evaluated here.  Beyond the
+    raw constraint audit, the ReLU indicators are compared against the sign
+    of the pre-activations; indicators at z = 0 may take either value.
     """
-    report = build.model.evaluate_assignment(asg, tol)
-    values = asg.values
-    for z_name, d_name in build.relu_pairs():
-        z = values[z_name]
-        d = values[d_name]
-        if abs(z) <= tol:
-            continue
-        want = 1.0 if z > 0 else 0.0
-        if abs(d - want) > tol:
-            report.violations.append(Violation("relu_indicator:" + d_name, -1, abs(z)))
+    if report is None:
+        report = build.model.evaluate_assignment(asg, tol)
+    else:
+        report = replace(report, violations=list(report.violations))
+    names, values = build.model.names, asg.values
+    z, d = (np.array([values[names[k]] for k in cols], dtype=float)
+            for cols in (build.relu_z.tolist(), build.relu_delta.tolist()))
+    with np.errstate(invalid="ignore"):
+        wrong = ~(np.abs(z) <= tol) & (np.abs(d - (z > 0)) > tol)
+    for k in np.flatnonzero(wrong).tolist():
+        report.violations.append(Violation(
+            "relu_indicator:" + names[build.relu_delta[k]], -1, abs(float(z[k]))))
     return report
 
 

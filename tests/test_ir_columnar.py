@@ -171,3 +171,25 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={"PYTHONPATH": SRC})
     assert out.stdout.strip() == "False"
+
+
+# a build and its emission load no numpy submodule beyond what importing
+# mipnn loads: each one costs start-up time and resident memory
+BUILD_AND_EMIT = """
+import sys
+import numpy as np
+from mipnn import Dataset, DenseArch, Hyper, build_dense, propagate_bounds
+from mipnn.emit import lp_text
+X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+data = Dataset(inputs=X, targets=np.array([[0.0], [1.0], [1.0], [0.0]]))
+arch = DenseArch(2, [2], 1)
+bt = propagate_bounds(arch, X.min(0), X.max(0), -1.0, 1.0)
+lp_text(build_dense(arch, data, Hyper(mode="train-quantized", bits=2), bt).model.freeze())
+print(" ".join(m for m in ("numpy.ma", "numpy.char", "scipy") if m in sys.modules))
+"""
+
+
+def test_build_and_emit_load_no_extra_modules():
+    out = subprocess.run([sys.executable, "-c", BUILD_AND_EMIT], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": SRC})
+    assert out.stdout.strip() == ""
