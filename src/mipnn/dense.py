@@ -89,19 +89,21 @@ def digit_columns(col, tensors, bits):
 
 def decode_layers(build, values):
     """The (W, b) or (K, b) per layer that structural-bit vectors ``values``,
-    of shape (..., len(structural)), determine: the fixed weights in
-    verification mode, else decoded through ``_structural_columns``."""
+    of shape (..., len(structural)), determine, each with the leading axes of
+    ``values``: the fixed weights in verification mode, else decoded through
+    ``_structural_columns``."""
+    lead = values.shape[:-1]
     if build.hyper.mode == VERIFY:
-        return [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
-                for W, b in build.fixed_weights]
+        return [tuple(np.broadcast_to(np.asarray(p, dtype=float), lead + np.shape(p))
+                      for p in pair) for pair in build.fixed_weights]
     _, digits, shapes = build._structural_columns
     quant = QuantSpec(build.hyper.bits, build.hyper.w_max)
-    flat = quant.decode_array(values[..., digits])
+    flat = quant.decode(values[..., digits])
     tensors = []
     start = 0
     for shape in shapes:
         size = math.prod(shape)
-        tensors.append(flat[..., start:start + size].reshape(values.shape[:-1] + shape))
+        tensors.append(flat[..., start:start + size].reshape(lead + shape))
         start += size
     return list(zip(tensors[0::2], tensors[1::2]))
 
@@ -577,12 +579,7 @@ def relu_layer(build, block, t, src, gather=None):
     l = t.l
     units = build.map_shapes[l]
     rows_at = units[:1] + (1,) * (len(units) - 1)
-    lb = build.btable.layer(l)
-    if hyper.per_unit_bounds:
-        z_lo, z_hi = (np.asarray(v, dtype=float).reshape(rows_at)
-                      for v in (lb.unit_lo, lb.unit_hi))
-    else:
-        z_lo, z_hi = lb.z_lo, lb.z_hi
+    z_lo, z_hi = build.preactivation_bounds(l)
     z, a, delta, *y = block.group(
         units,
         Field(lambda *u: [name_template("z", l, *u)], (), z_lo, z_hi),
@@ -654,6 +651,11 @@ class Build:
     (C, H, W) pre-pool conv.  Subclasses define ``net(params, gammas)``, the
     recon net of (W, b) per tensor and the switches per gated tensor."""
 
+    # the switches form a chain: the first held on, each at most the previous
+    layer_chain = False
+    # symmetry breaking orders rows by the sums of |W| rather than of W
+    symmetry_on_abs = False
+
     def __init__(self, model, arch, data, hyper, btable, fixed_weights, map_shapes):
         self.model = model
         self.arch = arch
@@ -681,9 +683,16 @@ class Build:
         return [(names[z], names[d])
                 for z, d in zip(self.relu_z.tolist(), self.relu_delta.tolist())]
 
-    def unit_bounds(self, l, row):
-        """(z_lo, z_hi) of unit or channel ``row`` of ReLU layer l."""
-        return self.btable.relu_bounds(l, row if self.hyper.per_unit_bounds else None)
+    def preactivation_bounds(self, l):
+        """(lo, hi) of ReLU layer l's pre-activations, shaped for its units:
+        per row (unit or channel) with ``per_unit_bounds``, else the layer's
+        collapsed interval as floats."""
+        lb = self.btable.layer(l)
+        if not self.hyper.per_unit_bounds:
+            return lb.z_lo, lb.z_hi
+        units = self.map_shapes[l]
+        return tuple(np.asarray(v, dtype=float).reshape(units[:1] + (1,) * (len(units) - 1))
+                     for v in (lb.unit_lo, lb.unit_hi))
 
     @cached_property
     def _structural_columns(self):
@@ -709,11 +718,67 @@ class Build:
                   for t in self.tensors if t.gates]
         return self.net(params, gammas)
 
-    def decode_net(self, bits):
-        """The net a structural-bit assignment determines."""
-        values = bit_vector(self, bits)
-        return self.net(decode_layers(self, values),
-                        [values[cols] for cols in self._structural_columns[0]])
+    def evaluate(self, values):
+        """Parameters, ``recon.forward_trace``, objective and violation of the
+        B candidates ``values``, a (B, len(structural)) array of structural
+        bits; every array has a leading axis of B.
+
+        The net decodes as ``reconstruct`` would return it and is scored by
+        ``recon.objective_breakdown``.  ``violation`` is the worst amount by
+        which a candidate breaks a constraint family that forward
+        propagation does not satisfy by construction: the switch chain, each
+        gated row's gates on its weights, bias and pre-activations, symmetry
+        breaking and the pre-activation bounds.  A feasible candidate has
+        violation <= tol.
+        """
+        h = self.hyper
+        gates = [values[:, cols] for cols in self._structural_columns[0]]
+        params = decode_layers(self, values)
+        net = self.net(params, gates)
+        trace = forward_trace(net, self.data.inputs)
+        obj = objective_breakdown(net, trace[-1][0], self.data.targets, h)["total"]
+        # each check as an array (B, ...); reduced with the batch innermost,
+        # where numpy reduces fastest
+        checks = []
+        if self.layer_chain:
+            gamma = np.concatenate(gates, axis=1)
+            checks += [np.abs(gamma[:, :1] - 1.0), gamma[:, 1:] - gamma[:, :-1]]
+        # gates broadcast over rows: one switch per dense layer, per conv channel
+        for t, g, (W, b), (z, _) in zip(self.tensors[:-1], gates, params, trace):
+            gate = h.big_m * g
+            rows = W.reshape(W.shape[:2] + (-1,))
+            size = np.abs(rows)
+            # each row's extreme pre-activations over samples and positions
+            zt = np.ascontiguousarray(z.transpose(tuple(range(1, z.ndim)) + (0,)))
+            axes = (0,) + tuple(range(2, z.ndim - 1))
+            z_lo, z_hi = zt.min(axis=axes).T, zt.max(axis=axes).T
+            lo, hi = (np.reshape(v, -1) for v in self.preactivation_bounds(t.l))
+            checks += [size.max(axis=2) - gate, np.abs(b) - gate,
+                       np.maximum(-z_lo, z_hi) - gate, lo - z_lo, z_hi - hi]
+            if h.symmetry:
+                sums = (size if self.symmetry_on_abs else rows).sum(axis=2)
+                checks.append(sums[:, 1:] - sums[:, :-1])
+        viol = np.concatenate([c.reshape(len(values), -1).T for c in checks]
+                              ).max(axis=0, initial=0.0)
+        return params, trace, obj, viol
+
+    def complete_batch(self, values):
+        """Objective and violation, two (B,) arrays, of the B candidates
+        ``values`` (see ``evaluate``)."""
+        return self.evaluate(values)[2:]
+
+    def candidate(self, bits):
+        """(objective, violation, params, trace) of one structural-bit
+        assignment: ``evaluate`` on a batch of one, without the batch axis."""
+        params, trace, obj, viol = self.evaluate(bit_vector(self, bits)[None])
+        return (float(obj[0]), float(viol[0]), [(W[0], b[0]) for W, b in params],
+                [(z[0], a[0]) for z, a in trace])
+
+    def complete(self, bits, tol=1e-6):
+        """Objective, violation and ``recon.forward_trace`` of the net a
+        structural-bit assignment determines (see ``evaluate``)."""
+        obj, viol, _, trace = self.candidate(bits)
+        return obj, viol, trace
 
     def fill_params(self, values, params):
         """W, u = |W| and b of every tensor from (W, b) pairs."""
@@ -734,6 +799,7 @@ class Build:
 
 
 class DenseBuild(Build):
+    layer_chain = True
 
     def __init__(self, model, arch, data, hyper, btable, fixed_weights):
         super().__init__(model, arch, data, hyper, btable, fixed_weights,
@@ -742,100 +808,17 @@ class DenseBuild(Build):
     # solution handling ----------------------------------------------------
 
     def net(self, params, gammas):
-        return DenseNet(weights=params, gamma=np.concatenate(gammas),
+        return DenseNet(weights=params, gamma=np.concatenate(gammas, axis=-1),
                         quant=net_quant(self.hyper))
 
-    def complete(self, bits, tol=1e-6):
-        """Forward-propagate a structural-bit assignment into a full candidate.
-
-        Returns (objective, violation, trace), ``trace`` being the
-        ``recon.forward_trace`` of the decoded net.  ``violation`` is the
-        worst amount by which the candidate breaks any constraint family that
-        is not satisfied by construction; a feasible candidate has
-        violation <= tol.
-        """
-        h = self.hyper
-        net = self.decode_net(bits)
-        gamma = net.gamma
-        trace = forward_trace(net, self.data.inputs)
-        viol = abs(gamma[0] - 1.0)                                 # root layer active
-        for g in range(self.L - 1):
-            viol = max(viol, gamma[g + 1] - gamma[g])              # layer ordering
-        for l in range(self.L):
-            W, b = net.weights[l]
-            z = trace[l][0]
-            # pruning gates on the layer's parameters and pre-activations
-            gate = h.big_m * gamma[l]
-            viol = max(viol, np.abs(W).max(initial=0.0) - gate,
-                       np.abs(b).max(initial=0.0) - gate,
-                       np.abs(z).max(initial=0.0) - gate)
-            if h.symmetry:
-                sums = W.sum(axis=1)
-                viol = max(viol, (sums[1:] - sums[:-1]).max(initial=0.0))
-            if h.per_unit_bounds:
-                lb = self.btable.layer(l)
-                lo, hi = lb.unit_lo, lb.unit_hi
-            else:
-                lo, hi = self.btable.relu_bounds(l)
-            viol = max(viol, (lo - z).max(initial=0.0), (z - hi).max(initial=0.0))
-        obj = objective_breakdown(net, trace[-1][0], self.data.targets, h)["total"]
-        return obj, float(viol), trace
-
-    def complete_batch(self, values):
-        """Objective and violation of B structural-bit vectors in one pass.
-
-        ``values`` is a (B, len(structural)) array in ``structural`` order of
-        a train-quantized build.  Every family ``complete`` checks is checked
-        here too; the weights decode exactly, but the sums may associate
-        differently, so the results agree with ``complete`` to rounding only.
-        Returns two (B,) arrays: objective and violation.
-        """
-        h = self.hyper
-        gamma = values[:, np.concatenate(self._structural_columns[0])]
-        params = decode_layers(self, values)
-
-        viol = np.abs(gamma[:, 0] - 1.0)
-        for g in range(self.L - 1):
-            viol = np.maximum(viol, gamma[:, g + 1] - gamma[:, g])
-        for l in range(self.L):
-            W, b = params[l]
-            gate = h.big_m * gamma[:, l]
-            viol = np.maximum(viol, np.abs(W).max(axis=(1, 2)) - gate)
-            viol = np.maximum(viol, np.abs(b).max(axis=1) - gate)
-            if h.symmetry:
-                sums = W.sum(axis=2)
-                viol = np.maximum(
-                    viol, np.max(sums[:, 1:] - sums[:, :-1], axis=1, initial=0.0))
-
-        a = self.data.inputs
-        for hh in range(self.L):
-            W, b = params[hh]
-            z = a @ W.swapaxes(1, 2) + b[:, None, :]
-            if h.per_unit_bounds:
-                lb = self.btable.layer(hh)
-                lo, hi = lb.unit_lo, lb.unit_hi
-            else:
-                lo, hi = self.btable.relu_bounds(hh)
-            viol = np.maximum(viol, np.max(lo - z, axis=(1, 2), initial=0.0))
-            viol = np.maximum(viol, np.max(z - hi, axis=(1, 2), initial=0.0))
-            viol = np.maximum(viol, np.abs(z).max(axis=(1, 2))
-                              - h.big_m * gamma[:, hh])
-            a = np.maximum(z, 0.0)
-        W, b = params[self.L]
-        res = a @ W.swapaxes(1, 2) + b[:, None, :] - self.data.targets
-        loss = (np.abs(res) if h.loss == LOSS_ABS else res ** 2).sum(axis=(1, 2))
-        l1 = sum(np.abs(W).sum(axis=(1, 2)) for W, _ in params)
-        fro = sum((W ** 2).sum(axis=(1, 2)) for W, _ in params)
-        obj = (loss + h.alpha * h.lam * l1
-               + 0.5 * h.alpha * (1.0 - h.lam) * fro + h.beta * gamma.sum(axis=1))
-        return obj, np.maximum(viol, 0.0)
+    # in the class's own namespace, where the benchmark's tracer wraps it
+    complete = Build.complete
 
     def assemble(self, bits, tol=1e-6):
         """Full Assignment for a structural-bit candidate."""
-        obj, viol, trace = self.complete(bits, tol)
-        net = self.decode_net(bits)
+        obj, viol, params, trace = self.candidate(bits)
         values = dict(bits)
-        self.fill_params(values, net.weights)
+        self.fill_params(values, params)
         fill(values, "a", self.data.inputs, 0, at=1)
         for l, (z, a) in enumerate(trace[:-1]):
             fill(values, "z", z, l, at=1)

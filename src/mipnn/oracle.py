@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseBuild
 from .ir import Assignment, AuditReport
 from .nnspec import TRAIN_BILINEAR
+from .recon import QuantSpec
 
-# Leaves per ``complete_batch`` pass.  Peak memory grows with it: measured on
-# the XOR criterion instance, +0.25 MB at 1024 leaves, +1.5 MB at 4096.
+# Leaves per ``complete_batch`` pass, for dense and conv builds alike.  Peak
+# memory grows with it: measured on the XOR criterion instance, +0.25 MB at
+# 1024 leaves, +1.5 MB at 4096.
 BLOCK_LEAVES = 1024
 # Relative margin by which a batched violation or objective must clear the
 # tolerance or the incumbent before the leaf may skip the scalar check.
@@ -175,10 +176,9 @@ def _audited(build, bits, tol, what):
 def _block_start(build, domains):
     """Index of the first structural bit scored in blocks: the longest
     trailing run of weight digits whose leaves fit in BLOCK_LEAVES.  Builds
-    without a batched evaluator get no block (the index is the bit count)."""
+    without weight digits (verification mode) get no block: the index is the
+    bit count."""
     start = len(domains)
-    if not isinstance(build, DenseBuild):
-        return start
     digits = {d for names in build._digit_names.values() for d in names}
     leaves = 1
     while start > 0:
@@ -363,7 +363,7 @@ def build_triggers(build, tol=1e-6):
     for g in gammas:
         add(g, lambda bits, g=g: (hyper.beta * bits[g], True))
     # root/ordering checks once the relevant switches are known
-    if isinstance(build, DenseBuild):
+    if build.layer_chain:
         add(gammas[0], lambda bits: (0.0, bits[gammas[0]] >= 0.5))
         for h in range(build.L - 1):
             add(gammas[h + 1],
@@ -371,14 +371,13 @@ def build_triggers(build, tol=1e-6):
                     (0.0, bits[b] <= bits[a] + 0.5))
 
     if build._digit_names:
-        from .recon import QuantSpec
         quant = QuantSpec(hyper.bits, hyper.w_max)
         al = hyper.alpha * hyper.lam
         fr = 0.5 * hyper.alpha * (1.0 - hyper.lam)
 
         def group(names, is_bias, gate):
             def fn(bits):
-                w = quant.decode([bits[d] for d in names])
+                w = float(quant.decode([bits[d] for d in names]))
                 contrib = 0.0 if is_bias else al * abs(w) + fr * w * w
                 ok = True
                 if gate is not None and gate in bits and bits[gate] < 0.5:

@@ -28,24 +28,16 @@ class QuantSpec:
         return 2.0 * self.w_max / (2 ** self.bits - 1)
 
     def decode(self, digits):
-        """Map a digit vector (LSB first) onto the fixed-point weight grid."""
-        total = 0.0
-        for t, d in enumerate(digits):
-            total += (2 ** t) * d
-        return self.step * total - self.w_max
-
-    def decode_array(self, digits):
-        """``decode`` over the last axis of a digit array.  The result keeps
-        the memory order of ``digits``: a batch of fancy-indexed digit vectors
-        stays batch-innermost, which the batched forward pass runs fastest on."""
-        return self.step * (digits * 2.0 ** np.arange(self.bits)).sum(axis=-1) - self.w_max
+        """Map digit vectors (LSB first) on the last axis onto the fixed-point
+        weight grid.  The result keeps the memory order of ``digits``: a batch
+        of fancy-indexed digit vectors stays batch-innermost, which the
+        batched forward pass runs fastest on."""
+        return (self.step * (np.asarray(digits) * 2.0 ** np.arange(self.bits)).sum(axis=-1)
+                - self.w_max)
 
     def grid(self):
-        return [self.decode(_bits(v, self.bits)) for v in range(2 ** self.bits)]
-
-
-def _bits(value, width):
-    return [(value >> t) & 1 for t in range(width)]
+        codes = np.arange(2 ** self.bits)[:, None] >> np.arange(self.bits) & 1
+        return self.decode(codes).tolist()
 
 
 @dataclass
@@ -75,7 +67,9 @@ def forward(net, x):
 
 
 def forward_trace(net, x):
-    """Per-layer (z, a) pairs; for conv nets ``a`` is the post-pool map."""
+    """Per-layer (z, a) pairs; for conv nets ``a`` is the post-pool map.  A
+    net whose parameters carry a leading candidate axis gives arrays with
+    that axis first."""
     x = np.asarray(x, dtype=float)
     if isinstance(net, DenseNet):
         return _forward_dense(net, x)
@@ -87,11 +81,15 @@ def forward_preactivations(net, x):
     return [z for z, _ in forward_trace(net, x)[:-1]]
 
 
+def _affine(a, W, b):
+    return a @ W.swapaxes(-1, -2) + np.asarray(b)[..., None, :]
+
+
 def _forward_dense(net, x):
     trace = []
     a = x
     for l, (W, b) in enumerate(net.weights):
-        z = a @ W.T + b
+        z = _affine(a, W, b)
         if l < net.num_hidden:
             a = np.maximum(z, 0.0)
             trace.append((z, a))
@@ -101,28 +99,33 @@ def _forward_dense(net, x):
 
 
 def _conv2d(a, K, b, stride):
-    n, c_in, h, w = a.shape
-    c_out, _, kh, kw = K.shape
+    c_out, _, kh, kw = K.shape[-4:]
+    h, w = a.shape[-2:]
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    z = np.empty((n, c_out, oh, ow))
+    kernels = K.reshape(K.shape[:-3] + (-1,)).swapaxes(-1, -2)
+    z = np.empty(np.broadcast_shapes(a.shape[:-3], K.shape[:-4] + (1,))
+                 + (c_out, oh, ow))
     for hh in range(oh):
         for ww in range(ow):
-            patch = a[:, :, hh * stride:hh * stride + kh, ww * stride:ww * stride + kw]
-            z[:, :, hh, ww] = np.tensordot(patch, K, axes=([1, 2, 3], [1, 2, 3]))
-    return z + b[None, :, None, None]
+            patch = a[..., hh * stride:hh * stride + kh, ww * stride:ww * stride + kw]
+            # one row per sample, as np.tensordot lays it out: the same
+            # BLAS call per position whether or not a candidate axis leads
+            rows = np.ascontiguousarray(patch).reshape(patch.shape[:-3] + (-1,))
+            z[..., hh, ww] = rows @ kernels
+    return z + np.asarray(b)[..., None, :, None, None]
 
 
 def maxpool2d(a, window, stride):
     ph, pw = window
-    n, c, h, w = a.shape
+    h, w = a.shape[-2:]
     qh = (h - ph) // stride + 1
     qw = (w - pw) // stride + 1
-    p = np.empty((n, c, qh, qw))
+    p = np.empty(a.shape[:-2] + (qh, qw))
     for hh in range(qh):
         for ww in range(qw):
-            win = a[:, :, hh * stride:hh * stride + ph, ww * stride:ww * stride + pw]
-            p[:, :, hh, ww] = win.reshape(n, c, -1).max(axis=2)
+            win = a[..., hh * stride:hh * stride + ph, ww * stride:ww * stride + pw]
+            p[..., hh, ww] = win.reshape(win.shape[:-2] + (-1,)).max(axis=-1)
     return p
 
 
@@ -137,9 +140,8 @@ def _forward_conv(net, x):
             window, ps = net.pools[l]
             a = maxpool2d(a, window, ps)
         trace.append((z, a))
-    flat = a.reshape(a.shape[0], -1)          # channel-major flattening
-    W, b = net.head
-    out = flat @ W.T + b
+    flat = a.reshape(a.shape[:-3] + (-1,))          # channel-major flattening
+    out = _affine(flat, *net.head)
     trace.append((out, out))
     return trace
 
@@ -281,21 +283,26 @@ def _fmt1(x):
 
 def objective_breakdown(net, outputs, targets, hyper):
     """The training objective of a net with head ``outputs`` on ``targets``:
-    its loss, l1, frobenius and structural parts, and their ``total``."""
+    its loss, l1, frobenius and structural parts, and their ``total``.  A
+    net and ``outputs`` with a leading candidate axis give each part as an
+    array over the candidates."""
     if isinstance(net, DenseNet):
-        params, gamma = net.weights, np.ravel(net.gamma)
+        params, gammas = net.weights, [net.gamma]
     else:
-        params, gamma = net.kernels + [net.head], np.concatenate(net.gamma)
+        params, gammas = net.kernels + [net.head], net.gamma
+    lead = np.ndim(outputs) - np.ndim(targets)
+
+    def summed(x):
+        return x.sum(axis=tuple(range(lead, x.ndim))) if lead else float(x.sum())
+
     res = outputs - targets
-    loss = (float(np.abs(res).sum()) if hyper.loss == LOSS_ABS
-            else float((res ** 2).sum()))
-    l1 = sum(float(np.abs(W).sum()) for W, _ in params)
-    fro = sum(float((W ** 2).sum()) for W, _ in params)
     parts = {
-        "loss": loss,
-        "l1": hyper.alpha * hyper.lam * l1,
-        "frobenius": 0.5 * hyper.alpha * (1.0 - hyper.lam) * fro,
-        "structural": hyper.beta * float(gamma.sum()),
+        "loss": summed(np.abs(res) if hyper.loss == LOSS_ABS else res ** 2),
+        "l1": hyper.alpha * hyper.lam * sum(summed(np.abs(W)) for W, _ in params),
+        "frobenius": 0.5 * hyper.alpha * (1.0 - hyper.lam)
+        * sum(summed(W ** 2) for W, _ in params),
+        "structural": hyper.beta * summed(np.concatenate(
+            [np.asarray(g, dtype=float) for g in gammas], axis=-1)),
     }
     # the dict order is the summation order, which the pinned optima rely on
     parts["total"] = sum(parts.values())

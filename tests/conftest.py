@@ -53,7 +53,7 @@ def quantized_dense_build(data, hidden, bits=1, beta=0.01, symmetry=True,
 
 
 def tiny_conv_build(rng=None, n_samples=2, bits=1, mode=TRAIN_QUANTIZED,
-                    pool=((2, 2), 2), filters=2, freeze=True):
+                    pool=((2, 2), 2), filters=2, freeze=True, symmetry=False):
     """A 1x4x4 input, one conv layer, optionally pooled, single-output head."""
     rng = rng or np.random.default_rng(0)
     arch = ConvArch(input_shape=(1, 4, 4),
@@ -70,7 +70,7 @@ def tiny_conv_build(rng=None, n_samples=2, bits=1, mode=TRAIN_QUANTIZED,
         weights.append((rng.uniform(-1, 1, size=(1, head_dim_in)),
                         rng.uniform(-1, 1, size=1)))
     hyper = Hyper(alpha=0.1, lam=0.9, beta=0.01, big_m=20.0, mode=mode,
-                  bits=bits, w_max=1.0, quantize_biases=True, symmetry=False)
+                  bits=bits, w_max=1.0, quantize_biases=True, symmetry=symmetry)
     flat = X.reshape(n_samples, -1)
     in_lo = flat.min(0).reshape(1, 4, 4)
     in_hi = flat.max(0).reshape(1, 4, 4)

@@ -153,16 +153,19 @@ def test_channel_pruning_zeroes_channel(rng):
 
 
 def test_complete_matches_audit_on_random_candidates(rng):
-    build = tiny_conv_build(rng, n_samples=2, bits=1, mode=TRAIN_QUANTIZED)
-    names = build.structural
-    for _ in range(30):
-        bits = {n: float(rng.integers(0, 2)) for n in names}
-        obj, viol, _ = build.complete(bits)
-        asg, obj2, viol2 = build.assemble(bits)
-        rep = build.model.evaluate_assignment(asg)
-        assert (viol <= 1e-6) == rep.ok
-        if rep.ok:
-            assert obj == pytest.approx(rep.objective, abs=1e-9)
+    # at 2 bits the kernels' |K| sums differ, so symmetry breaking can bite
+    for width, symmetry in ((1, False), (2, True)):
+        build = tiny_conv_build(rng, n_samples=2, bits=width, mode=TRAIN_QUANTIZED,
+                                symmetry=symmetry)
+        names = build.structural
+        for _ in range(30):
+            bits = {n: float(rng.integers(0, 2)) for n in names}
+            obj, viol, _ = build.complete(bits)
+            asg, obj2, viol2 = build.assemble(bits)
+            rep = build.model.evaluate_assignment(asg)
+            assert (viol <= 1e-6) == rep.ok
+            if rep.ok:
+                assert obj == pytest.approx(rep.objective, abs=1e-9)
 
 
 def test_forecast_matches_built_stats(rng):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -273,7 +275,8 @@ def _tightened(build, scale):
     lambda: _tightened(_dense_build(xor_data(), [1, 1]), 0.7),
     lambda: _tightened(_dense_build(xor_data(), [2, 1], per_unit_bounds=True,
                                     symmetry=False), 0.7),
-], ids=["abs-loss", "no-symmetry", "collapsed-bounds", "per-unit-bounds"])
+    lambda: tiny_conv_build(bits=1, filters=1),
+], ids=["abs-loss", "no-symmetry", "collapsed-bounds", "per-unit-bounds", "conv"])
 def test_batched_values_match_complete_on_every_leaf(make):
     build = make()
     n = len(build.structural)
@@ -285,6 +288,34 @@ def test_batched_values_match_complete_on_every_leaf(make):
     assert np.allclose(obj, [o for o, _, _ in got], rtol=1e-12, atol=1e-12)
     assert np.allclose(viol, [v for _, v, _ in got], rtol=1e-12, atol=1e-12)
     assert 0 < np.count_nonzero(viol <= 1e-6) < len(viol)
+
+
+@pytest.mark.parametrize("per_unit", [False, True])
+def test_complete_matches_audit_under_binding_bounds(per_unit):
+    """Bounds tightened before the build are the model's pre-activation
+    variable bounds, so on every leaf the evaluator's verdict must be the
+    audit's verdict on the assembled candidate."""
+    data = xor_data()
+    arch = DenseArch(2, [2], 1)
+    hyper = Hyper(alpha=0.1, lam=0.9, beta=0.01, big_m=10.0, mode="train-quantized",
+                  bits=1, w_max=1.0, quantize_biases=True, per_unit_bounds=per_unit)
+    bt = propagate_bounds(arch, data.inputs.min(0), data.inputs.max(0), -1.0, 1.0)
+    lb = bt.layer(0)
+    factor = 0.7 ** np.arange(1, 3)          # unit 1's bounds tighter than unit 0's
+    lb.unit_lo, lb.unit_hi = factor * lb.unit_lo, factor * lb.unit_hi
+    build = build_dense(arch, data, hyper, bt)
+    build.model.freeze()
+    verdicts = set()
+    for values in itertools.product([0.0, 1.0], repeat=len(build.structural)):
+        bits = dict(zip(build.structural, values))
+        obj, viol, _ = build.complete(bits)
+        asg, _, _ = build.assemble(bits)
+        report = build.model.evaluate_assignment(asg)
+        assert (viol <= 1e-6) == report.ok, bits
+        if report.ok:
+            assert obj == pytest.approx(report.objective, abs=1e-9)
+        verdicts.add(report.ok)
+    assert verdicts == {False, True}
 
 
 def test_batched_objective_matches_complete_on_xor_leaves():
@@ -308,11 +339,21 @@ def test_counters_count_the_work_done():
     assert bnb.nodes == 1 + 1 + 512          # gamma[0] = 0 is cut by a trigger
     feasible = len(list(iter_candidates(build)))
     assert enum.candidates == bnb.candidates == feasible
-    # conv builds have no batched evaluator: every leaf is scored alone
+    # verify conv builds have no weight digits to block: every leaf is
+    # scored alone
     conv = tiny_conv_build(mode="verify")
     res = enumerate_exact(conv)
     assert res.nodes == 2 ** (len(conv.structural) + 1) - 1
     assert res.candidates == len(list(iter_candidates(conv)))
+
+
+def test_search_scores_quantized_conv_blocks():
+    """13 bits: gamma[0][0], then 12 digits, the last 10 scored as blocks of
+    1024 leaves; leaf by leaf the enumeration would enter 2^14 - 1 nodes."""
+    build = tiny_conv_build(bits=1, filters=1)
+    assert len(build.structural) == 13
+    _assert_engines_match_listing(build)
+    assert enumerate_exact(build).nodes == 1 + 2 + 4 + 8 * (1 + 1024) < 2 ** 14 - 1
 
 
 def test_budget_stops_before_a_block_it_would_overrun():
