@@ -1,0 +1,8 @@
+"""``python -m mipnn``: the command-line interface of ``mipnn.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -228,10 +228,13 @@ def emit_rows(model, rows, n=1, start=0, size=0):
     count = len(rows.lengths)
     indptr = np.zeros(n * count + 1, dtype=np.int64)
     np.cumsum(np.tile(rows.lengths, n), out=indptr[1:])
+    labels = {label: k for k, label in enumerate(dict.fromkeys(rows.labels))}
+    label = np.fromiter(map(labels.__getitem__, rows.labels), np.int64, count)
+    sense = np.fromiter(map(ir.SENSES.index, rows.senses), np.int8, count)
     model.add_rows(indptr, cols.ravel(),
-                   np.broadcast_to(rows.coefs, cols.shape).ravel(),
-                   rows.senses * n,
-                   np.broadcast_to(rows.rhs, (n, count)).ravel(), rows.labels * n)
+                   np.broadcast_to(rows.coefs, cols.shape).ravel(), np.tile(sense, n),
+                   np.broadcast_to(rows.rhs, (n, count)).ravel(), np.tile(label, n),
+                   list(labels))
 
 
 def relu_rows(z, a, delta, z_lo, z_hi):

@@ -10,22 +10,37 @@ entry q on (x, y) contributes q/2 * x * y to the objective, so writers emit
 twice the internal coefficient.  Models carrying bilinear constraint terms are
 rejected: neither format can express them.
 
-Writers and readers work on the model's arrays: each distinct number is
-formatted or parsed once, each row name is built once, and the text is
-assembled by one ``join`` over string pieces placed by index arithmetic.
+The text is streamed both ways.  A writer yields it in chunks of ``_CHUNK``
+rows, columns or variables; each chunk is one ``join`` over string pieces
+placed by index arithmetic, each distinct number is formatted once per call
+and a row's name is built only in the chunk that prints it.  ``write_lp`` and
+``write_mps`` encode and write each chunk as it comes; ``lp_text`` and
+``mps_text`` join them.  A reader takes its input ``_BLOCK`` characters at a
+time, extended to the next line end, and one decoder per format carries the
+section state from block to block (``parse_lp``/``parse_mps`` feed it a
+string through ``io.StringIO``).  No whole-file string, line list or token
+list is held: what grows with the file is the model's own arrays and the name
+tables that the format's references need.
 """
 
+import io
 import math
 import re
 from array import array
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import repeat
 
 import numpy as np
 
-from .ir import EQ, GE, LE, SENSES, Assignment, ModelIR, round_binaries
+from .ir import SENSES, Assignment, MissingVariableError, ModelIR, round_binaries
 
 INF = float("inf")
+
+# rows, columns or variables per chunk of a writer
+_CHUNK = 2 ** 12
+# characters per block of a reader, which then reads on to the line end
+_BLOCK = 2 ** 16
 
 
 class EmitError(Exception):
@@ -51,6 +66,14 @@ def fmt(x):
     return r
 
 
+class _Numbers(dict):
+    """``fmt`` by lookup: ``numbers[x]`` formats each distinct x once."""
+
+    def __missing__(self, x):
+        text = self[x] = fmt(x)
+        return text
+
+
 def _distinct(values):
     """The distinct values of a float array, sorted, and the index of each
     value among them: ``np.unique(values, return_inverse=True)`` without the
@@ -65,19 +88,10 @@ def _distinct(values):
     return ordered[new], inverse
 
 
-def _fmt_each(values, suffix=""):
-    """``fmt(x) + suffix`` for each x as an object array, each distinct value
-    formatted once."""
+def _fmt_each(values, numbers, pattern="%s"):
+    """``pattern % fmt(x)`` for each x as an object array."""
     uniq, inverse = _distinct(values)
-    return _objects(fmt(u) + suffix for u in uniq.tolist())[inverse]
-
-
-def _fmt_table(*arrays):
-    """``fmt`` over the values of ``arrays``, each distinct finite value
-    formatted once; any other value goes to ``fmt`` itself, which refuses
-    infinities and NaN."""
-    table = {x: fmt(x) for a in arrays for x in set(a.tolist()) if math.isfinite(x)}
-    return lambda x: table[x] if x in table else fmt(x)
+    return _objects(pattern % numbers[u] for u in uniq.tolist())[inverse]
 
 
 def _require_frozen(model):
@@ -88,11 +102,11 @@ def _require_frozen(model):
             "model carries %d bilinear constraints" % len(model.bilinear_constraints))
 
 
-def _row_names(model):
-    """``<label>.<index>`` of every row, as an object array."""
-    labels = model.labels
-    return _objects("%s.%d" % (labels[k], i)
-                    for i, k in enumerate(model.row_label.tolist()))
+def _row_names(model, rows, head=""):
+    """The two pieces of the name of each of ``rows``: ``<head><label>.``
+    and ``<index>``, as object arrays."""
+    labels = _objects(head + label + "." for label in model.labels)
+    return labels[model.row_label[rows]], _objects(map(str, rows.tolist()))
 
 
 def _objects(strings):
@@ -100,21 +114,136 @@ def _objects(strings):
     return np.array(list(strings), dtype=object)
 
 
+def _lines(*columns):
+    """The text of lines made of one piece from each of ``columns``: an
+    array with a piece per line, or one string for every line."""
+    count = next(len(c) for c in columns if not isinstance(c, str))
+    grid = np.empty((count, len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        grid[:, k] = column
+    return "".join(grid.ravel().tolist())
+
+
+def _spans(n):
+    """``range(n)`` in chunks, as (start, stop) pairs."""
+    return [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
+
+
+def _write(chunks, path):
+    """Encode the text ``chunks`` into ``path`` one at a time; returns the
+    byte count."""
+    size = 0
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            data = chunk.encode()
+            size += len(data)
+            fh.write(data)
+    return size
+
+
+def _decode(fh, reader):
+    """Feed the text of ``fh`` to ``reader`` a block at a time and return
+    its model.  Header lines, those ``reader.HEADER`` matches (after a line
+    end), go to ``reader.header`` and the text between them to
+    ``reader.body``, each with the number of its first line."""
+    line = 1
+    for block in iter(lambda: fh.read(_BLOCK), ""):
+        # the leading line end lets a header open the block
+        text = "\n" + block + fh.readline()
+        at = 1
+        for m in reader.HEADER.finditer(text):
+            line = _body(reader, text[at:m.start() + 1], line)
+            reader.header(m.group(1), line)
+            line += 1
+            at = m.end() + 1
+        line = _body(reader, text[at:], line)
+    return reader.model()
+
+
+def _body(reader, text, line):
+    if text:
+        reader.body(text, line)
+    return line + text.count("\n")
+
+
+def _ids(keys, table):
+    """The id of each of ``keys`` in ``table`` (key -> id), which gives each
+    new key the next id, in order of first appearance."""
+    for key in dict.fromkeys(keys):
+        table.setdefault(key, len(table))
+    return np.fromiter(map(table.__getitem__, keys), np.int64, len(keys))
+
+
+def _locate(text, line, check):
+    """An EmitError naming the first line of ``text`` (line ``line`` of the
+    input) for whose tokens ``check`` returns a message."""
+    for k, ln in enumerate(text.split("\n")):
+        toks = ln.split()
+        message = check(toks) if toks else None
+        if message:
+            return EmitError("line %d: %s" % (line + k, message))
+    return EmitError("malformed input from line %d" % line)
+
+
+def _not_a_number(token):
+    """A message when ``token`` is not a number, else None."""
+    try:
+        float(token)
+    except ValueError:
+        return "%r is not a number" % token
+    return None
+
+
 # ---------------------------------------------------------------------------
 # LP format
 
 
 def write_lp(model, path):
+    """Write the LP text of a frozen model to ``path`` a chunk at a time;
+    returns the byte count."""
     _require_frozen(model)
-    text = lp_text(model)
-    data = text.encode()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+    return _write(_lp_chunks(model), path)
 
 
 def lp_text(model):
-    lines = ["\\ Problem: %s" % model.name, "Minimize"]
+    """The LP text of a frozen model: the chunks of ``write_lp``, joined."""
+    return "".join(_lp_chunks(model))
+
+
+def _lp_chunks(model):
+    numbers = _Numbers()
+    yield ("\\ Problem: %s\nMinimize\n obj: %s\nSubject To\n"
+           % (model.name, _lp_objective(model)))
+    names = _objects(model.names)
+    for a, b in _spans(len(model.sense)):
+        yield _lp_rows(model, names, numbers, a, b)
+    # every variable gets a bounds line, in insertion order: the Bounds
+    # section doubles as the authoritative variable list on re-parse
+    yield "Bounds\n"
+    for a, b in _spans(len(names)):
+        lines = []
+        for name, lo, hi in zip(model.names[a:b], model.lo[a:b].tolist(),
+                                model.hi[a:b].tolist()):
+            if lo == -INF and hi == INF:
+                lines.append(" %s free\n" % name)
+            elif lo == -INF:
+                lines.append(" %s <= %s\n" % (name, numbers[hi]))
+            elif hi == INF:
+                lines.append(" %s >= %s\n" % (name, numbers[lo]))
+            elif lo == hi:
+                lines.append(" %s = %s\n" % (name, numbers[lo]))
+            else:
+                lines.append(" %s <= %s <= %s\n" % (numbers[lo], name, numbers[hi]))
+        yield "".join(lines)
+    if model.is_binary.any():
+        yield "Binaries\n"
+        for a, b in _spans(len(names)):
+            binary = np.flatnonzero(model.is_binary[a:b]) + a
+            yield "".join(" %s\n" % name for name in names[binary].tolist())
+    yield "End\n"
+
+
+def _lp_objective(model):
     obj_parts = []
     for c, r in model.objective.linear:
         obj_parts.append(_signed(c, r.name))
@@ -128,63 +257,41 @@ def lp_text(model):
         obj_parts.append("+ [ " + _join_terms(quad) + " ] / 2")
     if model.objective.constant:
         obj_parts.append(_signed(model.objective.constant, ""))
-    lines.append(" obj: " + (_join_terms(obj_parts) if obj_parts else "0"))
-    lines.append("Subject To")
-    rows = _lp_rows(model)
-    # every variable gets a bounds line, in insertion order: the Bounds
-    # section doubles as the authoritative variable list on re-parse
-    tail = ["Bounds"]
-    f = _fmt_table(model.lo, model.hi)
-    for name, lo, hi in zip(model.names, model.lo.tolist(), model.hi.tolist()):
-        if lo == -INF and hi == INF:
-            tail.append(" %s free" % name)
-        elif lo == -INF:
-            tail.append(" %s <= %s" % (name, f(hi)))
-        elif hi == INF:
-            tail.append(" %s >= %s" % (name, f(lo)))
-        elif lo == hi:
-            tail.append(" %s = %s" % (name, f(lo)))
-        else:
-            tail.append(" %s <= %s <= %s" % (f(lo), name, f(hi)))
-    binaries = [model.names[k] for k in np.flatnonzero(model.is_binary).tolist()]
-    if binaries:
-        tail.append("Binaries")
-        tail += [" " + name for name in binaries]
-    tail.append("End")
-    return "\n".join(lines) + "\n" + rows + "\n".join(tail) + "\n"
+    return _join_terms(obj_parts) if obj_parts else "0"
 
 
-def _lp_rows(model):
-    """The Subject To lines, `` <name>: <terms> <sense> <rhs>`` each."""
-    n = len(model.sense)
-    counts = np.diff(model.indptr)
-    rows = model.row_ids()
+def _lp_rows(model, names, numbers, a, b):
+    """The Subject To lines of rows a to b, `` <name>: <terms> <sense> <rhs>``
+    each."""
+    indptr = model.indptr[a:b + 1]
+    first, last = int(indptr[0]), int(indptr[-1])
+    counts = np.diff(indptr)
     # each term is a "+ 4 " / "- 4 " prefix and a name; a row's first term
-    # drops a leading "+ "
-    uniq, inverse = _distinct(model.coefs)
-    mags = [fmt(abs(c)) for c in uniq.tolist()]
+    # takes ": 4 " / ": - 4 " instead, and an empty row's sense ": 0 <= "
+    uniq, inverse = _distinct(model.coefs[first:last])
+    mags = [numbers[abs(c)] for c in uniq.tolist()]
     later = _objects(" %s %s " % ("-" if c < 0 else "+", m)
                      for c, m in zip(uniq.tolist(), mags))
-    first = _objects(" - %s " % m if c < 0 else " %s " % m
-                     for c, m in zip(uniq.tolist(), mags))
-    starts = model.indptr[:-1][counts > 0]
+    opening = _objects(": - %s " % m if c < 0 else ": %s " % m
+                       for c, m in zip(uniq.tolist(), mags))
+    starts = indptr[:-1][counts > 0] - first
     prefix = later[inverse]
-    prefix[starts] = first[inverse[starts]]
+    prefix[starts] = opening[inverse[starts]]
+    senses = _objects((" <= ", " = ", " >= ", ": 0 <= ", ": 0 = ", ": 0 >= "))
 
-    heads = " " + _row_names(model) + ":"
-    tails = (_objects((" <= ", " = ", " >= "))[model.sense]
-             + _fmt_each(model.rhs, "\n"))
-    empty = counts == 0
-    tails[empty] = " 0" + tails[empty]
-
-    # row r: its head, a prefix and a name per term, its tail
-    pieces = np.empty(2 * len(rows) + 2 * n, dtype=object)
-    offset = 2 * np.arange(n)
-    pieces[2 * model.indptr[:-1] + offset] = heads
-    pieces[2 * model.indptr[1:] + offset + 1] = tails
-    at = 2 * np.arange(len(rows)) + 2 * rows + 1
+    # row r: its label and index, a prefix and a name per term, its sense
+    # and its rhs
+    n = b - a
+    local = indptr - first
+    pieces = np.empty(4 * n + 2 * (last - first), dtype=object)
+    head = 4 * np.arange(n) + 2 * local[:-1]
+    pieces[head], pieces[head + 1] = _row_names(model, np.arange(a, b), " ")
+    tail = 4 * np.arange(n) + 2 * local[1:] + 2
+    pieces[tail] = senses[model.sense[a:b] + 3 * (counts == 0)]
+    pieces[tail + 1] = _fmt_each(model.rhs[a:b], numbers, "%s\n")
+    at = 4 * np.repeat(np.arange(n), counts) + 2 * np.arange(last - first) + 2
     pieces[at] = prefix
-    pieces[at + 1] = _objects(model.names)[model.cols]
+    pieces[at + 1] = names[model.cols[first:last]]
     return "".join(pieces.tolist())
 
 
@@ -203,131 +310,182 @@ def _join_terms(parts):
 
 def read_lp(path):
     with open(path) as fh:
-        return parse_lp(fh.read())
-
-
-_LP_SECTIONS = ("minimize", "subject to", "bounds", "binaries", "end")
-_SIGNS = {"+", "-"}
-# terms decoded per pass of the LP row reader: bounds its token lists
-_LP_BLOCK = 3 * 2 ** 16
+        return _decode(fh, _LPReader())
 
 
 def parse_lp(text):
-    model = ModelIR("model")
-    found = {s: [] for s in _LP_SECTIONS}
-    lines = None
-    for ln in text.splitlines():
-        s = ln.strip()
-        if not s:
-            continue
-        if s[0] == "\\":
-            if s[1:].lstrip().startswith("Problem:"):
-                model.name = s.split("Problem:", 1)[1].strip()
-            continue
-        if len(s) <= 10 and s.lower() in found:
-            lines = found[s.lower()]
-        elif lines is not None:
-            # the long sections keep their lines unstripped: no second copy
-            lines.append(ln if lines is found["subject to"] else s)
-
-    # the Bounds/Binaries sections are the authoritative variable list, in
-    # insertion order
-    names, lo, hi = [], [], []
-    for s in found["bounds"]:
-        name, lo_v, hi_v = _parse_bound_line(s)
-        names.append(name)
-        lo.append(lo_v)
-        hi.append(hi_v)
-    binaries = set(found["binaries"])
-    model.add_variables(names, lo, hi, [name in binaries for name in names])
-
-    model.add_rows(*_parse_lp_rows(found["subject to"], model.var_index))
-    _parse_objective(model, [t for s in found["minimize"]
-                             for t in (s[4:] if s.startswith("obj:") else s).split()])
-    model.freeze()
-    return model
+    return _decode(io.StringIO(text, newline=None), _LPReader())
 
 
-def _parse_lp_rows(lines, index):
-    """CSR, senses, rhs and labels of the Subject To lines.  Rows of the
-    written form ``[sign] coef name (sign coef name)* sense rhs`` are decoded
-    together, a block of terms at a time; when any row is not of that form,
-    every row is parsed term by term instead."""
-    cols, values, minus = array("q"), array("d"), array("b")
-    indptr, senses, rhs, labels = [0], [], [], []
-    sense_of = {s: s for s in SENSES}
-    label_of = {}
-    flat = []          # sign, coef, name of the terms of the current block
-
-    def decode():
-        signs = flat[0::3]
-        if not set(signs) <= _SIGNS:
-            raise ValueError("sign")
-        # every sign is one character, "+" or "-"
-        minus.frombytes(np.frombuffer("".join(signs).encode(), dtype=np.uint8)
-                        == ord("-"))
-        values.extend(map(float, flat[1::3]))
-        cols.extend(map(index.__getitem__, flat[2::3]))
-        flat.clear()
-
-    try:
-        for ln in lines:
-            name, _, rest = ln.partition(":")
-            toks = rest.split()
-            if toks[0] not in _SIGNS:
-                flat.append("+")
-            flat += toks[:-2]
-            if len(flat) % 3:
-                raise ValueError(ln)
-            indptr.append(indptr[-1] + len(toks) // 3)
-            senses.append(sense_of[toks[-2]])
-            rhs.append(float(toks[-1]))
-            label = name.strip().rpartition(".")[0]
-            labels.append(label_of.setdefault(label, label))
-            if len(flat) > _LP_BLOCK:
-                decode()
-        decode()
-    except (IndexError, KeyError, ValueError):
-        return _parse_lp_rows_by_term(lines, index)
-    values = np.frombuffer(values)
-    return (indptr, cols, np.where(np.frombuffer(minus, dtype=bool), -values, values),
-            senses, rhs, labels)
+_SIGNS = {"+", "-"}
+_SENSE_OF = {s: k for k, s in enumerate(SENSES)}
 
 
-def _parse_lp_rows_by_term(lines, index):
-    indptr, cols, values, senses, rhs, labels = [0], [], [], [], [], []
+class _LPReader:
+    """The LP decoder: the section it is in and what it has read so far.
+    Rows name their variables before the Bounds section declares them, so
+    each name gets a provisional column in order of first use, which the
+    declared order replaces at the end."""
+
+    # a comment or a section keyword alone on its line
+    HEADER = re.compile(r"\n[ \t]*(?=[\\MSBEmsbe])(\\[^\n]*|(?i:minimize|subject to"
+                        r"|bounds|binaries|end)[ \t]*(?![^\n]))")
+
+    def __init__(self):
+        self.name = "model"
+        self.section = None
+        self.objective = []                  # tokens of the Minimize section
+        self.columns = {}                    # name -> provisional column
+        self.indptr, self.cols, self.coefs = array("q", [0]), array("q"), array("d")
+        self.sense, self.rhs, self.label = array("b"), array("d"), array("q")
+        self.labels = {}                     # label -> id
+        self.row_line = array("q")           # line of each row, for errors
+        self.names, self.lo, self.hi = [], array("d"), array("d")
+        self.binaries = set()
+
+    def header(self, text, line):
+        if text[0] != "\\":
+            self.section = text.rstrip().lower()
+        elif text[1:].lstrip().startswith("Problem:"):
+            self.name = text.split("Problem:", 1)[1].strip()
+
+    def body(self, text, line):
+        if self.section == "subject to":
+            lines = text.split("\n")
+            if not lines[-1]:
+                lines.pop()
+            try:
+                rows = _lp_rows_written(lines, line)
+            except (IndexError, KeyError, ValueError):
+                rows = _lp_rows_by_term(lines, line)
+            self._add_rows(*rows)
+        elif self.section == "bounds":
+            for k, s in enumerate(text.split("\n"), line):
+                toks = s.split()
+                if toks:
+                    name, lo, hi = _parse_bound_line(toks, k)
+                    self.names.append(name)
+                    self.lo.append(lo)
+                    self.hi.append(hi)
+        elif self.section == "binaries":
+            self.binaries.update(text.split())
+        elif self.section == "minimize":
+            for s in text.split("\n"):
+                s = s.strip()
+                self.objective += (s[4:] if s.startswith("obj:") else s).split()
+
+    def _add_rows(self, coefs, names, counts, senses, rhs, labels, lines):
+        self.cols.frombytes(_ids(names, self.columns).tobytes())
+        self.coefs.frombytes(np.asarray(coefs, dtype=float).tobytes())
+        self.indptr.frombytes((np.cumsum(counts, dtype=np.int64)
+                               + self.indptr[-1]).tobytes())
+        self.sense.frombytes(bytes(senses))
+        self.rhs.extend(rhs)
+        self.label.frombytes(_ids(labels, self.labels).tobytes())
+        self.row_line.extend(lines)
+
+    def model(self):
+        model = ModelIR(self.name)
+        binaries = self.binaries
+        model.add_variables(self.names, self.lo, self.hi,
+                            [name in binaries for name in self.names])
+        cols = np.frombuffer(self.cols, dtype=np.int64)
+        declared = np.fromiter(map(model.var_index.get, self.columns, repeat(-1)),
+                               np.int64, len(self.columns))
+        if declared.size and declared.min() < 0:
+            k = int(np.flatnonzero(declared < 0)[0])
+            row = np.searchsorted(self.indptr, np.flatnonzero(cols == k)[0], "right") - 1
+            raise EmitError("line %d: undeclared variable %r"
+                            % (self.row_line[row], list(self.columns)[k]))
+        model.add_rows(self.indptr, declared[cols], self.coefs, self.sense,
+                       self.rhs, self.label, list(self.labels))
+        _parse_objective(model, self.objective)
+        model.freeze()
+        return model
+
+
+def _lp_rows_written(lines, line):
+    """The rows of ``lines`` in the written form ``<name>: [sign] coef name
+    (sign coef name)* sense rhs``, one per line, decoded together; any other
+    line raises IndexError, KeyError or ValueError.  Returns per term its
+    coefficient and variable name, per row its term count, sense code, rhs,
+    label and line number."""
+    flat, counts, senses, rhs, labels = [], [], [], [], []
     for ln in lines:
-        name, rest = ln.split(":", 1)
+        name, _, rest = ln.partition(":")
         toks = rest.split()
-        sense_idx = next(i for i, t in enumerate(toks) if t in (LE, EQ, GE))
-        terms, const = _parse_terms(toks[:sense_idx], index.__getitem__)
-        cols += [j for _, j in terms]
-        values += [c for c, _ in terms]
-        indptr.append(len(cols))
-        senses.append(toks[sense_idx])
-        rhs.append(float(toks[sense_idx + 1]) - const)
+        if toks[0] not in _SIGNS:
+            flat.append("+")
+        flat += toks[:-2]
+        if len(flat) % 3:
+            raise ValueError(ln)
+        counts.append(len(toks) // 3)
+        senses.append(_SENSE_OF[toks[-2]])
+        rhs.append(float(toks[-1]))
         labels.append(name.strip().rpartition(".")[0])
-    return indptr, cols, values, senses, rhs, labels
+    signs = flat[0::3]
+    if not set(signs) <= _SIGNS:
+        raise ValueError("sign")
+    values = np.fromiter(map(float, flat[1::3]), float, len(signs))
+    # every sign is one character, "+" or "-"
+    minus = np.frombuffer("".join(signs).encode(), dtype=np.uint8) == ord("-")
+    return (np.where(minus, -values, values), flat[2::3], counts, senses, rhs,
+            labels, range(line, line + len(lines)))
 
 
-def _parse_bound_line(s):
-    toks = s.split()
-    if len(toks) == 2 and toks[1] == "free":
-        return toks[0], -INF, INF
-    if len(toks) == 3 and toks[1] == "<=":
-        return toks[0], -INF, float(toks[2])
-    if len(toks) == 3 and toks[1] == ">=":
-        return toks[0], float(toks[2]), INF
-    if len(toks) == 3 and toks[1] == "=":
-        return toks[0], float(toks[2]), float(toks[2])
-    if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-        return toks[2], float(toks[0]), float(toks[4])
-    raise EmitError("bad bound line: %r" % s)
+def _lp_rows_by_term(lines, line):
+    """``_lp_rows_written`` for rows of any form: each line on its own, term
+    by term, skipping blank lines; a malformed row raises EmitError."""
+    coefs, names, counts, senses, rhs, labels, row_lines = [], [], [], [], [], [], []
+    for k, ln in enumerate(lines, line):
+        if not ln.strip():
+            continue
+        try:
+            name, colon, rest = ln.partition(":")
+            if not colon:
+                raise EmitError("constraint has no name")
+            toks = rest.split()
+            at = next((i for i, t in enumerate(toks) if t in _SENSE_OF), None)
+            if at is None:
+                raise EmitError("constraint %r has no sense" % name.strip())
+            if len(toks) != at + 2:
+                raise EmitError("constraint %r does not end in '<sense> <rhs>'"
+                                % name.strip())
+            if _not_a_number(toks[at + 1]):
+                raise EmitError(_not_a_number(toks[at + 1]))
+            row_coefs, row_names, const = _parse_terms(toks[:at])
+            rhs.append(float(toks[at + 1]) - const)
+        except EmitError as e:
+            raise EmitError("line %d: %s" % (k, e)) from None
+        coefs += row_coefs
+        names += row_names
+        counts.append(len(row_names))
+        senses.append(_SENSE_OF[toks[at]])
+        labels.append(name.strip().rpartition(".")[0])
+        row_lines.append(k)
+    return coefs, names, counts, senses, rhs, labels, row_lines
 
 
-def _parse_terms(tokens, lookup):
-    """Sign/coefficient/name token runs -> ([(coef, lookup(name))], constant)."""
-    terms = []
+def _parse_bound_line(toks, line):
+    try:
+        if len(toks) == 2 and toks[1] == "free":
+            return toks[0], -INF, INF
+        if len(toks) == 3 and toks[1] == "<=":
+            return toks[0], -INF, float(toks[2])
+        if len(toks) == 3 and toks[1] == ">=":
+            return toks[0], float(toks[2]), INF
+        if len(toks) == 3 and toks[1] == "=":
+            return toks[0], float(toks[2]), float(toks[2])
+        if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
+            return toks[2], float(toks[0]), float(toks[4])
+    except ValueError:
+        pass
+    raise EmitError("line %d: bad bound line %r" % (line, " ".join(toks)))
+
+
+def _parse_terms(tokens):
+    """Sign/coefficient/name token runs -> (coefficients, names, constant)."""
+    coefs, names = [], []
     const = 0.0
     sign = 1.0
     i = 0
@@ -341,20 +499,31 @@ def _parse_terms(tokens, lookup):
             sign = -1.0
             i += 1
             continue
-        coef = sign * float(t)
-        if i + 1 < len(tokens) and tokens[i + 1] not in ("+", "-"):
-            terms.append((coef, lookup(tokens[i + 1])))
+        try:
+            coef = sign * float(t)
+        except ValueError:
+            raise EmitError("term %r has no coefficient" % t) from None
+        if i + 1 < len(tokens) and tokens[i + 1] not in _SIGNS:
+            coefs.append(coef)
+            names.append(tokens[i + 1])
             i += 2
         else:
             const += coef
             i += 1
         sign = 1.0
-    return terms, const
+    return coefs, names, const
 
 
 def _parse_objective(model, tokens):
     if tokens == ["0"]:
         return
+
+    def var(name):
+        try:
+            return model.var(name)
+        except MissingVariableError:
+            raise EmitError("undeclared variable %r in the objective" % name) from None
+
     # split off the bracketed quadratic block, if any
     if "[" in tokens:
         bi = tokens.index("[")
@@ -367,24 +536,23 @@ def _parse_objective(model, tokens):
         sign = 1.0
         while i < len(quad_tokens):
             t = quad_tokens[i]
-            if t in ("+", "-"):
+            if t in _SIGNS:
                 sign = 1.0 if t == "+" else -1.0
                 i += 1
                 continue
             coef = sign * float(t)
-            v1 = model.var(quad_tokens[i + 1])
+            v1 = var(quad_tokens[i + 1])
             if quad_tokens[i + 2] == "^":
                 model.add_objective_quadratic(coef / 2.0, v1, v1)
             else:
-                model.add_objective_quadratic(coef / 2.0, v1,
-                                              model.var(quad_tokens[i + 3]))
+                model.add_objective_quadratic(coef / 2.0, v1, var(quad_tokens[i + 3]))
             i += 4
             sign = 1.0
     else:
         lin_tokens = tokens
-    terms, const = _parse_terms(lin_tokens, model.var)
-    for c, r in terms:
-        model.add_objective_linear(c, r)
+    coefs, names, const = _parse_terms(lin_tokens)
+    for c, name in zip(coefs, names):
+        model.add_objective_linear(c, var(name))
     model.add_objective_constant(const)
 
 
@@ -393,254 +561,318 @@ def _parse_objective(model, tokens):
 
 
 def write_mps(model, path):
+    """Write the MPS text of a frozen model to ``path`` a chunk at a time;
+    returns the byte count."""
     _require_frozen(model)
-    data = mps_text(model).encode()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+    return _write(_mps_chunks(model), path)
 
 
 def mps_text(model):
-    row_names = _row_names(model)
-    tags = _objects((" L ", " E ", " G "))     # in SENSES order
-    out = ["NAME %s\nROWS\n N OBJ\n" % model.name,
-           "".join((tags[model.sense] + row_names + "\n").tolist()),
-           "COLUMNS\n", _mps_columns(model, row_names), "RHS\n"]
-    if model.objective.constant:
-        out.append("    RHS OBJ %s\n" % fmt(-model.objective.constant))
-    set_rows = np.flatnonzero(model.rhs != 0.0)
-    out.append("".join(("    RHS " + row_names[set_rows] + " "
-                        + _fmt_each(model.rhs[set_rows], "\n")).tolist()))
+    """The MPS text of a frozen model: the chunks of ``write_mps``, joined."""
+    return "".join(_mps_chunks(model))
 
-    lines = ["BOUNDS"]
-    f = _fmt_table(model.lo, model.hi)
-    for name, binary, lo, hi in zip(model.names, model.is_binary.tolist(),
-                                    model.lo.tolist(), model.hi.tolist()):
+
+def _mps_chunks(model):
+    numbers = _Numbers()
+    n = len(model.sense)
+    tags = _objects((" L ", " E ", " G "))     # in SENSES order
+    yield "NAME %s\nROWS\n N OBJ\n" % model.name
+    for a, b in _spans(n):
+        yield _lines(tags[model.sense[a:b]], *_row_names(model, np.arange(a, b)), "\n")
+    yield "COLUMNS\n"
+    yield from _mps_columns(model, numbers)
+    yield "RHS\n"
+    if model.objective.constant:
+        yield "    RHS OBJ %s\n" % fmt(-model.objective.constant)
+    for a, b in _spans(n):
+        rows = np.flatnonzero(model.rhs[a:b] != 0.0) + a
+        yield _lines("    RHS ", *_row_names(model, rows),
+                     _fmt_each(model.rhs[rows], numbers, " %s\n"))
+    yield "BOUNDS\n"
+    for a, b in _spans(len(model.names)):
+        yield _mps_bounds(model, numbers, a, b)
+    quad = model.objective.quadratic
+    if quad:
+        yield "QUADOBJ\n"
+        for a, b in _spans(len(quad)):
+            yield "".join("    %s %s %s\n" % (r1.name, r2.name, numbers[2.0 * c])
+                          for c, r1, r2 in quad[a:b])
+    yield "ENDATA\n"
+
+
+def _mps_bounds(model, numbers, a, b):
+    """The BOUNDS lines of variables a to b."""
+    lines = []
+    for name, binary, lo, hi in zip(model.names[a:b], model.is_binary[a:b].tolist(),
+                                    model.lo[a:b].tolist(), model.hi[a:b].tolist()):
         if binary:
             # binaries default to [0, 1]; only tightened bounds are emitted
             if lo == hi:
-                lines.append(" FX BND %s %s" % (name, f(lo)))
+                lines.append(" FX BND %s %s\n" % (name, numbers[lo]))
             else:
                 if lo != 0.0:
-                    lines.append(" LO BND %s %s" % (name, f(lo)))
+                    lines.append(" LO BND %s %s\n" % (name, numbers[lo]))
                 if hi != 1.0:
-                    lines.append(" UP BND %s %s" % (name, f(hi)))
+                    lines.append(" UP BND %s %s\n" % (name, numbers[hi]))
             continue
         if lo == -INF and hi == INF:
-            lines.append(" FR BND %s" % name)
+            lines.append(" FR BND %s\n" % name)
             continue
         if lo == hi:
-            lines.append(" FX BND %s %s" % (name, f(lo)))
+            lines.append(" FX BND %s %s\n" % (name, numbers[lo]))
             continue
         if lo != 0.0:
             if lo == -INF:
-                lines.append(" MI BND %s" % name)
+                lines.append(" MI BND %s\n" % name)
             else:
-                lines.append(" LO BND %s %s" % (name, f(lo)))
+                lines.append(" LO BND %s %s\n" % (name, numbers[lo]))
         if hi != INF:
-            lines.append(" UP BND %s %s" % (name, f(hi)))
-
-    if model.objective.quadratic:
-        lines.append("QUADOBJ")
-        for c, r1, r2 in model.objective.quadratic:
-            lines.append("    %s %s %s" % (r1.name, r2.name, fmt(2.0 * c)))
-    lines.append("ENDATA")
-    out.append("\n".join(lines) + "\n")
-    return "".join(out)
+            lines.append(" UP BND %s %s\n" % (name, numbers[hi]))
+    return "".join(lines)
 
 
-def _mps_columns(model, row_names):
-    """The COLUMNS lines: per variable an OBJ entry, then its rows in row
-    order, with a marker line wherever the run of integer columns starts or
-    ends."""
+def _mps_columns(model, numbers):
+    """The COLUMNS lines, in chunks of whole columns of about ``_CHUNK``
+    lines: per variable an OBJ entry, then its rows in row order, with a
+    marker line wherever the run of integer columns starts or ends."""
     nv = len(model.names)
     obj = np.zeros(nv)
     for c, r in model.objective.linear:
         obj[r.index] += c
-    order = np.argsort(model.cols, kind="stable")
-    cols = model.cols[order]
-    values = _fmt_each(np.concatenate([obj, model.coefs[order]]), "\n")
-
+    order = np.argsort(model.cols, kind="stable")     # the terms by column
+    colptr = np.concatenate(([0], np.cumsum(np.bincount(model.cols, minlength=nv))))
     binary = model.is_binary
     marker = binary != np.concatenate(([False], binary[:-1]))
-    per_var = marker + 1 + np.bincount(cols, minlength=nv)
-    start = np.concatenate(([0], np.cumsum(per_var)))
-    nlines = int(start[-1]) + (1 if nv and binary[-1] else 0)
-    # three pieces per line: "    <name> ", "<row> " and "<coef>\n"
-    grid = np.empty((nlines, 3), dtype=object)
-    obj_at = start[:-1] + marker
-    grid[obj_at, 0] = _objects("    %s " % name for name in model.names)
-    grid[obj_at, 1] = "OBJ "
-    grid[obj_at, 2] = values[:nv]
-    first_of_col = np.concatenate(([0], np.cumsum(per_var - marker - 1)))[:-1]
-    entry_at = obj_at[cols] + 1 + np.arange(len(cols)) - first_of_col[cols]
-    grid[entry_at, 0] = grid[obj_at[cols], 0]
-    grid[entry_at, 1] = row_names[model.row_ids()[order]] + " "
-    grid[entry_at, 2] = values[nv:]
-    marks = np.flatnonzero(marker).tolist() + ([nv] if nlines > start[-1] else [])
-    for k, v in enumerate(marks):
-        at = start[v] if v < nv else nlines - 1
-        grid[at] = ("    MARKER%d 'MARKER' " % k,
-                    "'INTORG'" if v < nv and binary[v] else "'INTEND'", "\n")
-    return "".join(grid.ravel().tolist())
+    ends = np.cumsum(marker + 1 + np.diff(colptr))  # the line after each column
+    marks = 0                                        # marker lines so far
+    a = 0
+    while a < nv:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a - 1] + _CHUNK if a else _CHUNK,
+                                           side="right")))
+        terms = order[colptr[a]:colptr[b]]
+        cols = model.cols[terms] - a
+        opens = marker[a:b]
+        start = np.concatenate(([0], np.cumsum(opens + 1 + np.diff(colptr[a:b + 1]))))
+        closes = b == nv and binary[-1]              # the integer run ends last
+        # four pieces per line: "    <name> ", "<label>." or "OBJ",
+        # "<index>" or "" and " <coef>\n"
+        grid = np.empty((start[-1] + closes, 4), dtype=object)
+        obj_at = start[:-1] + opens
+        heads = _objects("    %s " % name for name in model.names[a:b])
+        grid[obj_at, 0] = heads
+        grid[obj_at, 1] = "OBJ"
+        grid[obj_at, 2] = ""
+        grid[obj_at, 3] = _fmt_each(obj[a:b], numbers, " %s\n")
+        first = colptr[a:b] - colptr[a]
+        entry_at = obj_at[cols] + 1 + np.arange(len(terms)) - first[cols]
+        grid[entry_at, 0] = heads[cols]
+        grid[entry_at, 1], grid[entry_at, 2] = _row_names(
+            model, np.searchsorted(model.indptr, terms, side="right") - 1)
+        grid[entry_at, 3] = _fmt_each(model.coefs[terms], numbers, " %s\n")
+        for v in np.flatnonzero(opens).tolist() + ([b - a] if closes else []):
+            at = start[v] if v < b - a else len(grid) - 1
+            kind = "'INTORG'" if v < b - a and binary[a + v] else "'INTEND'"
+            grid[at] = ("    MARKER%d 'MARKER' " % marks, kind, "", "\n")
+            marks += 1
+        yield "".join(grid.ravel().tolist())
+        a = b
 
 
 def read_mps(path):
     with open(path) as fh:
-        return parse_mps(fh.read())
-
-
-def _mps_sections(text):
-    """Header tokens and body span of each section, in file order: a header
-    is a line that starts with a non-blank character."""
-    starts = [0] + [m.end() for m in re.finditer(r"\n(?=\S)", text)] + [len(text)]
-    out = []
-    for a, b in zip(starts[:-1], starts[1:]):
-        if text[a:a + 1].strip():
-            eol = text.find("\n", a, b)
-            head_end = b if eol < 0 else eol + 1
-            out.append((text[a:head_end].split(), head_end, b))
-    return out
-
-
-def _blocks(text, spans, size=2 ** 20):
-    """The text of ``spans`` in pieces of about ``size`` characters, each
-    ending at a line end."""
-    for a, b in spans:
-        while a < b:
-            c = text.find("\n", min(a + size, b), b)
-            c = b if c < 0 else c + 1
-            yield text[a:c]
-            a = c
-
-
-def _read_columns(text, spans, lookup):
-    """The COLUMNS section, decoded a block at a time: "<col> <row> <value>"
-    lines and "<name> 'MARKER' <tag>" lines, ``lookup`` giving each row name's
-    index (OBJ -1, 'MARKER' -2).  Returns the column names in order of first
-    appearance, whether each is integer, and per entry its column, row and
-    value."""
-    index = {}
-    var_of, row_of, values = array("q"), array("q"), array("d")
-    binary = array("b")
-    in_int = False
-    for block in _blocks(text, spans):
-        toks = block.split()
-        if len(toks) % 3:
-            raise EmitError("COLUMNS lines must be '<column> <row> <value>'")
-        rows_b = np.fromiter(map(lookup.__getitem__, toks[1::3]), dtype=np.int64,
-                             count=len(toks) // 3)
-        marks = np.flatnonzero(rows_b == -2)
-        entry = np.flatnonzero(rows_b != -2)
-        # an entry is integer when the last marker before it opened a run
-        tags = toks[2::3]
-        opened = np.array([in_int] + [tags[m] == "'INTORG'" for m in marks.tolist()])
-        inside = opened[np.searchsorted(marks, entry)]
-        in_int = bool(opened[-1])
-        names_b = _objects(toks[0::3])[entry].tolist()
-        known = len(index)
-        for name in dict.fromkeys(names_b):
-            index.setdefault(name, len(index))
-        v = np.fromiter(map(index.__getitem__, names_b), dtype=np.int64,
-                        count=len(names_b))
-        # a column's kind is set where it first appears
-        seen = np.maximum.accumulate(np.concatenate(([known - 1], v)))
-        binary.frombytes(inside[v > seen[:-1]].tobytes())
-        var_of.frombytes(v.tobytes())
-        row_of.frombytes(rows_b[entry].tobytes())
-        values.extend(map(float, _objects(tags)[entry].tolist()))
-    return (list(index), np.frombuffer(binary, dtype=bool),
-            np.frombuffer(var_of, dtype=np.int64),
-            np.frombuffer(row_of, dtype=np.int64), np.frombuffer(values))
+        return _decode(fh, _MPSReader())
 
 
 def parse_mps(text):
-    model = ModelIR("model")
-    sense_by_tag = {"L": LE, "G": GE, "E": EQ}
-    spans = {"ROWS": [], "COLUMNS": [], "RHS": [], "BOUNDS": [], "QUADOBJ": []}
-    for toks, a, b in _mps_sections(text):
+    return _decode(io.StringIO(text, newline=None), _MPSReader())
+
+
+# the row types of the ROWS section: N is the objective, the others the
+# sense codes of SENSES
+_ROW_TYPES = {"N": -1, "L": 0, "E": 1, "G": 2}
+
+
+class _MPSReader:
+    """The MPS decoder: the section it is in and what it has read so far.
+    Rows are declared before the columns name them, and columns before the
+    RHS, BOUNDS and QUADOBJ sections do, so every name resolves as it is
+    read."""
+
+    # any line that starts with a non-blank character
+    HEADER = re.compile(r"\n(\S[^\n]*)")
+
+    def __init__(self):
+        self.name = "model"
+        self.section = None
+        self.rows = {"'MARKER'": -2}         # row name -> row, objective -1
+        self.sense, self.label = array("b"), array("q")
+        self.labels = {}                     # label -> id
+        self.columns = {}                    # column name -> column
+        self.binary = array("b")
+        self.in_int = False                  # inside an integer marker run
+        self.var_of, self.row_of, self.values = array("q"), array("q"), array("d")
+        self.rhs_of, self.rhs = array("q"), array("d")
+        self.lo, self.hi = [], []
+        self.quadratic = []                  # (column, column, value)
+
+    def header(self, text, line):
+        toks = text.split()
         if toks[0] == "NAME" and len(toks) > 1:
-            model.name = toks[1]
-        if toks[0] in spans:
-            spans[toks[0]].append((a, b))
+            self.name = toks[1]
+        self.section = toks[0]
 
-    def section(name):
-        return "".join(text[a:b] for a, b in spans[name])
+    def body(self, text, line):
+        read = self.SECTIONS.get(self.section)
+        if read is not None:
+            read(self, text, line)
 
-    toks = section("ROWS").split()
-    if len(toks) % 2:
-        raise EmitError("ROWS lines must be '<type> <name>'")
-    tags, rows = toks[0::2], toks[1::2]
-    if "N" in tags:
-        kept = [k for k, tag in enumerate(tags) if tag != "N"]
-        tags, rows = [tags[k] for k in kept], [rows[k] for k in kept]
-    row_index = dict(zip(rows, range(len(rows))))
-    senses = list(map(sense_by_tag.__getitem__, tags))
-    labels = [name.rpartition(".")[0] for name in rows]
+    def _rows(self, text, line):
+        toks = text.split()
+        tags, names = toks[0::2], toks[1::2]
+        if len(toks) % 2 or not set(tags) <= _ROW_TYPES.keys():
+            raise _locate(text, line, lambda t: (
+                "ROWS lines must be '<type> <name>'" if len(t) != 2
+                else "unknown row type %r" % t[0] if t[0] not in _ROW_TYPES else None))
+        if "N" in tags:
+            self.rows.update((name, -1) for tag, name in zip(tags, names) if tag == "N")
+            names = [name for tag, name in zip(tags, names) if tag != "N"]
+            tags = [tag for tag in tags if tag != "N"]
+        start = len(self.sense)
+        self.rows.update(zip(names, range(start, start + len(names))))
+        self.sense.extend(map(_ROW_TYPES.__getitem__, tags))
+        self.label.frombytes(_ids([name.rpartition(".")[0] for name in names],
+                                  self.labels).tobytes())
 
-    lookup = dict(row_index, OBJ=-1)
-    lookup["'MARKER'"] = -2
-    names, binary, var_of, row_of, values = _read_columns(
-        text, spans["COLUMNS"], lookup)
+    def _columns(self, text, line):
+        """"<column> <row> <value>" lines and "<name> 'MARKER' <tag>" lines,
+        decoded together; each column's kind is set where it first appears."""
+        toks = text.split()
+        try:
+            if len(toks) % 3:
+                raise KeyError
+            rows = np.fromiter(map(self.rows.__getitem__, toks[1::3]), np.int64,
+                               len(toks) // 3)
+        except KeyError:
+            raise _locate(text, line, lambda t: (
+                "COLUMNS lines must be '<column> <row> <value>'" if len(t) != 3
+                else "COLUMNS names unknown row %r" % t[1] if t[1] not in self.rows
+                else None)) from None
+        marks = np.flatnonzero(rows == -2)
+        entry = np.flatnonzero(rows != -2)
+        # an entry is integer when the last marker before it opened a run
+        tags = toks[2::3]
+        opened = np.array([self.in_int] + [tags[m] == "'INTORG'" for m in marks.tolist()])
+        inside = opened[np.searchsorted(marks, entry)]
+        self.in_int = bool(opened[-1])
+        names = _objects(toks[0::3])[entry].tolist()
+        known = len(self.columns)
+        v = _ids(names, self.columns)
+        seen = np.maximum.accumulate(np.concatenate(([known - 1], v)))
+        self.binary.frombytes(inside[v > seen[:-1]].tobytes())
+        self.var_of.frombytes(v.tobytes())
+        self.row_of.frombytes(rows[entry].tobytes())
+        try:
+            self.values.extend(map(float, _objects(tags)[entry].tolist()))
+        except ValueError:
+            raise _locate(text, line, lambda t: None if t[1] == "'MARKER'" else (
+                _not_a_number(t[2]))) from None
 
-    bounds = {}
-    for line in section("BOUNDS").splitlines():
-        t = line.split()
-        if not t:
-            continue
-        tag, col = t[0], t[2]
-        lo, hi = bounds.get(col, (0.0, INF))
-        if tag == "FR":
-            lo, hi = -INF, INF
-        elif tag == "MI":
-            lo = -INF
-        elif tag == "FX":
-            lo = hi = float(t[3])
-        elif tag == "LO":
-            lo = float(t[3])
-        elif tag == "UP":
-            hi = float(t[3])
-        else:
-            raise EmitError("unsupported bound tag %r" % tag)
-        bounds[col] = (lo, hi)
-    lo, hi = [], []
-    for name, b in zip(names, binary.tolist()):
-        lo_v, hi_v = bounds.get(name, (0.0, INF))
-        if b:
-            lo_v, hi_v = (max(lo_v, 0.0), min(hi_v, 1.0)) if name in bounds else (0.0, 1.0)
-        lo.append(lo_v)
-        hi.append(hi_v)
-    model.add_variables(names, lo, hi, binary)
+    def _rhs(self, text, line):
+        toks = text.split()
+        rows = np.fromiter(map(self.rows.get, toks[1::3], repeat(-2)), np.int64,
+                           len(toks) // 3)
+        try:
+            if len(toks) % 3 or rows.min(initial=0) < -1:
+                raise ValueError
+            self.rhs.extend(map(float, toks[2::3]))
+        except ValueError:
+            raise _locate(text, line, lambda t: (
+                "RHS lines must be '<set> <row> <value>'" if len(t) != 3
+                else "RHS names unknown row %r" % t[1] if self.rows.get(t[1], -2) < -1
+                else _not_a_number(t[2]))) from None
+        self.rhs_of.frombytes(rows.tobytes())
 
-    # objective entries in column order, rows with their terms in column order
-    on_obj = row_of == -1
-    for j in np.flatnonzero(on_obj)[np.argsort(var_of[on_obj], kind="stable")].tolist():
-        if values[j]:
-            model.add_objective_linear(float(values[j]), model.ref(int(var_of[j])))
-    on_row = np.flatnonzero(~on_obj)
-    order = on_row[np.lexsort((var_of[on_row], row_of[on_row]))]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of[order],
-                                                        minlength=len(rows)))))
+    def _bounds(self, text, line):
+        nv = len(self.columns)
+        lo, hi = self.lo, self.hi
+        lo += [0.0] * (nv - len(lo))
+        hi += [INF] * (nv - len(hi))
+        for k, ln in enumerate(text.split("\n"), line):
+            t = ln.split()
+            if not t:
+                continue
+            if len(t) < 3:
+                raise EmitError("line %d: bad BOUNDS line %r" % (k, ln.strip()))
+            j = self.columns.get(t[2])
+            if j is None:
+                raise EmitError("line %d: BOUNDS names unknown column %r" % (k, t[2]))
+            tag = t[0]
+            if tag == "FR":
+                lo[j], hi[j] = -INF, INF
+            elif tag == "MI":
+                lo[j] = -INF
+            elif tag in ("FX", "LO", "UP") and len(t) == 4:
+                if _not_a_number(t[3]):
+                    raise EmitError("line %d: %s" % (k, _not_a_number(t[3])))
+                value = float(t[3])
+                if tag != "UP":
+                    lo[j] = value
+                if tag != "LO":
+                    hi[j] = value
+            elif tag in ("FR", "MI", "FX", "LO", "UP"):
+                raise EmitError("line %d: bad BOUNDS line %r" % (k, ln.strip()))
+            else:
+                raise EmitError("line %d: unsupported bound tag %r" % (k, tag))
 
-    toks = section("RHS").split()
-    if len(toks) % 3:
-        raise EmitError("RHS lines must be '<set> <row> <value>'")
-    rhs_of = dict(zip(toks[1::3], toks[2::3]))
-    obj_const = -float(rhs_of.pop("OBJ")) if "OBJ" in rhs_of else 0.0
-    rhs = np.zeros(len(rows))
-    for name, val in rhs_of.items():
-        if name in row_index:
-            rhs[row_index[name]] = float(val)
-    model.add_rows(indptr, var_of[order], values[order], senses, rhs, labels)
+    def _quadratic(self, text, line):
+        for k, ln in enumerate(text.split("\n"), line):
+            t = ln.split()
+            if t:
+                if (len(t) != 3 or t[0] not in self.columns or t[1] not in self.columns
+                        or _not_a_number(t[2])):
+                    raise EmitError("line %d: QUADOBJ lines must be "
+                                    "'<column> <column> <value>' of known columns" % k)
+                self.quadratic.append((self.columns[t[0]], self.columns[t[1]],
+                                       float(t[2])))
 
-    for line in section("QUADOBJ").splitlines():
-        t = line.split()
-        if t:
-            model.add_objective_quadratic(float(t[2]) / 2.0, model.var(t[0]),
-                                          model.var(t[1]))
-    model.add_objective_constant(obj_const)
-    model.freeze()
-    return model
+    SECTIONS = {"ROWS": _rows, "COLUMNS": _columns, "RHS": _rhs, "BOUNDS": _bounds,
+                "QUADOBJ": _quadratic}
+
+    def model(self):
+        model = ModelIR(self.name)
+        names = list(self.columns)
+        nv = len(names)
+        self.rows = self.columns = None     # the name tables are spent
+        binary = np.frombuffer(self.binary, dtype=bool)
+        lo = np.array(self.lo + [0.0] * (nv - len(self.lo)))
+        hi = np.array(self.hi + [INF] * (nv - len(self.hi)))
+        # binaries default to [0, 1], and their bounds stay inside it
+        lo = np.where(binary, np.maximum(lo, 0.0), lo)
+        hi = np.where(binary, np.minimum(hi, 1.0), hi)
+        model.add_variables(names, lo, hi, binary)
+
+        # objective entries in column order, rows with their terms in column order
+        var_of = np.frombuffer(self.var_of, dtype=np.int64)
+        row_of = np.frombuffer(self.row_of, dtype=np.int64)
+        values = np.frombuffer(self.values)
+        on_obj = row_of == -1
+        for j in np.flatnonzero(on_obj)[np.argsort(var_of[on_obj], kind="stable")].tolist():
+            if values[j]:
+                model.add_objective_linear(float(values[j]), model.ref(int(var_of[j])))
+        n = len(self.sense)
+        # the row entries, row by row, after the objective's (row -1)
+        order = np.lexsort((var_of, row_of))[np.count_nonzero(on_obj):]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of[order], minlength=n))))
+        # the objective's entry (row -1) lands in slot 0
+        rhs = np.zeros(n + 1)
+        rhs[np.frombuffer(self.rhs_of, dtype=np.int64) + 1] = np.frombuffer(self.rhs)
+        model.add_rows(indptr, var_of[order], values[order], self.sense, rhs[1:],
+                       self.label, list(self.labels))
+        for i, j, q in self.quadratic:
+            model.add_objective_quadratic(q / 2.0, model.ref(i), model.ref(j))
+        model.add_objective_constant(float(-rhs[0]))
+        model.freeze()
+        return model
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +893,7 @@ def write_solution(model, asg, path, objective=None, gap=None):
     if gap is not None:
         lines.append("# gap %s\n" % fmt(gap))
     values = [asg.values[name] for name in model.names]
-    lines += (_objects(model.names) + " " + _fmt_each(values, "\n")).tolist()
+    lines += (_objects(model.names) + _fmt_each(values, _Numbers(), " %s\n")).tolist()
     data = "".join(lines).encode()
     with open(path, "wb") as fh:
         fh.write(data)

@@ -292,34 +292,38 @@ class ModelIR:
         self.row_label.append(self._label_id(label))
         return len(self.sense) - 1
 
-    def add_rows(self, indptr, cols, coefs, sense, rhs, labels):
+    def add_rows(self, indptr, cols, coefs, sense, rhs, label, labels):
         """Append many rows at once: the CSR ``indptr``/``cols``/``coefs``
-        (column indices of this model), and per row a sense string, a rhs
-        and a label.  Terms merge as in ``add_constraint``."""
+        (column indices of this model), and per row a sense code (an index
+        into ``SENSES``), a rhs and a label id (an index into ``labels``,
+        whose labels are taken up in that order).  Terms merge as in
+        ``add_constraint``."""
         self._check_mutable()
         indptr = np.asarray(indptr, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         coefs = np.asarray(coefs, dtype=float)
+        sense = np.asarray(sense, dtype=np.int8)
         rhs = np.asarray(rhs, dtype=float)
+        label = np.asarray(label, dtype=np.int64)
         n = len(indptr) - 1
         if not (indptr[0] == 0 and indptr[-1] == len(cols) == len(coefs)
-                and len(sense) == len(rhs) == len(labels) == n
+                and len(sense) == len(rhs) == len(label) == n
                 and np.all(np.diff(indptr) >= 0)):
             raise ModelError("rows do not match their CSR arrays")
         if cols.size and (cols.min() < 0 or cols.max() >= len(self.names)):
             raise MissingVariableError("column index out of range")
-        try:
-            codes = bytes(map(_SENSE_CODE.__getitem__, sense))
-        except KeyError as e:
-            raise ModelError("unknown constraint sense %r" % e.args) from None
+        if n and (sense.min() < 0 or sense.max() >= len(SENSES)):
+            raise ModelError("sense code out of range")
+        if n and (label.min() < 0 or label.max() >= len(labels)):
+            raise ModelError("label id out of range")
         indptr, cols, coefs = _merge_rows(indptr, cols, coefs)
-        ids = {label: self._label_id(label) for label in dict.fromkeys(labels)}
+        ids = np.array([self._label_id(name) for name in labels], dtype=np.int32)
         self.indptr.frombytes((indptr[1:] + self.indptr[-1]).tobytes())
         self.cols.frombytes(cols.tobytes())
         self.coefs.frombytes(coefs.tobytes())
-        self.sense.frombytes(codes)
+        self.sense.frombytes(sense.tobytes())
         self.rhs.frombytes(rhs.tobytes())
-        self.row_label.extend(map(ids.__getitem__, labels))
+        self.row_label.frombytes(ids[label].tobytes())
 
     def add_bilinear_constraint(self, quad_terms, lin_terms, sense, rhs, label):
         self._check_mutable()
@@ -516,7 +520,8 @@ def _merge_rows(indptr, cols, coefs):
     rows = np.repeat(np.arange(len(counts)), counts)
     key = rows * (int(cols.max(initial=0)) + 1) + cols
     order = np.argsort(key, kind="stable")
-    repeat = key[order][1:] == key[order][:-1]
+    key = key[order]
+    repeat = key[1:] == key[:-1]
     if not repeat.any():
         return indptr, cols, coefs
     # each repeated term adds, in stored order, into its first occurrence

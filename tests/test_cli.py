@@ -1,9 +1,12 @@
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mipnn
 from mipnn.cli import (EXIT_AUDIT, EXIT_CONFIG, ConfigError, RunConfig, main,
                        parse_config, parse_conv_layers, prepare)
 from mipnn.nnspec import ConvLayer
@@ -212,3 +215,11 @@ def test_build_error_is_a_config_error(tmp_path, capsys, key, value, message):
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(mipnn.__file__))
+    out = subprocess.run([sys.executable, "-m", "mipnn", "--help"], capture_output=True,
+                         text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: mipnn")

@@ -12,10 +12,10 @@ import pytest
 import mipnn
 from mipnn.dense import BuildError
 from mipnn.emit import lp_text, mps_text, parse_lp, parse_mps
-from mipnn.ir import (BINARY, CONTINUOUS, EQ, GE, LE, Assignment,
+from mipnn.ir import (BINARY, CONTINUOUS, EQ, GE, LE, SENSES, Assignment,
                       DuplicateNameError, ForeignVariableError,
-                      FrozenModelError, InvertedBoundsError, ModelIR, VarDef,
-                      _violation)
+                      FrozenModelError, InvertedBoundsError, ModelError,
+                      ModelIR, VarDef, _violation)
 
 from test_golden import BUILDS
 
@@ -138,11 +138,17 @@ def test_bulk_paths_reject_what_the_row_paths_reject():
     assert m.names == ["x"] and len(m.var_index) == 1
     with pytest.raises(ForeignVariableError):
         m.add_objective_linear(1.0, ModelIR().add_variable(VarDef("z")))
-    m.add_rows([0, 2], [0, 0], [1.0, 2.0], [EQ], [1.0], ["c"])
+    with pytest.raises(ModelError, match="sense code"):
+        m.add_rows([0, 1], [0], [1.0], [3], [1.0], [0], ["c"])
+    with pytest.raises(ModelError, match="label id"):
+        m.add_rows([0, 1], [0], [1.0], [SENSES.index(EQ)], [1.0], [1], ["c"])
+    assert m.labels == []
+    m.add_rows([0, 2], [0, 0], [1.0, 2.0], [SENSES.index(EQ)], [1.0], [0], ["c"])
     assert [(c, r.name) for c, r in m.constraints[0].terms] == [(3.0, "x")]
+    assert (m.constraints[0].sense, m.constraints[0].label) == (EQ, "c")
     m.freeze()
     with pytest.raises(FrozenModelError):
-        m.add_rows([0, 1], [0], [1.0], [LE], [0.0], ["c"])
+        m.add_rows([0, 1], [0], [1.0], [SENSES.index(LE)], [0.0], [0], ["c"])
     with pytest.raises(FrozenModelError):
         m.add_variables(["w"], [0.0], [1.0], [False])
     with pytest.raises(ValueError):
