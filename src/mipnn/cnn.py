@@ -15,16 +15,15 @@ Naming (all 0-based):
 """
 
 import math
-from functools import partial
 
 import numpy as np
 
-from .ir import EQ, GE, LE, Assignment, ModelIR
+from .ir import EQ, GE, LE, ModelIR
 from .dense import (Build, BuildError, Field, Rows, SampleBlock, add_objective,
-                    declare_params, emit_rows, fill, head_rows, input_rows,
-                    l1_rows, name_template, net_quant, prune_rows, ref_columns,
-                    relu_layer, vn)
-from .nnspec import LOSS_ABS, TRAIN_QUANTIZED, VERIFY, conv_map_shapes
+                    declare_params, emit_rows, head_rows, input_rows, l1_rows,
+                    name_template, net_quant, prune_rows, ref_columns, relu_layer,
+                    vn)
+from .nnspec import TRAIN_QUANTIZED, VERIFY, conv_map_shapes
 from .recon import ConvNet
 
 
@@ -74,8 +73,8 @@ class ConvBuild(Build):
         return self.btable.layer(l).a_hi
 
     def map_source(self, l):
-        """(base, index) naming the variables base[i][index][c][h][w] of the
-        map conv layer l reads; at l = L, the map the flatten reads."""
+        """The family (base, index), variables base[i][index][c][h][w], of
+        the map conv layer l reads; at l = L, the map the flatten reads."""
         if l > 0 and self.arch.conv_layers[l - 1].pool is not None:
             return "p", l - 1
         return "a", l
@@ -89,37 +88,28 @@ class ConvBuild(Build):
                        strides=[layer.stride for layer in layers],
                        quant=net_quant(self.hyper))
 
-    # in the class's own namespace, where the benchmark's tracer wraps it
+    # in the class's own namespace, where the benchmark's tracer wraps them
     complete = Build.complete
+    assemble = Build.assemble
 
-    def assemble(self, bits, tol=1e-6):
-        obj, viol, params, trace = self.candidate(bits)
-        values = dict(bits)
-        self.fill_params(values, params)
-        fill(values, "a", self.data.inputs, 0, at=1)
+    def patches(self, l, a):
+        """The cells of the map ``a`` that each kernel entry of conv layer l
+        meets at each output position (``_patches``); the head meets the
+        flattened map as it is."""
+        if l == self.L:
+            return a
+        return _patches(a, self.arch.conv_layers[l], self.map_shapes[l][1:])
+
+    def assemble_maps(self, x, trace):
+        """The pooled maps p and their selectors zeta, and the flattened map."""
         for l, layer in enumerate(self.arch.conv_layers):
-            z, pooled = trace[l]
-            act = np.maximum(z, 0.0)
-            fill(values, "z", z, l, at=1)
-            fill(values, "a", act, l + 1, at=1)
-            fill(values, "delta", z > 0, l, at=1)
             if layer.pool is not None:
-                fill(values, "p", pooled, l, at=1)
-                self._assemble_selectors(values, l, act)
-        flat = trace[-2][1].reshape(self.data.n, -1)
-        out = trace[-1][0]
-        fill(values, "a", flat, self.L, at=1)
-        fill(values, "a", out, self.L + 1, at=1)
-        if self.hyper.loss == LOSS_ABS:
-            fill(values, "r", np.abs(out - self.data.targets))
-        if self.hyper.mode == TRAIN_QUANTIZED:
-            for t, layer in zip(self.tensors[1:-1], self.arch.conv_layers[1:]):
-                patches = _patches(trace[t.l - 1][1], layer, self.map_shapes[t.l][1:])
-                self.fill_products(values, bits, t, np.moveaxis(patches, (1, 2), (4, 5)))
-            self.fill_products(values, bits, self.tensors[-1], flat)
-        return Assignment(values=values), obj, viol
+                z, pooled = trace[l]
+                x[self.columns["p", l]] = pooled
+                x[self.columns["zeta", l]] = self._selectors(l, np.maximum(z, 0.0))
+        x[self.columns["flat"]] = trace[-2][1].reshape(self.data.n, -1)
 
-    def _assemble_selectors(self, values, l, act):
+    def _selectors(self, l, act):
         """zeta of conv layer l: each pool window selects its first maximal
         cell of the post-ReLU map ``act``; cells no window covers stay 0."""
         hh, ww = _pool_windows(self.arch.conv_layers[l].pool, act.shape[2:])
@@ -128,7 +118,7 @@ class ConvBuild(Build):
         zeta = np.zeros(act.shape)
         zeta[:, :, hh, ww] = (np.arange(flat.shape[-1])
                               == flat.argmax(axis=-1)[..., None]).reshape(windows.shape)
-        fill(values, "zeta", zeta, l, at=1)
+        return zeta
 
 
 def _patches(a, layer, out_hw):
@@ -150,9 +140,11 @@ def pool_rows(build, block, l, a):
     qh, qw = hh.shape[0], ww.shape[0]
     zeta, p = block.group(
         (c_l,),
-        Field(lambda c: [name_template("zeta", l, c, *cell)
-                         for cell in np.ndindex(oh, ow)], (oh, ow), 0.0, 1.0, True),
-        Field(lambda c: [name_template("p", l, c, *cell) for cell in np.ndindex(qh, qw)],
+        Field(("zeta", l), lambda c: [name_template("zeta", l, c, *cell)
+                                      for cell in np.ndindex(oh, ow)],
+              (oh, ow), 0.0, 1.0, True),
+        Field(("p", l), lambda c: [name_template("p", l, c, *cell)
+                                   for cell in np.ndindex(qh, qw)],
               (qh, qw), 0.0, max(0.0, build.btable.layer(l).a_hi)))
     cells = (c_l, qh, qw, -1)
     block.rows.append(maxpool_rows(a[:, hh, ww].reshape(cells), p,
@@ -164,7 +156,7 @@ def flatten_rows(build, block, src):
     """a[i][L][f] = the cell f, channel-major, of the map whose columns are
     ``src``; returns their columns."""
     units = (src.size,)
-    flat, = block.group(units, Field(lambda f: [name_template("a", build.L, f)],
+    flat, = block.group(units, Field("flat", lambda f: [name_template("a", build.L, f)],
                                      (), 0.0, math.inf))
     block.rows.append(Rows.of(units, [2], [EQ], ["flatten"],
                               [flat[:, None], src.reshape(-1, 1)], [[1.0, -1.0]],
@@ -224,15 +216,13 @@ def build_cnn(arch, data, hyper, btable, weights=None):
 
     # per-sample network ----------------------------------------------------
     block = SampleBlock(build)
-    maps = {("a", 0): input_rows(build, block)}
+    input_rows(build, block)
     for t, layer in zip(convs, arch.conv_layers):
-        l = t.l
-        maps["a", l + 1] = relu_layer(
-            build, block, t, maps[build.map_source(l)],
-            partial(_patches, layer=layer, out_hw=build.map_shapes[l][1:]))
+        a = relu_layer(build, block, t, block.families[build.map_source(t.l)])
         if layer.pool is not None:
-            maps["p", l] = pool_rows(build, block, l, maps["a", l + 1])
-    head_rows(build, block, flatten_rows(build, block, maps[build.map_source(L)]))
+            pool_rows(build, block, t.l, a)
+    flat = flatten_rows(build, block, block.families[build.map_source(L)])
+    head_rows(build, block, flat)
     block.finish()
 
     add_objective(build)

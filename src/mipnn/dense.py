@@ -23,13 +23,13 @@ and the objective are emitted from that list by the functions below.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from . import ir
-from .ir import BINARY, CONTINUOUS, EQ, GE, LE, ModelIR, VarDef
+from .ir import EQ, GE, LE, ModelIR
 from .nnspec import (LOSS_ABS, TRAIN_BILINEAR, TRAIN_QUANTIZED, VERIFY,
                      DenseArch, validate_arch)
 from .recon import DenseNet, QuantSpec, forward_trace, objective_breakdown
@@ -47,56 +47,21 @@ def vn(base, *idx):
     return base + "[%d]" * len(idx) % idx
 
 
-def _names(base, ndim, fixed, at):
-    """``vn`` as a %-pattern over an ndim-index with ``fixed`` inserted at ``at``."""
-    return (base + "[%d]" * at + "".join("[%d]" % i for i in fixed)
-            + "[%d]" * (ndim - at))
-
-
-def fill(values, base, array, *fixed, at=0):
-    """Set ``values[vn(base, *idx[:at], *fixed, *idx[at:])]`` to ``array[idx]``
-    for every index ``idx`` of ``array``."""
-    array = np.asarray(array, dtype=float)
-    name = _names(base, array.ndim, fixed, at)
-    for idx, x in zip(np.ndindex(array.shape), array.ravel().tolist()):
-        values[name % idx] = x
-
-
-def gather(values, base, shape, *fixed, at=0):
-    """The array of shape ``shape`` that ``fill`` would have stored."""
-    name = _names(base, len(shape), fixed, at)
-    return np.array([values[name % idx] for idx in np.ndindex(shape)]).reshape(shape)
-
-
 def bit_vector(build, bits):
     """A structural-bit assignment as an array in ``build.structural`` order."""
     return np.array([bits[name] for name in build.structural], dtype=float)
-
-
-def digit_columns(col, tensors, bits):
-    """Columns, by ``col``, of the digits of parameter tensors listed as
-    (shape, names), ``names(*idx)`` naming the digits of an entry: one
-    (entries, bits) index array over the tensors' entries in C order, and the
-    list of shapes."""
-    try:
-        cols = [[col[d] for d in names(*idx)]
-                for shape, names in tensors for idx in np.ndindex(shape)]
-    except KeyError:
-        raise BuildError("free parameters: bits do not determine the net") from None
-    return (np.array(cols, dtype=int).reshape(-1, bits),
-            [shape for shape, _ in tensors])
 
 
 def decode_layers(build, values):
     """The (W, b) or (K, b) per layer that structural-bit vectors ``values``,
     of shape (..., len(structural)), determine, each with the leading axes of
     ``values``: the fixed weights in verification mode, else decoded through
-    ``_structural_columns``."""
+    ``_bit_columns``."""
     lead = values.shape[:-1]
     if build.hyper.mode == VERIFY:
         return [tuple(np.broadcast_to(np.asarray(p, dtype=float), lead + np.shape(p))
                       for p in pair) for pair in build.fixed_weights]
-    _, digits, shapes = build._structural_columns
+    _, digits, shapes = build._bit_columns
     quant = QuantSpec(build.hyper.bits, build.hyper.w_max)
     flat = quant.decode(values[..., digits])
     tensors = []
@@ -301,14 +266,11 @@ def encode_quantized_product(model, digits, a_ref, a_lo, a_hi, quant, y_namer):
     product by ``quant_rows``.  Returns the terms of the product expression.
     """
     _check_bounded(a_lo, a_hi, "activation %s" % a_ref.name)
-    k = len(digits)
-    first = len(model.names)
-    model.add_variables([y_namer(t) for t in range(k)], [min(a_lo, 0.0)] * k,
-                        [max(a_hi, 0.0)] * k, [False] * k)
-    emit_rows(model, quant_rows(np.arange(first, first + k),
-                                ref_columns(model, *digits),
+    y = model.add_variables([y_namer(t) for t in range(len(digits))],
+                            min(a_lo, 0.0), max(a_hi, 0.0), False)
+    emit_rows(model, quant_rows(y, ref_columns(model, *digits),
                                 ref_columns(model, a_ref), a_lo, a_hi))
-    return ([(quant.step * (2 ** t), model.ref(first + t)) for t in range(k)]
+    return ([(quant.step * (2 ** t), model.ref(c)) for t, c in enumerate(y.tolist())]
             + [(-quant.w_max, a_ref)])
 
 
@@ -318,9 +280,11 @@ def name_template(base, *idx):
 
 
 class Field(NamedTuple):
-    """The variables of each unit of a group: ``names(*unit)`` lists their
-    ``name_template``s, ``shape`` is their index shape, and ``lo``/``hi``
-    broadcast over (samples,) + units + shape."""
+    """The variables of each unit of a group, the family ``key`` of
+    ``Build.columns``: ``names(*unit)`` lists their ``name_template``s,
+    ``shape`` is their index shape, and ``lo``/``hi`` broadcast over
+    (samples,) + units + shape."""
+    key: object
     names: object
     shape: tuple
     lo: object
@@ -342,7 +306,7 @@ class SampleBlock:
         self.binary = []
         self.rows = []           # per section, its Rows, in row order
         self.bilinear = []       # (label, lin, quad) in sample 0's columns
-        self.relu = []           # per ReLU layer, the (z, delta) columns
+        self.families = {}       # Field key -> sample 0's columns
 
     def group(self, units, *fields):
         """The variables of every unit of shape ``units`` in C order, per
@@ -355,6 +319,7 @@ class SampleBlock:
         offsets = np.cumsum([0] + sizes).tolist()
         cols = [(first + off + np.arange(k)).reshape(units + f.shape)
                 for f, k, off in zip(fields, sizes, offsets)]
+        self.families.update(zip((f.key for f in fields), cols))
         self.size += count * sum(sizes)
         self.names += [name for u in np.ndindex(units)
                        for f in fields for name in f.names(*u)]
@@ -376,15 +341,10 @@ class SampleBlock:
                                    count))
         return cols
 
-    def columns(self, parts):
-        """Every sample's columns of sample 0's columns ``parts``,
-        sample-major."""
-        cols = np.concatenate([np.zeros(0, np.int64)] + [p.ravel() for p in parts])
-        return (cols + self.size * np.arange(self.build.data.n)[:, None]).ravel()
-
     def finish(self):
         """Append every sample's variables, rows and bilinear rows to the
-        model, and record the build's ReLU columns."""
+        model, and record every family's columns in ``build.columns``,
+        shaped (samples,) + units + the field's shape."""
         build, model = self.build, self.build.model
         n = build.data.n
 
@@ -404,8 +364,14 @@ class SampleBlock:
                 model.add_bilinear_constraint(
                     [(c, ref(w, i), ref(x, i)) for c, w, x in quad],
                     [(c, ref(v, i)) for c, v in lin], EQ, 0.0, label)
-        build.relu_z = self.columns(z for z, _ in self.relu)
-        build.relu_delta = self.columns(d for _, d in self.relu)
+        for key, cols in self.families.items():
+            build.columns[key] = cols + self.size * np.arange(n).reshape(
+                (n,) + (1,) * cols.ndim)
+        # the z and delta column of every ReLU unit, in ``relu_pairs`` order
+        build.relu_z, build.relu_delta = (
+            np.concatenate([build.columns[base, l].reshape(n, -1)
+                            for l in range(len(build.map_shapes))], axis=1).ravel()
+            for base in ("z", "delta"))
 
 
 def param_box(hyper):
@@ -418,57 +384,69 @@ def param_box(hyper):
 # shared emitters --------------------------------------------------------------
 
 def declare_params(build):
-    """Every parameter variable: each row's weights then its bias, per tensor;
-    every l1 auxiliary u; the pruning switches; in train-quantized mode each
-    row's weight digits and then its bias digits, each group with the row
-    defining its parameter.  Parameters are fixed in verification mode and
-    boxed by ``w_max`` in train-quantized mode, by ``big_m`` otherwise."""
-    model, hyper = build.model, build.hyper
+    """Every parameter variable, its columns kept in ``build.columns``: each
+    row's weights ("W", l) then its bias ("b", l), per tensor; every l1
+    auxiliary ("u", l); the pruning switches; in train-quantized mode each
+    row's weight digits ("d", l), shaped the tensor's + (bits,), and then
+    its bias digits, and per parameter the row defining it.  The switches
+    and digits are the structural bits ("bits").  Parameters are fixed in
+    verification mode and boxed by ``param_box`` otherwise."""
+    model, hyper, cols = build.model, build.hyper, build.columns
     box = param_box(hyper)
 
-    def param(name, fixed):
-        lo, hi = (-box, box) if fixed is None else (float(fixed), float(fixed))
-        model.add_variable(VarDef(name, CONTINUOUS, lo, hi))
-
     for t in build.tensors:
-        W = b = None
+        rows, size = t.shape[0], math.prod(t.shape[1:])
+        lo, hi = -box, box
         if hyper.mode == VERIFY:
-            W, b = build.fixed_weights[t.l]
-            W, b = np.asarray(W), np.asarray(b).ravel()
-        for row in range(t.shape[0]):
-            for idx in np.ndindex(t.shape[1:]):
-                param(vn(t.w, t.l, row, *idx), None if W is None else W[row][idx])
-            param(vn(t.b, t.l, row), None if b is None else b[row])
+            W, b = (np.asarray(p, dtype=float) for p in build.fixed_weights[t.l])
+            lo = hi = np.column_stack([W.reshape(rows, size), b.reshape(rows)]).ravel()
+        names = [name for row in range(t.shape[0])
+                 for name in [vn(t.w, t.l, row, *idx) for idx in np.ndindex(t.shape[1:])]
+                 + [vn(t.b, t.l, row)]]
+        params = model.add_variables(names, lo, hi, False).reshape(rows, size + 1)
+        cols["W", t.l] = params[:, :size].reshape(t.shape)
+        cols["b", t.l] = params[:, size]
     for t in build.tensors:
-        for idx in np.ndindex(t.shape):
-            model.add_variable(VarDef(vn("u", t.l, *idx), CONTINUOUS,
-                                      0.0, float("inf")))
-    for g in build.gammas:
-        model.add_variable(VarDef(g, BINARY))
-        build.structural.append(g)
+        cols["u", t.l] = model.add_variables(
+            [vn("u", t.l, *idx) for idx in np.ndindex(t.shape)], 0.0, math.inf, False
+        ).reshape(t.shape)
+    cols["bits"] = model.add_variables(build.gammas, 0.0, 1.0, True)
+    build.structural += build.gammas
+    gamma = dict(zip(build.gammas, cols["bits"]))
+    for t in build.tensors:
+        if t.gates:
+            cols["gamma", t.l] = np.array([gamma[g] for g in dict.fromkeys(t.gates)])
     if hyper.mode != TRAIN_QUANTIZED:
         return
 
-    quant = QuantSpec(hyper.bits, hyper.w_max)
-
-    def digits(key, base, target, label):
-        names = tuple(vn(base, *key, t) for t in range(hyper.bits))
-        for nm in names:
-            model.add_variable(VarDef(nm, BINARY))
-            build.structural.append(nm)
-        build._digit_names[key] = names
-        terms = [(1.0, model.var(target))]
-        terms += [(-quant.step * (2 ** t), model.var(nm)) for t, nm in enumerate(names)]
-        model.add_constraint(terms, EQ, -quant.w_max, label)
-
+    bits = hyper.bits
+    quant = QuantSpec(bits, hyper.w_max)
+    steps = [-quant.step * (2 ** s) for s in range(bits)]
     for t in build.tensors:
-        for row in range(t.shape[0]):
-            for idx in np.ndindex(t.shape[1:]):
-                key = (t.l, row) + idx
-                digits(key, "d", vn(t.w, *key), "quant_weight_def")
-            if hyper.quantize_biases:
-                digits(t.bias_key(row), "d" if t.bias_col else "db",
-                       vn(t.b, t.l, row), "quant_bias_def")
+        rows, size = t.shape[0], math.prod(t.shape[1:])
+        # per row, the digit key (less the row) and base of each parameter
+        # and the label of the row defining it
+        per_row = [(idx, "d", "quant_weight_def") for idx in np.ndindex(t.shape[1:])]
+        if hyper.quantize_biases:
+            per_row.append((t.bias_col, "d" if t.bias_col else "db", "quant_bias_def"))
+        keys = [((t.l, row) + idx, base)
+                for row in range(rows) for idx, base, _ in per_row]
+        names = [vn(base, *key, s) for key, base in keys for s in range(bits)]
+        digits = model.add_variables(names, 0.0, 1.0, True).reshape(rows, -1, bits)
+        for k, (key, _) in enumerate(keys):
+            build._digit_names[key] = tuple(names[k * bits:(k + 1) * bits])
+        build.structural += names
+        cols["bits"] = np.concatenate([cols["bits"], digits.ravel()])
+        cols["d", t.l] = digits[:, :size].reshape(t.shape + (bits,))
+        if hyper.quantize_biases:
+            cols["db", t.l] = digits[:, size]
+        params = np.column_stack([cols["W", t.l].reshape(rows, size), cols["b", t.l]])
+        for target, row, label in zip(params[:, :len(per_row)].ravel().tolist(),
+                                      digits.reshape(-1, bits).tolist(),
+                                      [label for _, _, label in per_row] * rows):
+            model.add_constraint([(1.0, model.ref(target))]
+                                 + list(zip(steps, map(model.ref, row))),
+                                 EQ, -quant.w_max, label)
 
 
 def l1_rows(model, u, w):
@@ -483,16 +461,13 @@ def prune_rows(model, ref, gate, big_m, label):
     model.add_constraint([(-1.0, ref), (-big_m, gate)], LE, 0.0, label)
 
 
-def _param_columns(model, names):
-    return np.array([model.var_index[name] for name in names], dtype=np.int64)
-
-
 def input_rows(build, block):
     """a[i][0][...] fixed at the inputs of every sample; returns the columns
     of the input map."""
     x = np.asarray(build.data.inputs, dtype=float)
     shape = x.shape[1:]
-    cols, = block.group(shape, Field(lambda *idx: [name_template("a", 0, *idx)],
+    cols, = block.group(shape, Field(("a", 0),
+                                     lambda *idx: [name_template("a", 0, *idx)],
                                      (), x, x))
     block.rows.append(Rows.of(shape, [1], [EQ], ["input_assignment"],
                               [cols[..., None]], [[1.0]], [x[..., None]]))
@@ -509,34 +484,30 @@ def _product_fields(build, t):
     _check_bounded(0.0, a_hi, "the activations of layer %d" % t.l)
     entries = list(np.ndindex(t.shape[1:]))
     digits = range(hyper.bits)
-    return [Field(lambda row, *pos: [name_template("y", t.l, row, *e, *pos, s)
+    return [Field(("y", t.l),
+                  lambda row, *pos: [name_template("y", t.l, row, *e, *pos, s)
                                      for e in entries for s in digits],
                   t.shape[1:] + (hyper.bits,), 0.0, max(a_hi, 0.0))]
 
 
-def product_rows(build, block, t, out, src, gather=None, y=None):
+def product_rows(build, block, t, out, src, y=None):
     """The rows ``out`` = bias + weight row times its inputs of every unit
     (row, *pos) of tensor ``t``, ``out`` holding the units' columns.
 
-    ``src`` holds the columns of the map the tensor reads, and ``gather``
-    (the identity by default) maps an array over that map's cells, on its
-    trailing axes, to the cell each weight entry meets at each position, on
-    trailing axes pos + entry.  Fixed weights and a first layer, whose inputs
+    ``src`` holds the columns of the map the tensor reads, which
+    ``build.patches`` maps to the cell each weight entry meets at each
+    position.  Fixed weights and a first layer, whose inputs
     are data, give a linear row; otherwise the products stay bilinear (on the
     block's list), or in train-quantized mode are linearized digit by digit
     into the products ``y``, shaped units + entry + (bits,), whose
     quant_product rows come before each unit's row.
     """
-    model, hyper = build.model, build.hyper
-    gather = gather or (lambda cells: cells)
+    hyper = build.hyper
     units = out.shape
     rows_at = units[:1] + (1,) * (len(units) - 1)
-    b = _param_columns(model, [vn(t.b, t.l, row) for row in range(units[0])])
-    lhs = ([out[..., None], b.reshape(rows_at + (1,))], [[1.0, -1.0]])
-
-    def weights(shape):
-        return _param_columns(model, [vn(t.w, t.l, *idx) for idx in np.ndindex(t.shape)]
-                              ).reshape(shape)
+    weights = build.columns["W", t.l]
+    lhs = ([out[..., None], build.columns["b", t.l].reshape(rows_at + (1,))],
+           [[1.0, -1.0]])
 
     def row(cols, coefs):
         cols, coefs = lhs[0] + [cols], lhs[1] + [coefs]
@@ -544,27 +515,26 @@ def product_rows(build, block, t, out, src, gather=None, y=None):
                        cols, coefs, [[0.0]])
 
     if hyper.mode != VERIFY and t.l == 0:
-        x = gather(np.asarray(build.data.inputs, dtype=float))
-        return row(weights(rows_at + (-1,)),
+        x = build.patches(t.l, np.asarray(build.data.inputs, dtype=float))
+        return row(weights.reshape(rows_at + (-1,)),
                    -x.reshape((len(x), 1) + x.shape[1:len(units)] + (-1,)))
-    ins = gather(src)
+    ins = build.patches(t.l, src)
     pos = ins.shape[:len(units) - 1]
     if hyper.mode == VERIFY:
         W = np.asarray(build.fixed_weights[t.l][0], dtype=float)
         return row(ins.reshape((1,) + pos + (-1,)), -W.reshape(rows_at + (-1,)))
     if hyper.mode == TRAIN_BILINEAR:
-        W = weights(t.shape)
+        b = build.columns["b", t.l]
         for u in np.ndindex(units):
             block.bilinear.append((t.label, [(1.0, out[u]), (-1.0, b[u[0]])],
                                    [(-1.0, w, a) for w, a in
-                                    zip(W[u[0]].ravel(), ins[u[1:]].ravel())]))
+                                    zip(weights[u[0]].ravel(), ins[u[1:]].ravel())]))
         return None
     quant = QuantSpec(hyper.bits, hyper.w_max)
-    digits = _param_columns(model, [d for idx in np.ndindex(t.shape)
-                                    for d in build._digit_names[(t.l,) + idx]])
     entries = t.shape[1:]
     a = ins.reshape((1,) + pos + entries + (1,))
-    products = quant_rows(y, digits.reshape(rows_at + entries + (hyper.bits,)), a,
+    digits = build.columns["d", t.l].reshape(rows_at + entries + (hyper.bits,))
+    products = quant_rows(y, digits, a,
                           0.0, build.btable.layer(t.l - 1).a_hi)
     terms = np.concatenate([y, np.broadcast_to(a, y.shape[:-1] + (1,))], axis=-1)
     coefs = np.append(-(quant.step * 2.0 ** np.arange(hyper.bits)), quant.w_max)
@@ -573,7 +543,7 @@ def product_rows(build, block, t, out, src, gather=None, y=None):
                          np.tile(coefs, math.prod(entries))))
 
 
-def relu_layer(build, block, t, src, gather=None):
+def relu_layer(build, block, t, src):
     """z, a and delta of every unit (row, *pos) of ReLU layer ``t.l`` over
     the map whose columns are ``src`` (see ``product_rows``), and per unit
     its product rows, the ReLU encoding and the rows that hold a and z at 0
@@ -585,16 +555,17 @@ def relu_layer(build, block, t, src, gather=None):
     z_lo, z_hi = build.preactivation_bounds(l)
     z, a, delta, *y = block.group(
         units,
-        Field(lambda *u: [name_template("z", l, *u)], (), z_lo, z_hi),
-        Field(lambda *u: [name_template("a", l + 1, *u)], (), 0.0,
+        Field(("z", l), lambda *u: [name_template("z", l, *u)], (), z_lo, z_hi),
+        Field(("a", l + 1), lambda *u: [name_template("a", l + 1, *u)], (), 0.0,
               np.where(np.greater(z_hi, 0.0), z_hi, 0.0)),
-        Field(lambda *u: [name_template("delta", l, *u)], (), 0.0, 1.0, True),
+        Field(("delta", l), lambda *u: [name_template("delta", l, *u)], (),
+              0.0, 1.0, True),
         *_product_fields(build, t))
-    gates = _param_columns(build.model, t.gates).reshape(rows_at)
-    block.rows.append(Rows.join(product_rows(build, block, t, z, src, gather, *y),
+    # one switch per dense layer, per conv channel
+    gates = build.columns["gamma", l].reshape((-1,) + rows_at[1:])
+    block.rows.append(Rows.join(product_rows(build, block, t, z, src, *y),
                                 relu_rows(z, a, delta, z_lo, z_hi),
                                 gate_rows(z, a, gates, hyper.big_m)))
-    block.relu.append((z, delta))
     return a
 
 
@@ -606,11 +577,12 @@ def head_rows(build, block, src):
     units = t.shape[:1]
     out, *y = block.group(
         units,
-        Field(lambda j: [name_template("a", t.l + 1, j)], (), -math.inf, math.inf),
+        Field(("a", t.l + 1), lambda j: [name_template("a", t.l + 1, j)], (),
+              -math.inf, math.inf),
         *_product_fields(build, t))
-    block.rows.append(product_rows(build, block, t, out, src, None, *y))
+    block.rows.append(product_rows(build, block, t, out, src, *y))
     if build.hyper.loss == LOSS_ABS:
-        r, = block.group(units, Field(lambda j: [name_template("r", j)],
+        r, = block.group(units, Field("r", lambda j: [name_template("r", j)],
                                       (), 0.0, math.inf))
         target = np.asarray(build.data.targets, dtype=float)[..., None]
         r, out = r[:, None], out[:, None]
@@ -671,8 +643,8 @@ class Build:
         self.gammas = list(dict.fromkeys(g for t in self.tensors for g in t.gates))
         self.structural = []          # binary names the oracle branches on
         self._digit_names = {}        # digit key (see Tensor) -> tuple of digit names
-        # the z and delta column of every ReLU unit, in ``relu_pairs`` order
-        self.relu_z = self.relu_delta = np.zeros(0, dtype=np.int64)
+        # family key -> its variables' columns (see declare_params and Field)
+        self.columns = {}
         self.built_constraints = 0
 
     @property
@@ -698,26 +670,32 @@ class Build:
                      for v in (lb.unit_lo, lb.unit_hi))
 
     @cached_property
-    def _structural_columns(self):
-        """Columns in ``structural`` of each gated tensor's switches, and, in
-        a trained build, ``digit_columns`` of each tensor's W and then b."""
-        col = {name: c for c, name in enumerate(self.structural)}
-        gates = [np.array([col[g] for g in dict.fromkeys(t.gates)], dtype=int)
-                 for t in self.tensors if t.gates]
-        tensors = []
-        if self.hyper.mode != VERIFY:
-            names = self._digit_names
-            for t in self.tensors:
-                tensors += [(t.shape, lambda *idx, l=t.l: names[(l,) + idx]),
-                            (t.shape[:1], lambda row, t=t: names[t.bias_key(row)])]
-        return (gates,) + digit_columns(col, tensors, self.hyper.bits)
+    def _bit_columns(self):
+        """Indices in ``structural``: per gated tensor those of its switches,
+        and in a trained build those of each tensor's weight and then bias
+        digits, a row per parameter, with the shape of each W and b."""
+        at = partial(np.searchsorted, self.columns["bits"])
+        gates = [at(self.columns["gamma", t.l]) for t in self.tensors if t.gates]
+        if self.hyper.mode == VERIFY:
+            return gates, None, None
+        if ("db", 0) not in self.columns:
+            raise BuildError("free parameters: bits do not determine the net")
+        digits = [self.columns[key, t.l].reshape(-1, self.hyper.bits)
+                  for t in self.tensors for key in ("d", "db")]
+        return (gates, at(np.concatenate(digits)),
+                [shape for t in self.tensors for shape in (t.shape, t.shape[:1])])
 
-    def extract_net(self, values):
-        """The net a full assignment holds."""
-        params = [(gather(values, t.w, t.shape, t.l),
-                   gather(values, t.b, t.shape[:1], t.l)) for t in self.tensors]
-        gammas = [np.array([values[g] >= 0.5 for g in dict.fromkeys(t.gates)],
-                           dtype=float)
+    def patches(self, l, a):
+        """The cells of the map ``a``, on its trailing axes, that the weight
+        entries of layer l meet at each of its positions, on trailing axes
+        pos + entry: dense layers have no positions and meet ``a`` as it is."""
+        return a
+
+    def extract_net(self, x):
+        """The net that the variable vector ``x`` of a full assignment holds."""
+        cols = self.columns
+        params = [(x[cols["W", t.l]], x[cols["b", t.l]]) for t in self.tensors]
+        gammas = [(x[cols["gamma", t.l]] >= 0.5).astype(float)
                   for t in self.tensors if t.gates]
         return self.net(params, gammas)
 
@@ -735,7 +713,7 @@ class Build:
         violation <= tol.
         """
         h = self.hyper
-        gates = [values[:, cols] for cols in self._structural_columns[0]]
+        gates = [values[:, cols] for cols in self._bit_columns[0]]
         params = decode_layers(self, values)
         net = self.net(params, gates)
         trace = forward_trace(net, self.data.inputs)
@@ -783,22 +761,46 @@ class Build:
         obj, viol, _, trace = self.candidate(bits)
         return obj, viol, trace
 
-    def fill_params(self, values, params):
-        """W, u = |W| and b of every tensor from (W, b) pairs."""
+    def assemble(self, bits, tol=1e-6):
+        """The full Assignment of a structural-bit candidate, with its
+        objective and violation: the bits, the parameters (with u = |W|)
+        and every sample's network as ``candidate`` evaluates it, each
+        family written through its columns.  The vector starts as NaN, so
+        a column left unwritten fails the audit."""
+        obj, viol, params, trace = self.candidate(bits)
+        cols = self.columns
+        x = np.full(len(self.model.names), np.nan)
+        x[cols["bits"]] = bit_vector(self, bits)
         for t, (W, b) in zip(self.tensors, params):
-            fill(values, t.w, W, t.l)
-            fill(values, "u", np.abs(W), t.l)
-            fill(values, t.b, b, t.l)
+            x[cols["W", t.l]] = W
+            x[cols["u", t.l]] = np.abs(W)
+            x[cols["b", t.l]] = b
+        x[cols["a", 0]] = self.data.inputs
+        for l, (z, _) in enumerate(trace[:-1]):
+            x[cols["z", l]] = z
+            x[cols["a", l + 1]] = np.maximum(z, 0.0)
+            x[cols["delta", l]] = z > 0
+        self.assemble_maps(x, trace)
+        out = trace[-1][0]
+        x[cols["a", self.L + 1]] = out
+        if self.hyper.loss == LOSS_ABS:
+            x[cols["r"]] = np.abs(out - self.data.targets)
+        if self.hyper.mode == TRAIN_QUANTIZED:
+            # y of each layer past the first: the input each weight digit
+            # multiplies where the digit is set, else 0.  The head reads
+            # the last map flattened.
+            maps = [a for _, a in trace[:-1]]
+            maps[-1] = maps[-1].reshape(self.data.n, -1)
+            for t in self.tensors[1:]:
+                inputs = self.patches(t.l, maps[t.l - 1])   # (n, *pos, *entry)
+                npos = inputs.ndim - len(t.shape)
+                on = x[cols["d", t.l]].reshape(t.shape[:1] + (1,) * npos + t.shape[1:] + (-1,))
+                x[cols["y", t.l]] = np.where(on >= 0.5, inputs[:, None, ..., None], 0.0)
+        return ir.Assignment(self.model, x), obj, viol
 
-    def fill_products(self, values, bits, t, inputs):
-        """y[i][l][row][entry][pos][t] of tensor ``t``: the input it multiplies
-        where digit t of the weight is set, else 0.  ``inputs[i][entry][pos]``
-        is that input; ``pos`` indexes the output positions of a conv layer."""
-        on = np.array([[bits[d] >= 0.5 for d in self._digit_names[(t.l,) + idx]]
-                       for idx in np.ndindex(t.shape)])
-        npos = inputs.ndim - len(t.shape)
-        on = on.reshape((1,) + t.shape + (1,) * npos + (-1,))
-        fill(values, "y", np.where(on, inputs[:, None, ..., None], 0.0), t.l, at=1)
+    def assemble_maps(self, x, trace):
+        """Write the families a subclass adds between the layers of the
+        network; a dense network has none."""
 
 
 class DenseBuild(Build):
@@ -814,27 +816,9 @@ class DenseBuild(Build):
         return DenseNet(weights=params, gamma=np.concatenate(gammas, axis=-1),
                         quant=net_quant(self.hyper))
 
-    # in the class's own namespace, where the benchmark's tracer wraps it
+    # in the class's own namespace, where the benchmark's tracer wraps them
     complete = Build.complete
-
-    def assemble(self, bits, tol=1e-6):
-        """Full Assignment for a structural-bit candidate."""
-        obj, viol, params, trace = self.candidate(bits)
-        values = dict(bits)
-        self.fill_params(values, params)
-        fill(values, "a", self.data.inputs, 0, at=1)
-        for l, (z, a) in enumerate(trace[:-1]):
-            fill(values, "z", z, l, at=1)
-            fill(values, "a", a, l + 1, at=1)
-            fill(values, "delta", z > 0, l, at=1)
-        out = trace[-1][0]
-        fill(values, "a", out, self.L + 1, at=1)
-        if self.hyper.loss == LOSS_ABS:
-            fill(values, "r", np.abs(out - self.data.targets))
-        if self.hyper.mode == TRAIN_QUANTIZED:
-            for t in self.tensors[1:]:
-                self.fill_products(values, bits, t, trace[t.l - 1][1])
-        return ir.Assignment(values=values), obj, viol
+    assemble = Build.assemble
 
 
 def build_dense(arch, data, hyper, btable, weights=None):

@@ -95,11 +95,36 @@ def _fmt_each(values, numbers, pattern="%s"):
 
 
 def _require_frozen(model):
+    """Refuse a model that is not frozen, has bilinear rows or has a number
+    neither format can print: a non-finite coefficient, rhs or objective
+    term, or a NaN bound (infinite bounds are printed as such)."""
     if not model.frozen:
         raise EmitError("freeze the model before emission")
     if model.bilinear_constraints:
         raise BilinearUnsupportedError(
             "model carries %d bilinear constraints" % len(model.bilinear_constraints))
+    bad = np.flatnonzero(~np.isfinite(model.coefs))
+    if bad.size:
+        k = int(bad[0])
+        row = int(np.searchsorted(model.indptr, k, side="right")) - 1
+        raise EmitError("row %s.%d: coefficient %r of %r is not finite" % (
+            model.labels[model.row_label[row]], row, float(model.coefs[k]),
+            model.names[model.cols[k]]))
+    bad = np.flatnonzero(~np.isfinite(model.rhs))
+    if bad.size:
+        row = int(bad[0])
+        raise EmitError("row %s.%d: rhs %r is not finite" % (
+            model.labels[model.row_label[row]], row, float(model.rhs[row])))
+    bad = np.flatnonzero(np.isnan(model.lo) | np.isnan(model.hi))
+    if bad.size:
+        raise EmitError("variable %r: a bound is NaN" % model.names[bad[0]])
+    obj = model.objective
+    terms = ([(c, "coefficient of %r" % r.name) for c, r in obj.linear]
+             + [(c, "coefficient of %r * %r" % (r1.name, r2.name))
+                for c, r1, r2 in obj.quadratic] + [(obj.constant, "constant")])
+    for c, what in terms:
+        if not math.isfinite(c):
+            raise EmitError("objective: %s %r is not finite" % (what, c))
 
 
 def _row_names(model, rows, head=""):
@@ -207,6 +232,7 @@ def write_lp(model, path):
 
 def lp_text(model):
     """The LP text of a frozen model: the chunks of ``write_lp``, joined."""
+    _require_frozen(model)
     return "".join(_lp_chunks(model))
 
 
@@ -341,7 +367,7 @@ class _LPReader:
         self.labels = {}                     # label -> id
         self.row_line = array("q")           # line of each row, for errors
         self.names, self.lo, self.hi = [], array("d"), array("d")
-        self.binaries = set()
+        self.binaries = {}                   # name -> line of its first listing
 
     def header(self, text, line):
         if text[0] != "\\":
@@ -368,7 +394,9 @@ class _LPReader:
                     self.lo.append(lo)
                     self.hi.append(hi)
         elif self.section == "binaries":
-            self.binaries.update(text.split())
+            for k, s in enumerate(text.split("\n"), line):
+                for name in s.split():
+                    self.binaries.setdefault(name, k)
         elif self.section == "minimize":
             for s in text.split("\n"):
                 s = s.strip()
@@ -387,8 +415,12 @@ class _LPReader:
     def model(self):
         model = ModelIR(self.name)
         binaries = self.binaries
-        model.add_variables(self.names, self.lo, self.hi,
-                            [name in binaries for name in self.names])
+        binary = [name in binaries for name in self.names]
+        model.add_variables(self.names, self.lo, self.hi, binary)
+        if sum(binary) < len(binaries):
+            name, k = next((name, k) for name, k in binaries.items()
+                           if name not in model.var_index)
+            raise EmitError("line %d: undeclared binary %r" % (k, name))
         cols = np.frombuffer(self.cols, dtype=np.int64)
         declared = np.fromiter(map(model.var_index.get, self.columns, repeat(-1)),
                                np.int64, len(self.columns))
@@ -569,6 +601,7 @@ def write_mps(model, path):
 
 def mps_text(model):
     """The MPS text of a frozen model: the chunks of ``write_mps``, joined."""
+    _require_frozen(model)
     return "".join(_mps_chunks(model))
 
 
@@ -696,10 +729,11 @@ class _MPSReader:
     """The MPS decoder: the section it is in and what it has read so far.
     Rows are declared before the columns name them, and columns before the
     RHS, BOUNDS and QUADOBJ sections do, so every name resolves as it is
-    read."""
+    read.  A line that starts with ``*`` is a comment, wherever it is."""
 
-    # any line that starts with a non-blank character
-    HEADER = re.compile(r"\n(\S[^\n]*)")
+    # any line that starts with a character other than a blank or "*"
+    HEADER = re.compile(r"\n([^\s*][^\n]*)")
+    COMMENT = re.compile(r"^\*[^\n]*", re.M)
 
     def __init__(self):
         self.name = "model"
@@ -719,12 +753,15 @@ class _MPSReader:
         toks = text.split()
         if toks[0] == "NAME" and len(toks) > 1:
             self.name = toks[1]
+        elif toks[0] not in self.SECTIONS and toks[0] not in ("NAME", "ENDATA"):
+            raise EmitError("line %d: unsupported MPS section %r" % (line, toks[0]))
         self.section = toks[0]
 
     def body(self, text, line):
         read = self.SECTIONS.get(self.section)
         if read is not None:
-            read(self, text, line)
+            # a comment leaves its line blank, so line numbers still count
+            read(self, self.COMMENT.sub("", text) if "*" in text else text, line)
 
     def _rows(self, text, line):
         toks = text.split()
@@ -892,8 +929,8 @@ def write_solution(model, asg, path, objective=None, gap=None):
         lines.append("# objective %s\n" % fmt(objective))
     if gap is not None:
         lines.append("# gap %s\n" % fmt(gap))
-    values = [asg.values[name] for name in model.names]
-    lines += (_objects(model.names) + _fmt_each(values, _Numbers(), " %s\n")).tolist()
+    x = model._own(asg)
+    lines += (_objects(model.names) + _fmt_each(x, _Numbers(), " %s\n")).tolist()
     data = "".join(lines).encode()
     with open(path, "wb") as fh:
         fh.write(data)
@@ -907,7 +944,7 @@ def read_solution(model, path, fill_missing=False, tol=1e-6):
     integer are rounded; anything farther off is left for the audit to flag."""
     objective = None
     gap = None
-    values = {}
+    x = [None] * len(model.names)
     with open(path) as fh:
         for lineno, ln in enumerate(fh, start=1):
             s = ln.strip()
@@ -925,27 +962,26 @@ def read_solution(model, path, fill_missing=False, tol=1e-6):
             if len(toks) != 2:
                 raise SolutionError("%s:%d: expected 'name value'" % (path, lineno))
             name, val = toks
-            if name not in model.var_index:
+            k = model.var_index.get(name)
+            if k is None:
                 raise SolutionError("%s:%d: unknown variable %r" % (path, lineno, name))
-            if name in values:
+            if x[k] is not None:
                 raise SolutionError("%s:%d: repeated variable %r" % (path, lineno, name))
             try:
-                x = float(val)
+                value = float(val)
             except ValueError:
-                x = math.nan
-            if not math.isfinite(x):
+                value = math.nan
+            if not math.isfinite(value):
                 raise SolutionError("%s:%d: value %r of %r is not a finite number"
                                     % (path, lineno, val, name))
-            values[name] = x
-    for name in model.names:
-        if name not in values:
-            if fill_missing:
-                values[name] = 0.0
-            else:
-                raise SolutionError("%s: no value for %r" % (path, name))
-    values = round_binaries(model, values, tol)
-    return SolutionFile(assignment=Assignment(values=values),
-                        objective=objective, gap=gap)
+            x[k] = value
+    if None in x:
+        if not fill_missing:
+            raise SolutionError("%s: no value for %r"
+                                % (path, model.names[x.index(None)]))
+        x = [0.0 if v is None else v for v in x]
+    x = round_binaries(model, np.array(x), tol)
+    return SolutionFile(assignment=Assignment(model, x), objective=objective, gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ or a ``LinCon`` on each access.
 """
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -95,9 +95,35 @@ class Objective:
     constant: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Assignment:
-    values: dict         # variable name -> float
+    """A value per variable of ``model``: ``x[k]`` is the value of
+    ``model.names[k]``.  ``values`` views it by name."""
+    model: "ModelIR"
+    x: np.ndarray
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=float)
+
+    @property
+    def values(self):
+        return _Values(self.model, self.x)
+
+
+class _Values(Mapping):
+    """Read-only view: an assignment's values as Python floats by name."""
+
+    def __init__(self, model, x):
+        self._model, self._x = model, x
+
+    def __getitem__(self, name):
+        return float(self._x[self._model.var_index[name]])
+
+    def __iter__(self):
+        return iter(self._model.names)
+
+    def __len__(self):
+        return len(self._model.names)
 
 
 @dataclass
@@ -225,19 +251,20 @@ class ModelIR:
         return VarRef(self.model_id, idx, name)
 
     def add_variables(self, names, lo, hi, is_binary):
-        """Append many variables at once; ``lo``/``hi`` are taken as given,
-        binaries included."""
+        """Append many variables at once and return their columns; ``lo``,
+        ``hi`` and ``is_binary`` broadcast over ``names``, and the bounds are
+        taken as given, binaries included."""
         self._check_mutable()
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        count = len(names)
+        lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), count) for v in (lo, hi))
         bad = np.flatnonzero(lo > hi)
         if bad.size:
             k = int(bad[0])
             raise InvertedBoundsError("%s: lo %r > hi %r"
                                       % (names[k], float(lo[k]), float(hi[k])))
         start = len(self.names)
-        new = dict(zip(names, range(start, start + len(names))))
-        if len(new) < len(names) or not new.keys().isdisjoint(self.var_index):
+        new = dict(zip(names, range(start, start + count)))
+        if len(new) < count or not new.keys().isdisjoint(self.var_index):
             seen = set(self.var_index)
             raise DuplicateNameError(next(n for n in names
                                           if n in seen or seen.add(n)))
@@ -245,7 +272,9 @@ class ModelIR:
         self.names.extend(names)
         self.lo.frombytes(lo.tobytes())
         self.hi.frombytes(hi.tobytes())
-        self.is_binary.frombytes(np.asarray(is_binary, dtype=np.int8).tobytes())
+        self.is_binary.frombytes(
+            np.broadcast_to(np.asarray(is_binary, dtype=np.int8), count).tobytes())
+        return np.arange(start, start + count)
 
     def var(self, name):
         idx = self.var_index.get(name)
@@ -391,13 +420,22 @@ class ModelIR:
 
     # -- evaluation -------------------------------------------------------
 
-    def vector(self, values):
-        """``values`` (variable name -> number) as an array in variable order."""
+    def assignment(self, values):
+        """The Assignment that gives each variable its value in ``values``
+        (variable name -> number); other names in ``values`` are ignored."""
         try:
-            return np.array([values[n] for n in self.names], dtype=float)
+            return Assignment(self, [values[n] for n in self.names])
         except KeyError:
             raise MissingVariableError(
                 next(n for n in self.names if n not in values)) from None
+
+    def _own(self, asg):
+        """The vector of ``asg``, which must be an assignment of this model."""
+        if asg.model is not self or asg.x.shape != (len(self.names),):
+            raise ForeignVariableError("%d values of model %r given to model %r of %d"
+                                       % (asg.x.size, asg.model.name, self.name,
+                                          len(self.names)))
+        return asg.x
 
     def row_violations(self, x, start=0):
         """The ``_violation`` of each row from ``start`` on at the variable
@@ -417,12 +455,14 @@ class ModelIR:
         # max(0.0, d) keeps 0.0 for a NaN d, as the scalar rule does
         return np.where(sense == _EQ, np.abs(d), np.where(d > 0.0, d, 0.0))
 
-    def evaluate_objective(self, values):
+    def evaluate_objective(self, x):
+        """The objective at the variable vector ``x``, summed term by term
+        from left to right in Python floats."""
         obj = self.objective.constant
         for c, r in self.objective.linear:
-            obj += c * values[r.name]
+            obj += c * float(x[r.index])
         for c, r1, r2 in self.objective.quadratic:
-            obj += c * values[r1.name] * values[r2.name]
+            obj += c * float(x[r1.index]) * float(x[r2.index])
         return obj
 
     def evaluate_assignment(self, asg, tol=DEFAULT_TOL):
@@ -432,10 +472,10 @@ class ModelIR:
         then bounds in variable order; ``max_violation_by_label`` keeps its
         labels in the order their first positive violation appears.  NaN
         amounts count nowhere: a NaN value is reported as an integrality
-        violation instead.
+        violation instead.  An assignment of another model, or of the wrong
+        length, is refused with ForeignVariableError.
         """
-        values = asg.values
-        x = self.vector(values)
+        x = self._own(asg)
         labels = self.labels
 
         amount = self.row_violations(x)
@@ -457,8 +497,8 @@ class ModelIR:
                 violations.append(Violation(label, index, amount))
 
         for i, (quad, lin, sense, rhs, label) in enumerate(self.bilinear_constraints):
-            lhs = sum(c * values[r.name] for c, r in lin)
-            lhs += sum(c * values[r1.name] * values[r2.name] for c, r1, r2 in quad)
+            lhs = sum(c * float(x[r.index]) for c, r in lin)
+            lhs += sum(c * float(x[r1.index]) * float(x[r2.index]) for c, r1, r2 in quad)
             record(label, i, _violation(lhs, sense, rhs))
 
         lo, hi = np.asarray(self.lo), np.asarray(self.hi)
@@ -471,11 +511,10 @@ class ModelIR:
         with np.errstate(invalid="ignore"):
             fractional = np.minimum(np.abs(x), np.abs(x - 1.0)) > tol
         off = ~finite | (np.asarray(self.is_binary, dtype=bool) & fractional)
-        integrality = [(self.names[k], values[self.names[k]])
-                       for k in np.flatnonzero(off).tolist()]
+        integrality = [(self.names[k], float(x[k])) for k in np.flatnonzero(off).tolist()]
 
         return AuditReport(
-            objective=self.evaluate_objective(values),
+            objective=self.evaluate_objective(x),
             max_violation_by_label=max_by_label,
             violations=violations,
             integrality_violations=integrality,
@@ -568,15 +607,9 @@ def _merge_quadratic(terms):
     return [(c, r1, r2) for c, r1, r2 in (by_key[k] for k in order)]
 
 
-def round_binaries(model, values, tol=DEFAULT_TOL):
-    """Snap near-integral binary values onto {0,1}; leave others untouched."""
-    out = dict(values)
-    for k in np.flatnonzero(np.asarray(model.is_binary)).tolist():
-        name = model.names[k]
-        if name in out:
-            x = out[name]
-            if abs(x) <= tol:
-                out[name] = 0.0
-            elif abs(x - 1.0) <= tol:
-                out[name] = 1.0
-    return out
+def round_binaries(model, x, tol=DEFAULT_TOL):
+    """The variable vector ``x`` with its binaries within ``tol`` of 0 or 1
+    snapped onto them; every other value untouched."""
+    binary = np.asarray(model.is_binary, dtype=bool)
+    x = np.where(binary & (np.abs(x - 1.0) <= tol), 1.0, x)
+    return np.where(binary & (np.abs(x) <= tol), 0.0, x)

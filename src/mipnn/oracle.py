@@ -60,17 +60,10 @@ class SolveResult:
 
 def _structural_domains(build):
     """(name, [values]) per structural binary, honoring bound fixings."""
-    model = build.model
-    out = []
-    for name in build.structural:
-        v = model.variables[model.var_index[name]]
-        if v.lo > 0.5:
-            out.append((name, [1.0]))
-        elif v.hi < 0.5:
-            out.append((name, [0.0]))
-        else:
-            out.append((name, [0.0, 1.0]))
-    return out
+    cols = build.columns["bits"]
+    lo, hi = (np.asarray(v)[cols].tolist() for v in (build.model.lo, build.model.hi))
+    return [(name, [1.0] if low > 0.5 else [0.0] if high < 0.5 else [0.0, 1.0])
+            for name, low, high in zip(build.structural, lo, hi)]
 
 
 def _has_extras(build):
@@ -83,7 +76,7 @@ def _check_extras(build, bits, tol):
     candidate."""
     asg, _, _ = build.assemble(bits, tol)
     model = build.model
-    amount = model.row_violations(model.vector(asg.values), build.built_constraints)
+    amount = model.row_violations(asg.x, build.built_constraints)
     return float(np.max(amount, initial=0.0, where=amount > 0.0))
 
 
@@ -175,18 +168,14 @@ def _audited(build, bits, tol, what):
 
 def _block_start(build, domains):
     """Index of the first structural bit scored in blocks: the longest
-    trailing run of weight digits whose leaves fit in BLOCK_LEAVES.  Builds
-    without weight digits (verification mode) get no block: the index is the
-    bit count."""
-    start = len(domains)
-    digits = {d for names in build._digit_names.values() for d in names}
-    leaves = 1
-    while start > 0:
-        name, dom = domains[start - 1]
-        if name not in digits or leaves * len(dom) > BLOCK_LEAVES:
-            break
+    trailing run of weight digits (the bits after the switches) whose leaves
+    fit in BLOCK_LEAVES.  Builds without weight digits (verification mode)
+    get no block: the index is the bit count."""
+    start, leaves = len(domains), 1
+    while (start > len(build.gammas)
+           and leaves * len(domains[start - 1][1]) <= BLOCK_LEAVES):
         start -= 1
-        leaves *= len(dom)
+        leaves *= len(domains[start][1])
     return start
 
 

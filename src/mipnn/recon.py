@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ir import Assignment, Violation, round_binaries
+from .ir import Violation, round_binaries
 from .nnspec import LOSS_ABS
 
 SPARSITY_TOL = 1e-6
@@ -165,14 +165,14 @@ def audit(build, asg, tol=1e-6, report=None):
         report = build.model.evaluate_assignment(asg, tol)
     else:
         report = replace(report, violations=list(report.violations))
-    names, values = build.model.names, asg.values
-    z, d = (np.array([values[names[k]] for k in cols], dtype=float)
-            for cols in (build.relu_z.tolist(), build.relu_delta.tolist()))
+    x = build.model._own(asg)
+    z, d = x[build.relu_z], x[build.relu_delta]
     with np.errstate(invalid="ignore"):
         wrong = ~(np.abs(z) <= tol) & (np.abs(d - (z > 0)) > tol)
     for k in np.flatnonzero(wrong).tolist():
         report.violations.append(Violation(
-            "relu_indicator:" + names[build.relu_delta[k]], -1, abs(float(z[k]))))
+            "relu_indicator:" + build.model.names[build.relu_delta[k]], -1,
+            abs(float(z[k]))))
     return report
 
 
@@ -188,8 +188,7 @@ def reconstruct(build, asg, tol=1e-6, report=None):
             % (len(report.violations) + len(report.integrality_violations),
                report.max_violation,
                report.violations[0].label if report.violations else "integrality"))
-    values = round_binaries(build.model, asg.values, tol)
-    return build.extract_net(values)
+    return build.extract_net(round_binaries(build.model, asg.x, tol))
 
 
 def canonicalize(net):

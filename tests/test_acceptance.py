@@ -13,7 +13,7 @@ from mipnn.dense import build_dense, encode_relu, vn
 from mipnn.cnn import encode_maxpool
 from mipnn.emit import count_forecast, lp_text, model_stats, mps_text, \
     parse_lp, parse_mps
-from mipnn.ir import (BINARY, CONTINUOUS, Assignment, ModelIR, VarDef)
+from mipnn.ir import (BINARY, CONTINUOUS, ModelIR, VarDef)
 from mipnn.nnspec import Dataset, DenseArch, Hyper, VERIFY
 from mipnn.oracle import InfeasibleError, branch_and_bound, enumerate_exact, \
     iter_candidates
@@ -79,7 +79,7 @@ def test_criterion_01_relu_encoding_exactness():
         encode_relu(m, z, a, d, -1.0, 5.0)
         m.freeze()
         both_ok &= m.evaluate_assignment(
-            Assignment({"z": 0.0, "a": 0.0, "d": d_val})).ok
+            m.assignment({"z": 0.0, "a": 0.0, "d": d_val})).ok
     dt = time.monotonic() - t0
     ok = worst <= 1e-6 and both_ok and dt < 30.0
     _report(1, ok, "100 nets, worst activation error %.2e, z=0 dual-branch %s, "
@@ -110,7 +110,7 @@ def test_criterion_02_maxpool_exactness():
                 for q in range(4):
                     v["a%d" % q] = float(window[q])
                     v["zeta%d" % q] = 1.0 if q == sel else 0.0
-                return m.evaluate_assignment(Assignment(v), tol=1e-9).ok
+                return m.evaluate_assignment(m.assignment(v), tol=1e-9).ok
 
             ok &= feasible(true_max) == (window[sel] == true_max)
             ok &= not feasible(true_max + 1e-6)

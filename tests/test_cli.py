@@ -170,6 +170,33 @@ def test_multiple_configs_sequential(tmp_path):
     assert (tmp_path / "o2" / "solution.txt").exists()
 
 
+def _artifacts(out):
+    """The bytes of every artifact in ``out`` but the timed run.log."""
+    return {name: (out / name).read_bytes()
+            for name in sorted(os.listdir(out)) if name != "run.log"}
+
+
+def test_jobs_run_configs_in_a_pool_as_they_run_one_after_the_other(tmp_path):
+    cfgs = {}
+    for way in ("serial", "pool"):
+        for k, beta in enumerate(("0.01", "0.1")):
+            d = tmp_path / way / str(k)
+            d.mkdir(parents=True)
+            cfgs[way, k] = str(write_xor_cfg(d, beta=beta, out=str(d / "out")))
+    assert main(["run", "--config", cfgs["serial", 0], cfgs["serial", 1]]) == 0
+    assert main(["run", "--config", cfgs["pool", 0], cfgs["pool", 1],
+                 "--jobs", "2"]) == 0
+    for k in range(2):
+        assert (_artifacts(tmp_path / "pool" / str(k) / "out")
+                == _artifacts(tmp_path / "serial" / str(k) / "out"))
+    broken = write_xor_cfg(tmp_path, hidden="", out=str(tmp_path / "broken"))
+    shutil.rmtree(tmp_path / "pool" / "0" / "out")
+    assert main(["run", "--config", cfgs["pool", 0], str(broken),
+                 "--jobs", "2"]) == EXIT_CONFIG
+    assert (_artifacts(tmp_path / "pool" / "0" / "out")
+            == _artifacts(tmp_path / "serial" / "0" / "out"))
+
+
 def test_prepare_rejects_missing_pieces(tmp_path):
     with pytest.raises(ConfigError, match="no data"):
         prepare(RunConfig())

@@ -7,7 +7,7 @@ from mipnn.bounds import propagate_bounds
 from mipnn.cnn import build_cnn, encode_maxpool
 from mipnn.dense import BuildError, vn
 from mipnn.emit import count_forecast, model_stats
-from mipnn.ir import BINARY, CONTINUOUS, Assignment, ModelIR, VarDef
+from mipnn.ir import BINARY, CONTINUOUS, ModelIR, VarDef
 from mipnn.nnspec import (TRAIN_QUANTIZED, VERIFY, ConvArch, ConvLayer,
                           Dataset, Hyper)
 from mipnn.recon import (ConvNet, ReconError, flatten_index, forward,
@@ -54,7 +54,7 @@ def _maxpool_feasible_ps(window, zeta, big_m=10.0):
         for q, v in enumerate(window):
             values["a%d" % q] = v
             values["zeta%d" % q] = float(zeta[q])
-        return m.evaluate_assignment(Assignment(values)).ok
+        return m.evaluate_assignment(m.assignment(values)).ok
 
     return feasible
 
@@ -92,7 +92,7 @@ def test_conv_verify_reproduces_forward_pass(rng):
     bits = {name: 1.0 for name in build.structural}
     asg, obj, viol = build.assemble(bits)
     assert viol <= 1e-6
-    net = build.extract_net(asg.values)
+    net = build.extract_net(asg.x)
     trace = forward_trace(net, build.data.inputs)
     z, a = trace[0]
     for i in range(3):
@@ -233,7 +233,7 @@ def test_zeta_assembled_on_first_argmax(rng):
     bits = {name: 1.0 for name in build.structural}
     asg, _, viol = build.assemble(bits)
     assert viol <= 1e-6
-    net = build.extract_net(asg.values)
+    net = build.extract_net(asg.x)
     a = np.maximum(forward_trace(net, build.data.inputs)[0][0], 0.0)
     for c in range(2):
         chosen = [(h, w) for h in range(2) for w in range(2)

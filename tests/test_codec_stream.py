@@ -118,10 +118,14 @@ MPS = ("NAME m\nROWS\n N OBJ\n L c.0\nCOLUMNS\n    x OBJ 1\n    x c.0 1\n"
     (parse_lp, LP % " c.1: 1 x + 1 y 2", r"line 6: constraint 'c.1' has no sense"),
     (parse_lp, LP % " c.1: 1 x + 1 z <= 2", r"line 6: undeclared variable 'z'"),
     (parse_lp, LP % " c.1: x + y <= 2", r"line 6: term 'x' has no coefficient"),
+    (parse_lp, (LP % "").replace("End", "Binaries\n y\n z\nEnd"),
+     r"line 12: undeclared binary 'z'"),
     (parse_mps, MPS % ("    RHS c.9 5", ""), r"line 11: RHS names unknown row 'c.9'"),
     (parse_mps, MPS % ("", " UP BND w 1"), r"line 14: BOUNDS names unknown column 'w'"),
-], ids=["lp-no-sense", "lp-undeclared", "lp-no-coefficient", "mps-rhs-row",
-        "mps-bounds-column"])
+    (parse_mps, MPS % ("RANGES\n    RNG c.0 2", ""),
+     r"line 11: unsupported MPS section 'RANGES'"),
+], ids=["lp-no-sense", "lp-undeclared", "lp-no-coefficient", "lp-undeclared-binary",
+        "mps-rhs-row", "mps-bounds-column", "mps-ranges"])
 def test_malformed_input_names_its_line(parse, text, message, block, monkeypatch):
     monkeypatch.setattr(emit, "_BLOCK", block)
     with pytest.raises(EmitError, match=message):
@@ -136,6 +140,11 @@ def test_well_formed_variants_of_the_malformed_inputs_parse(block, monkeypatch):
     mps = parse_mps(MPS % ("    RHS c.0 6", " LO BND y -1"))
     assert mps.constraints[0].rhs == 6.0
     assert [(v.lo, v.hi) for v in mps.variables] == [(0.0, 4.0), (-1.0, np.inf)]
+    # a comment line stays in its section, wherever it is
+    noted = parse_mps(MPS.replace("    y c.0 2", "* note\n    y c.0 2")
+                      % ("* x", "*"))
+    assert [(c, r.name) for c, r in noted.constraints[0].terms] == [(1.0, "x"), (2.0, "y")]
+    assert_same_model(noted, parse_mps(MPS % ("", "")))
 
 
 def _traced(fn, *args):

@@ -3,7 +3,7 @@ import pytest
 
 from mipnn.dense import (DenseBuild, IllPosedBoundsError, build_dense,
                          encode_quantized_product, encode_relu, vn)
-from mipnn.ir import BINARY, CONTINUOUS, Assignment, ModelIR, VarDef
+from mipnn.ir import BINARY, CONTINUOUS, ModelIR, VarDef
 from mipnn.nnspec import Dataset, DenseArch, Hyper, TRAIN_QUANTIZED, VERIFY
 from mipnn.recon import DenseNet, QuantSpec, forward_trace
 from mipnn.bounds import propagate_bounds
@@ -26,13 +26,13 @@ def test_relu_encoding_feasible_set_is_exact():
             m.freeze()
             want = max(0.0, z_val)
             rep = m.evaluate_assignment(
-                Assignment({"z": z_val, "a": want, "d": d_val}))
+                m.assignment({"z": z_val, "a": want, "d": d_val}))
             expect_ok = (d_val == 1.0) == (z_val > 0) or z_val == 0.0
             assert rep.ok == expect_ok
             # any other activation value is infeasible under the right indicator
             if expect_ok and want + 0.5 <= z_hi:
                 rep = m.evaluate_assignment(
-                    Assignment({"z": z_val, "a": want + 0.5, "d": d_val}))
+                    m.assignment({"z": z_val, "a": want + 0.5, "d": d_val}))
                 assert not rep.ok
 
 
@@ -62,11 +62,11 @@ def test_quantized_product_mccormick_exact():
             for t in range(2):
                 values["d%d" % t] = float(bits[t])
                 values["y%d" % t] = bits[t] * a_val
-            assert m.evaluate_assignment(Assignment(values)).ok
+            assert m.evaluate_assignment(m.assignment(values)).ok
             # the exactness claim: y != d * a is infeasible
             bad = dict(values)
             bad["y0"] = bits[0] * a_val + 0.25
-            assert not m.evaluate_assignment(Assignment(bad)).ok
+            assert not m.evaluate_assignment(m.assignment(bad)).ok
 
 
 def test_quantized_grid():

@@ -5,8 +5,7 @@ from mipnn.emit import (BilinearUnsupportedError, EmitError, SolutionError,
                         count_forecast, fmt, lp_text, model_stats, mps_text,
                         parse_lp, parse_mps, read_lp, read_mps, read_solution,
                         write_lp, write_mps, write_solution)
-from mipnn.ir import (BINARY, CONTINUOUS, EQ, GE, LE, Assignment, ModelIR,
-                      VarDef)
+from mipnn.ir import BINARY, CONTINUOUS, EQ, GE, LE, ModelIR, VarDef
 from mipnn.nnspec import DenseArch, Hyper, TRAIN_QUANTIZED
 
 
@@ -131,6 +130,46 @@ def test_bilinear_rejected(tmp_path):
         write_mps(m, str(tmp_path / "m.mps"))
 
 
+def _model_with(coef=1.0, rhs=2.0, obj=1.0, quad=1.0, constant=0.0, lo=-np.inf):
+    m = ModelIR("m")
+    x = m.add_variable(VarDef("x", CONTINUOUS, lo, np.inf))
+    y = m.add_variable(VarDef("y", BINARY))
+    m.add_constraint([(1.0, x), (1.0, y)], GE, 0.0, "ok")
+    m.add_constraint([(1.0, y), (coef, x)], LE, rhs, "cap")
+    m.add_objective_linear(obj, x)
+    m.add_objective_quadratic(quad, x, y)
+    m.add_objective_constant(constant)
+    return m.freeze()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field, message", [
+    ("coef", r"row cap\.1: coefficient .* of 'x' is not finite"),
+    ("rhs", r"row cap\.1: rhs .* is not finite"),
+    ("obj", r"objective: coefficient of 'x' .* is not finite"),
+    ("quad", r"objective: coefficient of 'x' \* 'y' .* is not finite"),
+    ("constant", r"objective: constant .* is not finite"),
+])
+def test_non_finite_numbers_are_refused_before_any_file(tmp_path, field, message, bad):
+    m = _model_with(**{field: bad})
+    for text, write, ext in ((lp_text, write_lp, "lp"), (mps_text, write_mps, "mps")):
+        with pytest.raises(EmitError, match=message):
+            text(m)
+        path = tmp_path / ("m." + ext)
+        with pytest.raises(EmitError, match=message):
+            write(m, str(path))
+        assert not path.exists()
+
+
+def test_infinite_bounds_stay_legal():
+    m = _model_with()
+    assert m.lo[0] == -np.inf and m.hi[0] == np.inf
+    for writer, parser in ((lp_text, parse_lp), (mps_text, parse_mps)):
+        assert_models_equal(m, parser(writer(m)))
+    with pytest.raises(EmitError, match="variable 'x': a bound is NaN"):
+        lp_text(_model_with(lo=np.nan))
+
+
 def test_write_read_files(tmp_path):
     m = random_model(np.random.default_rng(1), 0)
     lp = tmp_path / "m.lp"
@@ -148,7 +187,7 @@ def test_solution_round_trip(tmp_path):
     m.add_variable(VarDef("flag", BINARY))
     m.freeze()
     p = tmp_path / "s.txt"
-    write_solution(m, Assignment({"x": 2.5, "flag": 1.0}), str(p),
+    write_solution(m, m.assignment({"x": 2.5, "flag": 1.0}), str(p),
                    objective=3.25, gap=0.01)
     sf = read_solution(m, str(p))
     assert sf.objective == 3.25 and sf.gap == 0.01

@@ -8,7 +8,7 @@ import pytest
 
 from mipnn import cli
 from mipnn.bounds import LayerBounds, propagate_bounds
-from mipnn.dense import BuildError, IllPosedBoundsError, build_dense, gather, vn
+from mipnn.dense import BuildError, IllPosedBoundsError, build_dense, vn
 from mipnn.ir import ModelIR
 from mipnn.nnspec import TRAIN_QUANTIZED, VERIFY, Dataset, DenseArch, Hyper
 from mipnn.recon import audit
@@ -103,12 +103,12 @@ def test_indicator_pass_matches_the_unit_by_unit_reference(rng):
     build, _, _ = verify_dense_build(rng, (3, 4, 3, 2), n_samples=5)
     asg, _, viol = build.assemble({name: 1.0 for name in build.structural})
     assert viol <= 1e-6
-    pairs = build.relu_pairs()
+    z, delta = build.relu_z, build.relu_delta
     for k in (0, 3, 7, 11, 30):
-        asg.values[pairs[k][1]] = 1.0 - asg.values[pairs[k][1]]
-    asg.values[pairs[5][0]] = float("nan")
-    asg.values[pairs[6][0]] = 5e-7
-    asg.values[pairs[8][1]] = 0.5
+        asg.x[delta[k]] = 1.0 - asg.x[delta[k]]
+    asg.x[z[5]] = float("nan")
+    asg.x[z[6]] = 5e-7
+    asg.x[delta[8]] = 0.5
     want = repr(_reference_indicators(build, asg.values, 1e-6))
     given = build.model.evaluate_assignment(asg)
     before = list(given.violations)
@@ -137,9 +137,7 @@ def test_selectors_pick_the_first_maximal_cell():
     pool = build.arch.conv_layers[0].pool
     act = np.random.default_rng(4).integers(
         0, 3, size=(build.data.n,) + build.map_shapes[0])
-    values = {}
-    build._assemble_selectors(values, 0, act.astype(float))
-    got = gather(values, "zeta", act.shape, 0, at=1)
+    got = build._selectors(0, act.astype(float))
     want = _reference_selectors(act, pool)
     assert np.array_equal(got, want)
     assert want.sum() < act.size / 4      # some cells lie in no window

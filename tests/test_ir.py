@@ -89,20 +89,20 @@ def test_quadratic_pair_canonical_order():
 def test_evaluate_assignment_reports_violations():
     m, x, y = small_model()
     m.freeze()
-    rep = m.evaluate_assignment(Assignment({"x": 4.0, "y": 1.0}))
+    rep = m.evaluate_assignment(m.assignment({"x": 4.0, "y": 1.0}))
     assert not rep.ok
     assert rep.violations[0].label == "cap"
     assert rep.max_violation == pytest.approx(1.0)
     assert rep.objective == pytest.approx(4.0)
 
-    rep = m.evaluate_assignment(Assignment({"x": 3.0, "y": 1.0}))
+    rep = m.evaluate_assignment(m.assignment({"x": 3.0, "y": 1.0}))
     assert rep.ok and rep.max_violation == 0.0
 
 
 def test_evaluate_assignment_bounds_and_integrality():
     m, _, _ = small_model()
     m.freeze()
-    rep = m.evaluate_assignment(Assignment({"x": 11.0, "y": 0.4}))
+    rep = m.evaluate_assignment(m.assignment({"x": 11.0, "y": 0.4}))
     assert any(v.label.startswith("bounds:") for v in rep.violations)
     assert rep.integrality_violations == [("y", 0.4)]
 
@@ -111,7 +111,38 @@ def test_evaluate_assignment_missing_value():
     m, _, _ = small_model()
     m.freeze()
     with pytest.raises(MissingVariableError):
-        m.evaluate_assignment(Assignment({"x": 0.0}))
+        m.evaluate_assignment(m.assignment({"x": 0.0}))
+
+
+def test_assignment_is_a_vector_in_column_order_with_a_read_only_view():
+    m, _, _ = small_model()
+    m.freeze()
+    with pytest.raises(MissingVariableError, match="y"):
+        m.assignment({"x": 1.0})
+    asg = m.assignment({"y": 1, "x": 2.5, "extra": 7.0})
+    assert asg.x.dtype == float and asg.x.tolist() == [2.5, 1.0]
+    view = asg.values
+    assert view["y"] == 1.0 and type(view["y"]) is float
+    assert view == {"x": 2.5, "y": 1.0} and dict(view) == {"x": 2.5, "y": 1.0}
+    assert list(view) == ["x", "y"] and len(view) == 2 and "z" not in view
+    with pytest.raises(TypeError):
+        view["x"] = 0.0
+    asg.x[0] = 3.0                  # the view reads the vector as it is now
+    assert view["x"] == 3.0
+
+
+def test_evaluate_assignment_refuses_a_foreign_assignment():
+    m, _, _ = small_model()
+    other, _, _ = small_model()
+    for model in (m, other):
+        model.freeze()
+    rep = m.evaluate_assignment(m.assignment({"x": 1.0, "y": 0.0}))
+    assert rep.ok
+    with pytest.raises(ForeignVariableError):
+        m.evaluate_assignment(other.assignment({"x": 1.0, "y": 0.0}))
+    for x in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]):
+        with pytest.raises(ForeignVariableError):
+            m.evaluate_assignment(Assignment(m, x))
 
 
 def test_bilinear_constraints_separate():
@@ -122,7 +153,7 @@ def test_bilinear_constraints_separate():
     assert len(m.constraints) == 0
     assert len(m.bilinear_constraints) == 1
     m.freeze()
-    rep = m.evaluate_assignment(Assignment({"x": 1.0, "y": 1.0}))
+    rep = m.evaluate_assignment(m.assignment({"x": 1.0, "y": 1.0}))
     assert not rep.ok and rep.violations[0].label == "prod"
 
 
@@ -130,9 +161,8 @@ def test_round_binaries_snaps_only_near_values():
     m = ModelIR()
     m.add_variable(VarDef("b", BINARY))
     m.add_variable(VarDef("c", BINARY))
-    out = round_binaries(m, {"b": 0.9999997, "c": 0.4})
-    assert out["b"] == 1.0
-    assert out["c"] == 0.4
+    out = round_binaries(m, m.assignment({"b": 0.9999997, "c": 0.4}).x)
+    assert out.tolist() == [1.0, 0.4]
 
 
 @given(st.floats(-100, 100), st.floats(-100, 100))
@@ -148,7 +178,7 @@ def test_objective_quadratic_evaluation():
     m.add_objective_quadratic(2.0, x, x)
     m.add_objective_constant(1.0)
     m.freeze()
-    assert m.evaluate_objective({"x": 3.0}) == pytest.approx(19.0)
+    assert m.evaluate_objective(m.assignment({"x": 3.0}).x) == pytest.approx(19.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -158,7 +188,7 @@ def test_audit_rejects_non_finite_values(bad):
     for name in ("x", "y"):
         values = {"x": 1.0, "y": 0.0}
         values[name] = bad
-        report = m.evaluate_assignment(Assignment(values=values))
+        report = m.evaluate_assignment(m.assignment(values))
         assert not report.ok
         assert [n for n, _ in report.integrality_violations] == [name]
 
@@ -166,6 +196,6 @@ def test_audit_rejects_non_finite_values(bad):
 def test_audit_rejects_all_nan_solution():
     m, _, _ = small_model()
     m.freeze()
-    report = m.evaluate_assignment(Assignment(values={"x": math.nan,
+    report = m.evaluate_assignment(m.assignment({"x": math.nan,
                                                       "y": math.nan}))
     assert not report.ok and len(report.integrality_violations) == 2

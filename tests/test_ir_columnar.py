@@ -12,7 +12,7 @@ import pytest
 import mipnn
 from mipnn.dense import BuildError
 from mipnn.emit import lp_text, mps_text, parse_lp, parse_mps
-from mipnn.ir import (BINARY, CONTINUOUS, EQ, GE, LE, SENSES, Assignment,
+from mipnn.ir import (BINARY, CONTINUOUS, EQ, GE, LE, SENSES,
                       DuplicateNameError, ForeignVariableError,
                       FrozenModelError, InvertedBoundsError, ModelError,
                       ModelIR, VarDef, _violation)
@@ -92,7 +92,7 @@ def test_audit_matches_row_by_row_reference(name):
     rng = np.random.default_rng(sum(map(ord, name)))
     for values in _assignments(build, rng, 6):
         for tol in (1e-6, 0.0):
-            rep = model.evaluate_assignment(Assignment(values), tol)
+            rep = model.evaluate_assignment(model.assignment(values), tol)
             labels, violations, integrality, objective = reference_audit(
                 model, values, tol)
             assert list(rep.max_violation_by_label.items()) == labels

@@ -6,7 +6,6 @@ from mipnn.recon import (ConvNet, DenseNet, MetricsReport, QuantSpec,
                          ReconError, audit, canonicalize, flatten_index,
                          forward, forward_trace, maxpool2d, metrics,
                          reconstruct)
-from mipnn.ir import Assignment
 from mipnn.nnspec import Dataset, Hyper, TRAIN_QUANTIZED, VERIFY
 
 from conftest import (quantized_dense_build, random_dense_weights,
@@ -100,7 +99,8 @@ def test_audit_flags_wrong_relu_indicator(rng):
     # force one indicator against the sign of a nonzero pre-activation
     z_name, d_name = next((z, d) for z, d in build.relu_pairs()
                           if abs(asg.values[z]) > 1e-6)
-    asg.values[d_name] = 1.0 - asg.values[d_name]
+    k = build.model.var_index[d_name]
+    asg.x[k] = 1.0 - asg.x[k]
     rep = audit(build, asg)
     assert not rep.ok
     assert any(v.label == "relu_indicator:" + d_name for v in rep.violations)
@@ -113,7 +113,7 @@ def test_reconstruct_requires_clean_audit(rng):
     net = reconstruct(build, asg)
     assert np.allclose(forward(net, X),
                        forward(DenseNet(weights=weights, gamma=np.ones(1)), X))
-    asg.values[build.relu_pairs()[0][0]] += 1.0
+    asg.x[build.relu_z[0]] += 1.0
     with pytest.raises(ReconError):
         reconstruct(build, asg)
 
@@ -170,8 +170,8 @@ def test_metrics_split_bounds_checked():
 
 def test_all_nan_solution_fails_audit_and_reconstruction(rng):
     build, _, _ = verify_dense_build(rng, (2, 3, 1), n_samples=3)
-    asg = Assignment(values={v.name: float("nan")
-                             for v in build.model.variables})
+    asg = build.model.assignment({v.name: float("nan")
+                                  for v in build.model.variables})
     assert not audit(build, asg).ok
     with pytest.raises(ReconError, match="integrality"):
         reconstruct(build, asg)
