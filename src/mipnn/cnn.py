@@ -100,6 +100,15 @@ class ConvBuild(Build):
             return a
         return _patches(a, self.arch.conv_layers[l], self.map_shapes[l][1:])
 
+    def pooled(self, l, act):
+        """Each pool window's maximum of ``act``, laid out (c, h, w, ...),
+        where conv layer l pools."""
+        pool = self.arch.conv_layers[l].pool
+        if pool is None:
+            return act
+        hh, ww = _pool_windows(pool, act.shape[1:3])
+        return act[:, hh, ww].max(axis=(3, 4))
+
     def assemble_maps(self, x, trace):
         """The pooled maps p and their selectors zeta, and the flattened map."""
         for l, layer in enumerate(self.arch.conv_layers):

@@ -32,7 +32,8 @@ from . import ir
 from .ir import EQ, GE, LE, ModelIR
 from .nnspec import (LOSS_ABS, TRAIN_BILINEAR, TRAIN_QUANTIZED, VERIFY,
                      DenseArch, validate_arch)
-from .recon import DenseNet, QuantSpec, forward_trace, objective_breakdown
+from .recon import (DenseNet, QuantSpec, forward_trace, objective_breakdown,
+                    regularization)
 
 
 class BuildError(Exception):
@@ -53,24 +54,27 @@ def bit_vector(build, bits):
 
 
 def decode_layers(build, values):
-    """The (W, b) or (K, b) per layer that structural-bit vectors ``values``,
-    of shape (..., len(structural)), determine, each with the leading axes of
-    ``values``: the fixed weights in verification mode, else decoded through
+    """The (W, b) or (K, b) per layer that the B structural-bit vectors
+    ``values``, of shape (B, len(structural)), determine, each with the batch
+    axis last: the fixed weights in verification mode, else decoded through
     ``_bit_columns``."""
-    lead = values.shape[:-1]
+    B = len(values)
     if build.hyper.mode == VERIFY:
-        return [tuple(np.broadcast_to(np.asarray(p, dtype=float), lead + np.shape(p))
+        return [tuple(np.broadcast_to(np.asarray(p, dtype=float)[..., None],
+                                      np.shape(p) + (B,))
                       for p in pair) for pair in build.fixed_weights]
     _, digits, shapes = build._bit_columns
     quant = QuantSpec(build.hyper.bits, build.hyper.w_max)
-    flat = quant.decode(values[..., digits])
-    tensors = []
-    start = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        tensors.append(flat[..., start:start + size].reshape(lead + shape))
-        start += size
+    flat = quant.decode(values.T[digits])             # (parameter, B)
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    tensors = [flat[start:end].reshape(shape + (B,))
+               for shape, start, end in zip(shapes, [0] + ends, ends)]
     return list(zip(tensors[0::2], tensors[1::2]))
+
+
+def _lead(x, k):
+    """A view of ``x`` with its last ``k`` axes moved to the front."""
+    return x.transpose(tuple(range(x.ndim - k, x.ndim)) + tuple(range(x.ndim - k)))
 
 
 def net_quant(hyper):
@@ -605,8 +609,7 @@ def add_objective(build):
                 model.add_objective_quadratic(1.0, out, out)
                 model.add_objective_linear(-2.0 * y, out)
                 model.add_objective_constant(y * y)
-    al = hyper.alpha * hyper.lam
-    fr = 0.5 * hyper.alpha * (1.0 - hyper.lam)
+    al, fr = regularization(hyper)
     for t in build.tensors:
         for idx in np.ndindex(t.shape):
             if al:
@@ -705,48 +708,103 @@ class Build:
         bits; every array has a leading axis of B.
 
         The net decodes as ``reconstruct`` would return it and is scored by
-        ``recon.objective_breakdown``.  ``violation`` is the worst amount by
-        which a candidate breaks a constraint family that forward
-        propagation does not satisfy by construction: the switch chain, each
-        gated row's gates on its weights, bias and pre-activations, symmetry
-        breaking and the pre-activation bounds.  A feasible candidate has
-        violation <= tol.
+        ``recon.objective_breakdown``; ``violation`` checks its trace.
         """
         h = self.hyper
-        gates = [values[:, cols] for cols in self._bit_columns[0]]
+        gates = [values.T[cols] for cols in self._bit_columns[0]]
         params = decode_layers(self, values)
-        net = self.net(params, gates)
+        first = [(_lead(W, 1), b.T) for W, b in params]
+        net = self.net(first, [g.T for g in gates])
         trace = forward_trace(net, self.data.inputs)
         obj = objective_breakdown(net, trace[-1][0], self.data.targets, h)["total"]
-        # each check as an array (B, ...); reduced with the batch innermost,
-        # where numpy reduces fastest
+        # each z (B, n, rows, *pos) as (rows, n, *pos, B)
+        viol = self.violation(gates, params,
+                              [np.moveaxis(z, (2, 0), (0, -1)) for z, _ in trace[:-1]])
+        return first, trace, obj, viol
+
+    def violation(self, gates, params, zs):
+        """The worst amount, a (B,) array, by which each of B candidates
+        breaks a constraint family that forward propagation does not satisfy
+        by construction: the switch chain, each gated row's gates on its
+        weights, bias and pre-activations, symmetry breaking and the
+        pre-activation bounds.  A feasible candidate has violation <= tol.
+
+        Every array has the batch axis last: the gates (units, B), the
+        parameters W (rows, *entry, B) and b (rows, B), and each hidden
+        layer's pre-activations z (rows, ..., B).  The checks are
+        max-reductions over the leading axes, which give the same floats in
+        any layout."""
+        h = self.hyper
+        B = params[0][1].shape[-1]
         checks = []
         if self.layer_chain:
-            gamma = np.concatenate(gates, axis=1)
-            checks += [np.abs(gamma[:, :1] - 1.0), gamma[:, 1:] - gamma[:, :-1]]
+            gamma = np.concatenate(gates)
+            checks += [np.abs(gamma[:1] - 1.0), gamma[1:] - gamma[:-1]]
         # gates broadcast over rows: one switch per dense layer, per conv channel
-        for t, g, (W, b), (z, _) in zip(self.tensors[:-1], gates, params, trace):
-            gate = h.big_m * g
-            rows = W.reshape(W.shape[:2] + (-1,))
+        for t, g, (W, b), z in zip(self.tensors[:-1], gates, params, zs):
+            rows = W.reshape(W.shape[:1] + (-1, B))
             size = np.abs(rows)
             # each row's extreme pre-activations over samples and positions
-            zt = np.ascontiguousarray(z.transpose(tuple(range(1, z.ndim)) + (0,)))
-            axes = (0,) + tuple(range(2, z.ndim - 1))
-            z_lo, z_hi = zt.min(axis=axes).T, zt.max(axis=axes).T
-            lo, hi = (np.reshape(v, -1) for v in self.preactivation_bounds(t.l))
-            checks += [size.max(axis=2) - gate, np.abs(b) - gate,
-                       np.maximum(-z_lo, z_hi) - gate, lo - z_lo, z_hi - hi]
+            zr = z.reshape(z.shape[:1] + (-1, B))
+            z_lo, z_hi = zr.min(axis=1), zr.max(axis=1)
+            lo, hi = (np.reshape(v, (-1, 1)) for v in self.preactivation_bounds(t.l))
+            # x - gate rounds monotonically in x, so the largest gated
+            # quantity less the gate is the largest of their excesses
+            reach = np.maximum(np.maximum(size.max(axis=1), np.abs(b)),
+                               np.maximum(-z_lo, z_hi))
+            checks += [reach - h.big_m * g, lo - z_lo, z_hi - hi]
             if h.symmetry:
-                sums = (size if self.symmetry_on_abs else rows).sum(axis=2)
-                checks.append(sums[:, 1:] - sums[:, :-1])
-        viol = np.concatenate([c.reshape(len(values), -1).T for c in checks]
-                              ).max(axis=0, initial=0.0)
-        return params, trace, obj, viol
+                sums = (size if self.symmetry_on_abs else rows).sum(axis=1)
+                checks.append(sums[1:] - sums[:-1])
+        return np.concatenate([c.reshape(-1, B) for c in checks]).max(axis=0, initial=0.0)
 
     def complete_batch(self, values):
         """Objective and violation, two (B,) arrays, of the B candidates
-        ``values`` (see ``evaluate``)."""
-        return self.evaluate(values)[2:]
+        ``values``: the exact search's block screen, scoring them in an
+        arithmetic of its own.
+
+        The batch stays the innermost axis throughout: parameters
+        (*shape, B), maps (units, *pos, n, B), each layer a sum over its
+        weight entries of one broadcast product each (``_screen_layer``).
+        The sums round in another order than ``evaluate``'s stacked
+        products, so the numbers may differ from it in the last bits; the
+        search only screens on them (``oracle.SCREEN_MARGIN``), and
+        ``complete`` decides."""
+        gates = [values.T[cols] for cols in self._bit_columns[0]]
+        params = decode_layers(self, values)
+        zs = []
+        a = _lead(self.data.inputs, self.data.inputs.ndim - 1)[..., None]   # (*map, n, 1)
+        for t, (W, b) in zip(self.tensors[:-1], params):
+            zs.append(self._screen_layer(t, W, b, a))
+            a = self.pooled(t.l, np.maximum(zs[-1], 0.0))
+        # the head meets the last map flattened, channel-major
+        out = self._screen_layer(self.tensors[-1], *params[-1],
+                                 a.reshape((-1,) + a.shape[-2:]))
+        net = self.net([(_lead(W, 1), b.T) for W, b in params], [g.T for g in gates])
+        obj = objective_breakdown(net, out.T, self.data.targets, self.hyper)["total"]
+        return obj, self.violation(gates, params, zs)
+
+    def _screen_layer(self, t, W, b, a):
+        """The pre-activations (rows, *pos, n, B) of layer ``t`` with batched
+        parameters W (rows, *entry, B) and b (rows, B) over the map ``a``
+        (*map, n, B or 1), accumulated one weight entry at a time."""
+        cells = self.patches(t.l, _lead(a, 2))            # (n, B, *pos, *entry)
+        npos = cells.ndim - len(t.shape) - 1
+        cells = cells.reshape(cells.shape[:2 + npos] + (-1,))
+        cells = np.ascontiguousarray(
+            cells.transpose((npos + 2,) + tuple(range(2, npos + 2)) + (0, 1)))
+        W = W.reshape(W.shape[:1] + (-1,) + (1,) * (npos + 1) + W.shape[-1:])
+        z = W[:, 0] * cells[0]
+        for k in range(1, len(cells)):
+            z += W[:, k] * cells[k]
+        z += b.reshape(b.shape[:1] + (1,) * (npos + 1) + b.shape[-1:])
+        return z
+
+    def pooled(self, l, act):
+        """The map that ReLU layer l passes on, given its post-ReLU map
+        ``act`` laid out (units, *pos, ...); a dense layer passes it as it
+        is."""
+        return act
 
     def candidate(self, bits):
         """(objective, violation, params, trace) of one structural-bit

@@ -29,11 +29,12 @@ import re
 from array import array
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
-from .ir import SENSES, Assignment, MissingVariableError, ModelIR, round_binaries
+from .ir import (SENSES, Assignment, DuplicateNameError, MissingVariableError, ModelIR,
+                 round_binaries)
 
 INF = float("inf")
 
@@ -367,6 +368,7 @@ class _LPReader:
         self.labels = {}                     # label -> id
         self.row_line = array("q")           # line of each row, for errors
         self.names, self.lo, self.hi = [], array("d"), array("d")
+        self.bound_line = array("q")         # line of each bound, for errors
         self.binaries = {}                   # name -> line of its first listing
 
     def header(self, text, line):
@@ -393,6 +395,7 @@ class _LPReader:
                     self.names.append(name)
                     self.lo.append(lo)
                     self.hi.append(hi)
+                    self.bound_line.append(k)
         elif self.section == "binaries":
             for k, s in enumerate(text.split("\n"), line):
                 for name in s.split():
@@ -416,7 +419,13 @@ class _LPReader:
         model = ModelIR(self.name)
         binaries = self.binaries
         binary = [name in binaries for name in self.names]
-        model.add_variables(self.names, self.lo, self.hi, binary)
+        try:
+            model.add_variables(self.names, self.lo, self.hi, binary)
+        except DuplicateNameError as e:
+            name, = e.args
+            second = [k for k, n in enumerate(self.names) if n == name][1]
+            raise EmitError("line %d: Bounds lists %r twice"
+                            % (self.bound_line[second], name)) from None
         if sum(binary) < len(binaries):
             name, k = next((name, k) for name, k in binaries.items()
                            if name not in model.var_index)
@@ -770,12 +779,23 @@ class _MPSReader:
             raise _locate(text, line, lambda t: (
                 "ROWS lines must be '<type> <name>'" if len(t) != 2
                 else "unknown row type %r" % t[0] if t[0] not in _ROW_TYPES else None))
+        known = len(self.rows)
         if "N" in tags:
             self.rows.update((name, -1) for tag, name in zip(tags, names) if tag == "N")
             names = [name for tag, name in zip(tags, names) if tag != "N"]
             tags = [tag for tag in tags if tag != "N"]
         start = len(self.sense)
         self.rows.update(zip(names, range(start, start + len(names))))
+        if len(self.rows) - known < len(toks) // 2:
+            # a name declared again keeps its first place in the dict
+            seen = set(islice(self.rows, known))
+
+            def twice(t):
+                if t[1] in seen:
+                    return "ROWS declares %r twice" % t[1]
+                seen.add(t[1])
+
+            raise _locate(text, line, twice)
         self.sense.extend(map(_ROW_TYPES.__getitem__, tags))
         self.label.frombytes(_ids([name.rpartition(".")[0] for name in names],
                                   self.labels).tobytes())
@@ -939,9 +959,10 @@ def write_solution(model, asg, path, objective=None, gap=None):
 
 def read_solution(model, path, fill_missing=False, tol=1e-6):
     """Whitespace-separated name/value lines; ``#`` comments; optional
-    ``# objective <v>`` / ``# gap <v>`` headers.  A repeated name or a value
-    that is not a finite number is an error.  Binaries within tol of an
-    integer are rounded; anything farther off is left for the audit to flag."""
+    ``# objective <v>`` / ``# gap <v>`` headers.  A repeated name, a value
+    that is not a finite number or a header value that is not a number is an
+    error.  Binaries within tol of an integer are rounded; anything farther
+    off is left for the audit to flag."""
     objective = None
     gap = None
     x = [None] * len(model.names)
@@ -953,6 +974,9 @@ def read_solution(model, path, fill_missing=False, tol=1e-6):
             if s.startswith("#"):
                 toks = s[1:].split()
                 if len(toks) == 2 and toks[0] in ("objective", "gap"):
+                    if _not_a_number(toks[1]):
+                        raise SolutionError("%s:%d: %s %s" % (
+                            path, lineno, toks[0], _not_a_number(toks[1])))
                     if toks[0] == "objective":
                         objective = float(toks[1])
                     else:

@@ -20,14 +20,19 @@ import numpy as np
 
 from .ir import Assignment, AuditReport
 from .nnspec import TRAIN_BILINEAR
-from .recon import QuantSpec
+from .recon import QuantSpec, regularization
 
 # Leaves per ``complete_batch`` pass, for dense and conv builds alike.  Peak
 # memory grows with it: measured on the XOR criterion instance, +0.25 MB at
 # 1024 leaves, +1.5 MB at 4096.
 BLOCK_LEAVES = 1024
-# Relative margin by which a batched violation or objective must clear the
-# tolerance or the incumbent before the leaf may skip the scalar check.
+# Relative margin, of max(1, |x|), by which a screened violation or objective
+# x must clear the tolerance or the incumbent before the leaf may skip the
+# scalar check.  The screen (``complete_batch``) sums each layer and each
+# check in another order than ``complete`` does, so its numbers may differ by
+# a few ulps of the terms summed: about 1e-16 relative each, far below 1e-9
+# for nets of a few dozen terms per sum.  A leaf within the margin of a cut
+# is decided by ``complete``, so the screen never changes a decision.
 SCREEN_MARGIN = 1e-9
 
 
@@ -361,8 +366,7 @@ def build_triggers(build, tol=1e-6):
 
     if build._digit_names:
         quant = QuantSpec(hyper.bits, hyper.w_max)
-        al = hyper.alpha * hyper.lam
-        fr = 0.5 * hyper.alpha * (1.0 - hyper.lam)
+        al, fr = regularization(hyper)
 
         def group(names, is_bias, gate):
             def fn(bits):

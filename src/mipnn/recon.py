@@ -28,16 +28,17 @@ class QuantSpec:
         return 2.0 * self.w_max / (2 ** self.bits - 1)
 
     def decode(self, digits):
-        """Map digit vectors (LSB first) on the last axis onto the fixed-point
-        weight grid.  The result keeps the memory order of ``digits``: a batch
-        of fancy-indexed digit vectors stays batch-innermost, which the
-        batched forward pass runs fastest on."""
-        return (self.step * (np.asarray(digits) * 2.0 ** np.arange(self.bits)).sum(axis=-1)
-                - self.w_max)
+        """Map digit columns (LSB first) onto the fixed-point weight grid:
+        ``digits`` holds them on its axis before the last, as ``np.matmul``
+        contracts it, or is one digit vector.  The digits' weighted sum is an
+        exact integer in any order, so every layout decodes to the same
+        floats; a block of digits laid out (parameter, digit, B) decodes to
+        (parameter, B), batch-innermost."""
+        return self.step * (2.0 ** np.arange(self.bits) @ np.asarray(digits)) - self.w_max
 
     def grid(self):
         codes = np.arange(2 ** self.bits)[:, None] >> np.arange(self.bits) & 1
-        return self.decode(codes).tolist()
+        return self.decode(codes.T).tolist()
 
 
 @dataclass
@@ -280,6 +281,12 @@ def _fmt1(x):
     return "%.1f" % float(x)
 
 
+def regularization(hyper):
+    """The coefficients of the objective's l1 and frobenius parts:
+    alpha * lam and alpha * (1 - lam) / 2."""
+    return hyper.alpha * hyper.lam, 0.5 * hyper.alpha * (1.0 - hyper.lam)
+
+
 def objective_breakdown(net, outputs, targets, hyper):
     """The training objective of a net with head ``outputs`` on ``targets``:
     its loss, l1, frobenius and structural parts, and their ``total``.  A
@@ -294,12 +301,12 @@ def objective_breakdown(net, outputs, targets, hyper):
     def summed(x):
         return x.sum(axis=tuple(range(lead, x.ndim))) if lead else float(x.sum())
 
+    al, fr = regularization(hyper)
     res = outputs - targets
     parts = {
         "loss": summed(np.abs(res) if hyper.loss == LOSS_ABS else res ** 2),
-        "l1": hyper.alpha * hyper.lam * sum(summed(np.abs(W)) for W, _ in params),
-        "frobenius": 0.5 * hyper.alpha * (1.0 - hyper.lam)
-        * sum(summed(W ** 2) for W, _ in params),
+        "l1": al * sum(summed(np.abs(W)) for W, _ in params),
+        "frobenius": fr * sum(summed(W ** 2) for W, _ in params),
         "structural": hyper.beta * summed(np.concatenate(
             [np.asarray(g, dtype=float) for g in gammas], axis=-1)),
     }

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from mipnn.bounds import propagate_bounds
 from mipnn.cnn import build_cnn
 from mipnn.dense import build_dense
 from mipnn.nnspec import (TRAIN_QUANTIZED, VERIFY, ConvArch, ConvLayer,
-                          Dataset, DenseArch, Hyper)
+                          Dataset, DenseArch, Hyper, validate_arch)
 
 
 def xor_data(one_hot=False):
@@ -53,27 +55,29 @@ def quantized_dense_build(data, hidden, bits=1, beta=0.01, symmetry=True,
 
 
 def tiny_conv_build(rng=None, n_samples=2, bits=1, mode=TRAIN_QUANTIZED,
-                    pool=((2, 2), 2), filters=2, freeze=True, symmetry=False):
-    """A 1x4x4 input, one conv layer, optionally pooled, single-output head."""
+                    pool=((2, 2), 2), filters=2, freeze=True, symmetry=False,
+                    shape=(1, 4, 4), kernel=(3, 3)):
+    """A 1x4x4 input (or ``shape``), one conv layer, optionally pooled,
+    single-output head."""
     rng = rng or np.random.default_rng(0)
-    arch = ConvArch(input_shape=(1, 4, 4),
-                    conv_layers=(ConvLayer(filters=filters, kernel=(3, 3),
+    arch = ConvArch(input_shape=shape,
+                    conv_layers=(ConvLayer(filters=filters, kernel=kernel,
                                            pool=pool),),
                     head_dim=1)
-    X = rng.uniform(0, 1, size=(n_samples, 1, 4, 4))
+    X = rng.uniform(0, 1, size=(n_samples,) + shape)
     data = Dataset(inputs=X, targets=rng.uniform(-1, 1, size=(n_samples, 1)))
     weights = None
     if mode == VERIFY:
-        weights = [(rng.uniform(-1, 1, size=(filters, 1, 3, 3)),
+        weights = [(rng.uniform(-1, 1, size=(filters, shape[0]) + kernel),
                     rng.uniform(-1, 1, size=filters))]
-        head_dim_in = filters * (1 if pool else 4)
+        head_dim_in = math.prod(validate_arch(arch)[-1])
         weights.append((rng.uniform(-1, 1, size=(1, head_dim_in)),
                         rng.uniform(-1, 1, size=1)))
     hyper = Hyper(alpha=0.1, lam=0.9, beta=0.01, big_m=20.0, mode=mode,
                   bits=bits, w_max=1.0, quantize_biases=True, symmetry=symmetry)
     flat = X.reshape(n_samples, -1)
-    in_lo = flat.min(0).reshape(1, 4, 4)
-    in_hi = flat.max(0).reshape(1, 4, 4)
+    in_lo = flat.min(0).reshape(shape)
+    in_hi = flat.max(0).reshape(shape)
     if weights is not None:
         bt = propagate_bounds(arch, in_lo, in_hi, 0.0, 0.0, fixed_weights=weights)
     else:

@@ -92,6 +92,21 @@ def test_verify_accepts_solver_solution(tmp_path):
     assert main(["verify", "--config", str(cfg), "--solution", str(sol)]) == 0
 
 
+@pytest.mark.parametrize("header", ["objective", "gap"])
+def test_verify_rejects_a_header_that_is_not_a_number(tmp_path, capsys, header):
+    cfg = write_xor_cfg(tmp_path)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    sol = tmp_path / "out" / "solution.txt"
+    lines = sol.read_text().splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith("# " + header))
+    lines[at] = "# %s abc" % header
+    sol.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg), "--solution", str(sol)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: %s:%d: %s 'abc' is not a number\n" % (sol, at + 1, header)
+
+
 def test_verify_rejects_tampered_solution(tmp_path):
     cfg = write_xor_cfg(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0

@@ -124,8 +124,13 @@ MPS = ("NAME m\nROWS\n N OBJ\n L c.0\nCOLUMNS\n    x OBJ 1\n    x c.0 1\n"
     (parse_mps, MPS % ("", " UP BND w 1"), r"line 14: BOUNDS names unknown column 'w'"),
     (parse_mps, MPS % ("RANGES\n    RNG c.0 2", ""),
      r"line 11: unsupported MPS section 'RANGES'"),
+    (parse_lp, LP.replace("x free", "x free\n\n y <= 3") % "",
+     r"line 11: Bounds lists 'y' twice"),
+    (parse_mps, MPS.replace("L c.0", "L c.0\n G c.0") % ("", ""),
+     r"line 5: ROWS declares 'c.0' twice"),
 ], ids=["lp-no-sense", "lp-undeclared", "lp-no-coefficient", "lp-undeclared-binary",
-        "mps-rhs-row", "mps-bounds-column", "mps-ranges"])
+        "mps-rhs-row", "mps-bounds-column", "mps-ranges", "lp-bound-twice",
+        "mps-row-twice"])
 def test_malformed_input_names_its_line(parse, text, message, block, monkeypatch):
     monkeypatch.setattr(emit, "_BLOCK", block)
     with pytest.raises(EmitError, match=message):

@@ -5,8 +5,9 @@ import pytest
 
 from mipnn.dense import vn
 from mipnn.ir import LE
-from mipnn.nnspec import TRAIN_BILINEAR, Dataset, DenseArch, Hyper
+from mipnn.nnspec import TRAIN_BILINEAR, ConvArch, ConvLayer, Dataset, DenseArch, Hyper
 from mipnn.bounds import propagate_bounds
+from mipnn.cnn import build_cnn
 from mipnn.dense import build_dense
 from mipnn.oracle import (InfeasibleError, OracleError, TimeoutExceededError,
                           TooManyBinariesError, branch_and_bound,
@@ -276,7 +277,11 @@ def _tightened(build, scale):
     lambda: _tightened(_dense_build(xor_data(), [2, 1], per_unit_bounds=True,
                                     symmetry=False), 0.7),
     lambda: tiny_conv_build(bits=1, filters=1),
-], ids=["abs-loss", "no-symmetry", "collapsed-bounds", "per-unit-bounds", "conv"])
+    # two filters over a 2x4 map pooled to 1x2, ordered by their |K| sums:
+    # the head meets four cells
+    lambda: tiny_conv_build(bits=1, shape=(1, 2, 5), kernel=(1, 2), symmetry=True),
+], ids=["abs-loss", "no-symmetry", "collapsed-bounds", "per-unit-bounds", "conv",
+        "conv-pooled-two-filters"])
 def test_batched_values_match_complete_on_every_leaf(make):
     build = make()
     n = len(build.structural)
@@ -328,6 +333,43 @@ def test_batched_objective_matches_complete_on_xor_leaves():
             dict(zip(build.structural, map(float, row))))
         assert abs(o - want_obj) <= 1e-12 * max(1.0, abs(want_obj))
         assert abs(v - want_viol) <= 1e-12 * max(1.0, abs(want_viol))
+
+
+def test_batched_values_match_complete_on_two_conv_layers():
+    """A pooled conv layer feeding a strided one and a two-output head: the
+    screen's patches, pooling and flattening across layers, on sampled
+    leaves (42 bits are too many to list)."""
+    rng = np.random.default_rng(3)
+    arch = ConvArch(input_shape=(2, 5, 5),
+                    conv_layers=(ConvLayer(filters=2, kernel=(2, 2), pool=((2, 2), 2)),
+                                 ConvLayer(filters=2, kernel=(2, 1))),
+                    head_dim=2)
+    X = rng.uniform(0, 1, size=(3, 2, 5, 5))
+    data = Dataset(inputs=X, targets=rng.uniform(-1, 1, size=(3, 2)))
+    hyper = Hyper(alpha=0.1, lam=0.9, beta=0.01, big_m=20.0, mode="train-quantized",
+                  bits=1, w_max=1.0, quantize_biases=True, symmetry=True)
+    flat = X.reshape(3, -1)
+    bt = propagate_bounds(arch, flat.min(0).reshape(2, 5, 5),
+                          flat.max(0).reshape(2, 5, 5), -1.0, 1.0)
+    build = build_cnn(arch, data, hyper, bt)
+    build.model.freeze()
+    values = rng.integers(0, 2, size=(500, len(build.structural))).astype(float)
+    obj, viol = build.complete_batch(values)
+    got = [build.complete(dict(zip(build.structural, row))) for row in values.tolist()]
+    assert np.allclose(obj, [o for o, _, _ in got], rtol=1e-12, atol=1e-12)
+    assert np.allclose(viol, [v for _, v, _ in got], rtol=1e-12, atol=1e-12)
+    assert 0 < np.count_nonzero(viol <= 1e-6) < len(viol)
+
+
+def test_bnb_decisions_on_the_criterion_6_instance_are_pinned():
+    """The block screen only screens: nodes, candidates, the optimum and
+    the winner's structural bits are those of the scalar decisions."""
+    build = quantized_dense_build(xor_data(), [2], bits=2)
+    res = branch_and_bound(build)
+    assert (res.nodes, res.candidates) == (262656, 153600)
+    assert res.objective == 0.5800000000000001
+    winner = res.assignment.x[build.columns["bits"]]
+    assert "".join("%d" % v for v in winner) == "1111100000011000011"
 
 
 def test_counters_count_the_work_done():
