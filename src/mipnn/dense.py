@@ -53,23 +53,30 @@ def bit_vector(build, bits):
     return np.array([bits[name] for name in build.structural], dtype=float)
 
 
-def decode_layers(build, values):
+def decode_layers(build, values, runs=None):
     """The (W, b) or (K, b) per layer that the B structural-bit vectors
     ``values``, of shape (B, len(structural)), determine, each with the batch
     axis last: the fixed weights in verification mode, else decoded through
-    ``_bit_columns``."""
-    B = len(values)
+    ``_bit_columns``.  Layer l is decoded on the rows ``values[::runs[l]]``
+    (every row by default)."""
+    runs = runs or [1] * len(build.tensors)
     if build.hyper.mode == VERIFY:
         return [tuple(np.broadcast_to(np.asarray(p, dtype=float)[..., None],
-                                      np.shape(p) + (B,))
-                      for p in pair) for pair in build.fixed_weights]
-    _, digits, shapes = build._bit_columns
+                                      np.shape(p) + (len(values[::r]),))
+                      for p in pair) for pair, r in zip(build.fixed_weights, runs)]
     quant = QuantSpec(build.hyper.bits, build.hyper.w_max)
-    flat = quant.decode(values.T[digits])             # (parameter, B)
-    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-    tensors = [flat[start:end].reshape(shape + (B,))
-               for shape, start, end in zip(shapes, [0] + ends, ends)]
-    return list(zip(tensors[0::2], tensors[1::2]))
+    layers = []
+    for t, digits, r in zip(build.tensors, build._bit_columns[1], runs):
+        flat = quant.decode(values[::r].T[digits])      # (parameter, B)
+        size = math.prod(t.shape)
+        layers.append((flat[:size].reshape(t.shape + flat.shape[1:]), flat[size:]))
+    return layers
+
+
+def _spread(op, coarse, fine):
+    """``op`` of each of the S' states of ``coarse`` with the S/S' states of
+    ``fine`` (S,) that it covers, in order."""
+    return op(coarse[:, None], fine.reshape(len(coarse), -1)).ravel()
 
 
 def _lead(x, k):
@@ -674,19 +681,25 @@ class Build:
 
     @cached_property
     def _bit_columns(self):
-        """Indices in ``structural``: per gated tensor those of its switches,
-        and in a trained build those of each tensor's weight and then bias
-        digits, a row per parameter, with the shape of each W and b."""
+        """Indices in ``structural``: per gated tensor those of its switches;
+        in a trained build, per tensor those of its weight and then bias
+        digits, a row per parameter (None in verification mode); and per
+        tensor the end of the prefix of columns that holds every switch and
+        the digits of that tensor and of every earlier one."""
         at = partial(np.searchsorted, self.columns["bits"])
         gates = [at(self.columns["gamma", t.l]) for t in self.tensors if t.gates]
-        if self.hyper.mode == VERIFY:
-            return gates, None, None
-        if ("db", 0) not in self.columns:
-            raise BuildError("free parameters: bits do not determine the net")
-        digits = [self.columns[key, t.l].reshape(-1, self.hyper.bits)
-                  for t in self.tensors for key in ("d", "db")]
-        return (gates, at(np.concatenate(digits)),
-                [shape for t in self.tensors for shape in (t.shape, t.shape[:1])])
+        digits = None
+        if self.hyper.mode != VERIFY:
+            if ("db", 0) not in self.columns:
+                raise BuildError("free parameters: bits do not determine the net")
+            digits = [at(np.concatenate([self.columns[key, t.l].reshape(-1, self.hyper.bits)
+                                         for key in ("d", "db")]))
+                      for t in self.tensors]
+        last, ends = max((int(c.max()) for c in gates), default=-1), []
+        for d in digits or [()] * len(self.tensors):
+            last = int(np.max(d, initial=last))
+            ends.append(last + 1)
+        return gates, digits, ends
 
     def patches(self, l, a):
         """The cells of the map ``a``, on its trailing axes, that the weight
@@ -718,30 +731,31 @@ class Build:
         trace = forward_trace(net, self.data.inputs)
         obj = objective_breakdown(net, trace[-1][0], self.data.targets, h)["total"]
         # each z (B, n, rows, *pos) as (rows, n, *pos, B)
-        viol = self.violation(gates, params,
-                              [np.moveaxis(z, (2, 0), (0, -1)) for z, _ in trace[:-1]])
+        viol = self.violation(gates, zip(self.tensors, params, [
+            np.moveaxis(z, (2, 0), (0, -1)) for z, _ in trace[:-1]]))
         return first, trace, obj, viol
 
-    def violation(self, gates, params, zs):
+    def violation(self, gates, layers):
         """The worst amount, a (B,) array, by which each of B candidates
         breaks a constraint family that forward propagation does not satisfy
         by construction: the switch chain, each gated row's gates on its
         weights, bias and pre-activations, symmetry breaking and the
         pre-activation bounds.  A feasible candidate has violation <= tol.
 
-        Every array has the batch axis last: the gates (units, B), the
-        parameters W (rows, *entry, B) and b (rows, B), and each hidden
-        layer's pre-activations z (rows, ..., B).  The checks are
-        max-reductions over the leading axes, which give the same floats in
-        any layout."""
+        ``gates`` holds every gated tensor's switches and ``layers`` the
+        (tensor, (W, b), z) of the hidden tensors to check.  Every array has
+        the batch axis last: the gates (units, B), the parameters W (rows,
+        *entry, B) and b (rows, B), and the pre-activations z (rows, ..., B).
+        The checks are max-reductions over the leading axes, which give the
+        same floats in any layout."""
         h = self.hyper
-        B = params[0][1].shape[-1]
+        B = gates[0].shape[-1]
         checks = []
         if self.layer_chain:
-            gamma = np.concatenate(gates)
+            gamma = np.concatenate(gates, dtype=float)
             checks += [np.abs(gamma[:1] - 1.0), gamma[1:] - gamma[:-1]]
         # gates broadcast over rows: one switch per dense layer, per conv channel
-        for t, g, (W, b), z in zip(self.tensors[:-1], gates, params, zs):
+        for t, (W, b), z in layers:
             rows = W.reshape(W.shape[:1] + (-1, B))
             size = np.abs(rows)
             # each row's extreme pre-activations over samples and positions
@@ -752,7 +766,7 @@ class Build:
             # quantity less the gate is the largest of their excesses
             reach = np.maximum(np.maximum(size.max(axis=1), np.abs(b)),
                                np.maximum(-z_lo, z_hi))
-            checks += [reach - h.big_m * g, lo - z_lo, z_hi - hi]
+            checks += [reach - h.big_m * gates[t.l], lo - z_lo, z_hi - hi]
             if h.symmetry:
                 sums = (size if self.symmetry_on_abs else rows).sum(axis=1)
                 checks.append(sums[1:] - sums[:-1])
@@ -760,45 +774,70 @@ class Build:
 
     def complete_batch(self, values):
         """Objective and violation, two (B,) arrays, of the B candidates
-        ``values``: the exact search's block screen, scoring them in an
-        arithmetic of its own.
+        ``values``: the exact search's screen, in an arithmetic of its own.
 
-        The batch stays the innermost axis throughout: parameters
-        (*shape, B), maps (units, *pos, n, B), each layer a sum over its
-        weight entries of one broadcast product each (``_screen_layer``).
-        The sums round in another order than ``evaluate``'s stacked
-        products, so the numbers may differ from it in the last bits; the
-        search only screens on them (``oracle.SCREEN_MARGIN``), and
+        Layer l is decoded, regularized and checked once per run of
+        ``_runs(values)[l]`` consecutive rows that agree on its parameters,
+        every earlier layer's and the switches; its map reaches the next
+        layer's states as a broadcast view (``_screen_layer``), and only the
+        head and the loss are computed per row.  The state axis stays
+        innermost throughout.  The sums round in another order than
+        ``evaluate``'s, so the numbers may differ from it in the last bits;
+        the search only screens on them (``oracle.SCREEN_MARGIN``), and
         ``complete`` decides."""
-        gates = [values.T[cols] for cols in self._bit_columns[0]]
-        params = decode_layers(self, values)
-        zs = []
+        h = self.hyper
+        al, fr = regularization(h)
+        runs = self._runs(values)
+        obj = viol = np.zeros(1)
         a = _lead(self.data.inputs, self.data.inputs.ndim - 1)[..., None]   # (*map, n, 1)
-        for t, (W, b) in zip(self.tensors[:-1], params):
-            zs.append(self._screen_layer(t, W, b, a))
-            a = self.pooled(t.l, np.maximum(zs[-1], 0.0))
-        # the head meets the last map flattened, channel-major
-        out = self._screen_layer(self.tensors[-1], *params[-1],
-                                 a.reshape((-1,) + a.shape[-2:]))
-        net = self.net([(_lead(W, 1), b.T) for W, b in params], [g.T for g in gates])
-        obj = objective_breakdown(net, out.T, self.data.targets, self.hyper)["total"]
-        return obj, self.violation(gates, params, zs)
+        for t, (W, b), r in zip(self.tensors, decode_layers(self, values, runs), runs):
+            if t.l == self.L:
+                # the head meets the last map flattened, channel-major
+                a = a.reshape((-1,) + a.shape[-2:])
+            z = self._screen_layer(t, W, b, a)
+            part = (al * np.abs(W) + fr * W * W).reshape(-1, W.shape[-1]).sum(axis=0)
+            if t.gates:
+                gates = [values[::r].T[cols] for cols in self._bit_columns[0]]
+                part += h.beta * gates[t.l].sum(axis=0)
+                viol = _spread(np.maximum, viol, self.violation(gates, [(t, (W, b), z)]))
+                a = self.pooled(t.l, np.maximum(z, 0.0))
+            obj = _spread(np.add, obj, part)
+        res = z - self.data.targets.T[..., None]
+        obj = obj + (np.abs(res) if h.loss == LOSS_ABS else res * res).sum(axis=(0, 1))
+        return (np.repeat(obj, len(values) // len(obj)),
+                np.repeat(viol, len(values) // len(viol)))
+
+    def _runs(self, values):
+        """Per tensor, the length of the runs of consecutive rows of
+        ``values`` that agree on the prefix of columns up to its
+        ``_bit_columns`` end: the greatest common divisor of B and of the
+        rows that start a new prefix, so it divides each earlier tensor's."""
+        change = values.T[:, 1:] != values.T[:, :-1]
+        runs = []
+        for end in self._bit_columns[2]:
+            cuts = change[:end].any(axis=0)
+            runs.append(1 if cuts.all() else int(
+                np.gcd.reduce(np.flatnonzero(cuts) + 1, initial=len(values))))
+        return runs
 
     def _screen_layer(self, t, W, b, a):
-        """The pre-activations (rows, *pos, n, B) of layer ``t`` with batched
-        parameters W (rows, *entry, B) and b (rows, B) over the map ``a``
-        (*map, n, B or 1), accumulated one weight entry at a time."""
-        cells = self.patches(t.l, _lead(a, 2))            # (n, B, *pos, *entry)
+        """The pre-activations (rows, *pos, n, S) of layer ``t`` with batched
+        parameters W (rows, *entry, S) and b (rows, S) over the map ``a``
+        (*map, n, S'), accumulated one weight entry at a time.  S' divides
+        S: map state s is spread, as a broadcast view, over the parameter
+        states S/S' * s to S/S' * (s + 1) - 1."""
+        cells = self.patches(t.l, _lead(a, 2))            # (n, S', *pos, *entry)
         npos = cells.ndim - len(t.shape) - 1
         cells = cells.reshape(cells.shape[:2 + npos] + (-1,))
         cells = np.ascontiguousarray(
-            cells.transpose((npos + 2,) + tuple(range(2, npos + 2)) + (0, 1)))
-        W = W.reshape(W.shape[:1] + (-1,) + (1,) * (npos + 1) + W.shape[-1:])
+            cells.transpose((npos + 2,) + tuple(range(2, npos + 2)) + (0, 1)))[..., None]
+        split = (1,) * (npos + 1) + (a.shape[-1], -1)
+        W = W.reshape(W.shape[:1] + (len(cells),) + split)
         z = W[:, 0] * cells[0]
         for k in range(1, len(cells)):
             z += W[:, k] * cells[k]
-        z += b.reshape(b.shape[:1] + (1,) * (npos + 1) + b.shape[-1:])
-        return z
+        z += b.reshape(b.shape[:1] + split)
+        return z.reshape(z.shape[:-2] + (-1,))
 
     def pooled(self, l, act):
         """The map that ReLU layer l passes on, given its post-ReLU map

@@ -33,8 +33,8 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .ir import (SENSES, Assignment, DuplicateNameError, MissingVariableError, ModelIR,
-                 round_binaries)
+from .ir import (SENSES, Assignment, DuplicateNameError, InvertedBoundsError,
+                 MissingVariableError, ModelIR, round_binaries)
 
 INF = float("inf")
 
@@ -426,6 +426,10 @@ class _LPReader:
             second = [k for k, n in enumerate(self.names) if n == name][1]
             raise EmitError("line %d: Bounds lists %r twice"
                             % (self.bound_line[second], name)) from None
+        except InvertedBoundsError:
+            k = int(np.argmax(np.frombuffer(self.lo) > np.frombuffer(self.hi)))
+            raise EmitError(_inverted(self.bound_line[k], self.names[k],
+                                      self.lo[k], self.hi[k])) from None
         if sum(binary) < len(binaries):
             name, k = next((name, k) for name, k in binaries.items()
                            if name not in model.var_index)
@@ -522,6 +526,11 @@ def _parse_bound_line(toks, line):
     except ValueError:
         pass
     raise EmitError("line %d: bad bound line %r" % (line, " ".join(toks)))
+
+
+def _inverted(line, name, lo, hi):
+    return ("line %d: the lower bound %r of %r exceeds its upper bound %r"
+            % (line, float(lo), name, float(hi)))
 
 
 def _parse_terms(tokens):
@@ -756,6 +765,7 @@ class _MPSReader:
         self.var_of, self.row_of, self.values = array("q"), array("q"), array("d")
         self.rhs_of, self.rhs = array("q"), array("d")
         self.lo, self.hi = [], []
+        self.inverted = {}                   # column -> BOUNDS line inverting it
         self.quadratic = []                  # (column, column, value)
 
     def header(self, text, line):
@@ -876,6 +886,10 @@ class _MPSReader:
                     lo[j] = value
                 if tag != "LO":
                     hi[j] = value
+                # the line that leaves a pair inverted, for the error;
+                # binaries are held to [0, 1] (see ``model``)
+                if lo[j] > hi[j] or (lo[j] > 1.0 or hi[j] < 0.0) and self.binary[j]:
+                    self.inverted[j] = k
             elif tag in ("FR", "MI", "FX", "LO", "UP"):
                 raise EmitError("line %d: bad BOUNDS line %r" % (k, ln.strip()))
             else:
@@ -906,7 +920,11 @@ class _MPSReader:
         # binaries default to [0, 1], and their bounds stay inside it
         lo = np.where(binary, np.maximum(lo, 0.0), lo)
         hi = np.where(binary, np.minimum(hi, 1.0), hi)
-        model.add_variables(names, lo, hi, binary)
+        try:
+            model.add_variables(names, lo, hi, binary)
+        except InvertedBoundsError:
+            j = int(np.argmax(lo > hi))
+            raise EmitError(_inverted(self.inverted[j], names[j], lo[j], hi[j])) from None
 
         # objective entries in column order, rows with their terms in column order
         var_of = np.frombuffer(self.var_of, dtype=np.int64)

@@ -22,15 +22,20 @@ from .ir import Assignment, AuditReport
 from .nnspec import TRAIN_BILINEAR
 from .recon import QuantSpec, regularization
 
-# Leaves per ``complete_batch`` pass, for dense and conv builds alike.  Peak
-# memory grows with it: measured on the XOR criterion instance, +0.25 MB at
-# 1024 leaves, +1.5 MB at 4096.
+# Leaves per decision block: the search decides the trailing weight digits
+# of each subtree, at most this many leaves, as one block (``_Search``).
 BLOCK_LEAVES = 1024
+# Leaves per ``complete_batch`` pass: the sibling blocks under one prefix are
+# scored together, at most this many leaves.  Memory grows with it: the
+# traced peak of the search on the XOR criterion-6 instance is about 0.2 MB
+# at 1024 leaves per pass, 0.4 MB at 2048 and 0.7 MB at 4096.
+PASS_LEAVES = 4096
 # Relative margin, of max(1, |x|), by which a screened violation or objective
 # x must clear the tolerance or the incumbent before the leaf may skip the
 # scalar check.  The screen (``complete_batch``) sums each layer and each
-# check in another order than ``complete`` does, so its numbers may differ by
-# a few ulps of the terms summed: about 1e-16 relative each, far below 1e-9
+# check in another order than ``complete`` does, and adds each layer's
+# regularization per state before the loss, so its numbers may differ by a
+# few ulps of the terms summed: about 1e-16 relative each, far below 1e-9
 # for nets of a few dozen terms per sum.  A leaf within the margin of a cut
 # is decided by ``complete``, so the screen never changes a decision.
 SCREEN_MARGIN = 1e-9
@@ -171,14 +176,14 @@ def _audited(build, bits, tol, what):
     return asg, report
 
 
-def _block_start(build, domains):
-    """Index of the first structural bit scored in blocks: the longest
-    trailing run of weight digits (the bits after the switches) whose leaves
-    fit in BLOCK_LEAVES.  Builds without weight digits (verification mode)
-    get no block: the index is the bit count."""
+def _block_start(build, domains, leaves_max):
+    """Index of the first structural bit of the longest trailing run of
+    weight digits (the bits after the switches) whose leaves fit in
+    ``leaves_max``.  Builds without weight digits (verification mode) get
+    none: the index is the bit count."""
     start, leaves = len(domains), 1
     while (start > len(build.gammas)
-           and leaves * len(domains[start - 1][1]) <= BLOCK_LEAVES):
+           and leaves * len(domains[start - 1][1]) <= leaves_max):
         start -= 1
         leaves *= len(domains[start][1])
     return start
@@ -192,11 +197,15 @@ class _Search:
     """The depth-first search both engines share.
 
     It branches bit by bit in lexicographic order over the leading structural
-    bits and scores all leaves below the block start in one
-    ``complete_batch`` pass.  The batched numbers only screen: a leaf is
-    skipped when they show that it cannot become the incumbent under the
-    strict-``<`` rule, and every other leaf, in lexicographic order, is decided
-    by the scalar ``complete`` and the injected-constraint check.
+    bits down to the block start, and decides the leaves below it as one
+    block.  The leaves are scored in ``complete_batch`` passes, each for
+    every sibling block under one prefix: the blocks that differ only in the
+    weight digits between the pass start and the block start.  The pass is
+    scored when the first of them is reached and serves each in DFS order.
+    The batched numbers only screen: a leaf is skipped when they show that
+    it cannot become the incumbent under the strict-``<`` rule, and every
+    other leaf, in lexicographic order, is decided by the scalar
+    ``complete`` and the injected-constraint check.
 
     Enumeration passes no triggers.  Branch and bound passes the callbacks of
     ``build_triggers``: a fixed bit may then cut its subtree as infeasible,
@@ -206,7 +215,8 @@ class _Search:
     that prunes exactly what testing every node on the path would.
 
     ``nodes`` counts the nodes entered above the blocks (block roots and
-    scalar leaves included) plus the leaves of every block scored;
+    scalar leaves included) plus the leaves of every block decided, whether
+    or not its pass scored other blocks too;
     ``candidates`` counts the leaves that satisfy the built constraints.  A
     budget or deadline that runs out leaves ``exhausted`` set and the lowest
     bound of the work left undone in ``open_bound``.
@@ -220,14 +230,21 @@ class _Search:
         self.triggers = triggers
         self.domains = _structural_domains(build)
         self.extras = _has_extras(build)
-        self.start = _block_start(build, self.domains)
+        self.start = _block_start(build, self.domains, BLOCK_LEAVES)
+        self.pass_start = _block_start(build, self.domains, PASS_LEAVES)
+        self.siblings = self.domains[self.pass_start:self.start]
         tail = self.domains[self.start:]
         self.block_names = [name for name, _ in tail]
         # Python floats: the decided bits go on into complete and assemble
         self.block_leaves = list(itertools.product(*(dom for _, dom in tail)))
-        self.values = np.empty((len(self.block_leaves), len(self.domains)))
-        self.values[:, self.start:] = np.reshape(self.block_leaves,
-                                                 (len(self.block_leaves), -1))
+        # the leaves of a pass, sibling block after sibling block, one byte
+        # per bit and stored column by column, as the screen reads them
+        heads = np.array(list(itertools.product(*(dom for _, dom in self.siblings))))
+        block = np.array(self.block_leaves)
+        self.values = np.empty((len(self.domains), len(heads) * len(block)), bool).T
+        self.values[:, self.pass_start:self.start] = np.repeat(heads, len(block), axis=0)
+        self.values[:, self.start:] = np.tile(block, (len(heads), 1))
+        self.screen = None       # the current pass's masks (see _block)
         self.bits = {}
         self.nodes = 0
         self.candidates = 0
@@ -273,6 +290,8 @@ class _Search:
         self.nodes += 1
         if self._pruned(bound):
             return
+        if idx == self.pass_start:
+            self.screen = None       # a new prefix: its first block scores a pass
         if idx == len(self.domains):
             self.candidates += self._decide()
             return
@@ -306,16 +325,22 @@ class _Search:
         if self._stop(len(leaves), bound):
             return
         self.nodes += len(leaves)
-        self.values[:, :self.start] = [self.bits[name]
-                                       for name, _ in self.domains[:self.start]]
-        obj, viol = self.build.complete_batch(self.values)
-        open_ = viol <= self.tol + _margin(viol)
-        sure = viol <= self.tol - _margin(viol)
+        if self.screen is None:
+            self.values[:, :self.pass_start] = [
+                self.bits[name] for name, _ in self.domains[:self.pass_start]]
+            obj, viol = self.build.complete_batch(self.values)
+            self.screen = (viol <= self.tol + _margin(viol),
+                           viol <= self.tol - _margin(viol), obj - _margin(obj))
+        # this block's slice of the pass: its sibling digits in mixed radix
+        k = 0
+        for name, dom in self.siblings:
+            k = k * len(dom) + dom.index(self.bits[name])
+        open_, sure, low = (x[k * len(leaves):(k + 1) * len(leaves)]
+                            for x in self.screen)
         self.candidates += int(sure.sum())
         for i in np.flatnonzero(open_ & ~sure):
             self._set_leaf(leaves[i])
             self.candidates += self.build.complete(self.bits, self.tol)[1] <= self.tol
-        low = obj - _margin(obj)
         pos = 0
         while True:
             cut = np.inf if self.best_obj is None else self.best_obj

@@ -128,9 +128,14 @@ MPS = ("NAME m\nROWS\n N OBJ\n L c.0\nCOLUMNS\n    x OBJ 1\n    x c.0 1\n"
      r"line 11: Bounds lists 'y' twice"),
     (parse_mps, MPS.replace("L c.0", "L c.0\n G c.0") % ("", ""),
      r"line 5: ROWS declares 'c.0' twice"),
+    (parse_lp, LP.replace("0 <= y", "2 <= y") % "",
+     r"line 9: the lower bound 2.0 of 'y' exceeds its upper bound 1.0"),
+    # a negative upper bound on a column whose lower bound is the default 0
+    (parse_mps, MPS % ("", " UP BND y -1"),
+     r"line 14: the lower bound 0.0 of 'y' exceeds its upper bound -1.0"),
 ], ids=["lp-no-sense", "lp-undeclared", "lp-no-coefficient", "lp-undeclared-binary",
         "mps-rhs-row", "mps-bounds-column", "mps-ranges", "lp-bound-twice",
-        "mps-row-twice"])
+        "mps-row-twice", "lp-inverted-bounds", "mps-inverted-bounds"])
 def test_malformed_input_names_its_line(parse, text, message, block, monkeypatch):
     monkeypatch.setattr(emit, "_BLOCK", block)
     with pytest.raises(EmitError, match=message):

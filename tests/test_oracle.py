@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from mipnn.bounds import propagate_bounds
 from mipnn.cnn import build_cnn
 from mipnn.dense import build_dense
 from mipnn.oracle import (InfeasibleError, OracleError, TimeoutExceededError,
-                          TooManyBinariesError, branch_and_bound,
-                          enumerate_exact, iter_candidates)
+                          TooManyBinariesError, _structural_domains,
+                          branch_and_bound, enumerate_exact, iter_candidates)
 from mipnn.recon import forward, forward_preactivations, reconstruct
 
 from conftest import (quantized_dense_build, tiny_conv_build, verify_dense_build,
@@ -270,6 +271,20 @@ def _tightened(build, scale):
     return build
 
 
+def _line_data():
+    """Three samples of one input: a net over them has few weight digits."""
+    return Dataset(inputs=np.array([[0.0], [0.5], [1.0]]),
+                   targets=np.array([[1.0], [0.0], [1.0]]))
+
+
+def _fixed(build, count):
+    """``build`` with its first ``count`` structural bits fixed at 1."""
+    for name in build.structural[:count]:
+        build.model.set_bounds(name, 1.0, 1.0)
+    build.model.freeze()
+    return build
+
+
 @pytest.mark.parametrize("make", [
     lambda: quantized_dense_build(xor_data(), [2], bits=1, loss="abs"),
     lambda: quantized_dense_build(xor_data(), [2], bits=1, symmetry=False),
@@ -280,18 +295,26 @@ def _tightened(build, scale):
     # two filters over a 2x4 map pooled to 1x2, ordered by their |K| sums:
     # the head meets four cells
     lambda: tiny_conv_build(bits=1, shape=(1, 2, 5), kernel=(1, 2), symmetry=True),
+    # three digits per parameter (13 bits): a pass of 128 leaves starts
+    # inside the digits of the first layer's bias
+    lambda: quantized_dense_build(_line_data(), [1], bits=3),
+    # the switches and the first hidden row fixed (11 free bits): both
+    # hidden layers and the head vary inside a pass
+    lambda: _fixed(quantized_dense_build(_line_data(), [2, 2], freeze=False), 4),
 ], ids=["abs-loss", "no-symmetry", "collapsed-bounds", "per-unit-bounds", "conv",
-        "conv-pooled-two-filters"])
+        "conv-pooled-two-filters", "three-digit-parameters", "two-hidden-layers"])
 def test_batched_values_match_complete_on_every_leaf(make):
     build = make()
-    n = len(build.structural)
-    values = np.array([[(v >> (n - 1 - t)) & 1 for t in range(n)]
-                       for v in range(2 ** n)], dtype=float)
-    obj, viol = build.complete_batch(values)
-    got = [build.complete(dict(zip(build.structural, map(float, row))))
-           for row in values]
-    assert np.allclose(obj, [o for o, _, _ in got], rtol=1e-12, atol=1e-12)
-    assert np.allclose(viol, [v for _, v, _ in got], rtol=1e-12, atol=1e-12)
+    values = np.array(list(itertools.product(
+        *(dom for _, dom in _structural_domains(build)))))
+    got = [build.complete(dict(zip(build.structural, row)))
+           for row in values.tolist()]
+    # the whole listing in one batch, and in the passes of 128 leaves
+    for passes in (1, len(values) // 128):
+        obj, viol = map(np.concatenate, zip(*map(build.complete_batch,
+                                                 np.split(values, passes))))
+        assert np.allclose(obj, [o for o, _, _ in got], rtol=1e-12, atol=1e-12)
+        assert np.allclose(viol, [v for _, v, _ in got], rtol=1e-12, atol=1e-12)
     assert 0 < np.count_nonzero(viol <= 1e-6) < len(viol)
 
 
@@ -406,3 +429,69 @@ def test_budget_stops_before_a_block_it_would_overrun():
     assert cut.nodes == 2 <= full.nodes - 1
     exact = branch_and_bound(build, budget=full.nodes)
     assert exact.proven and exact.assignment.values == full.assignment.values
+
+
+# -- sibling blocks scored in one pass ---------------------------------------
+#
+# On the criterion-6 instance (19 bits) the decision blocks are the last 10
+# bits; the weight digits before them (structural[7] and [8], the digits of
+# W[0][1][0]) vary between the sibling blocks of a pass.  The figures below
+# were recorded with one screen call per decision block, before passes
+# existed: scoring several blocks at once must not move any of them.
+
+def _criterion_6(fix=None, inject=None):
+    build = quantized_dense_build(xor_data(), [2], bits=2, freeze=False)
+    if fix is not None:
+        name = build.structural[fix[0]]
+        build.model.set_bounds(name, fix[1], fix[1])
+    if inject is not None:
+        build.model.add_constraint([(1.0, build.model.var(inject[0]))], LE,
+                                   inject[1], "injected")
+    build.model.freeze()
+    return build
+
+
+def _outcome(build, res):
+    winner = None if res.assignment is None else "".join(
+        "%d" % v for v in res.assignment.x[build.columns["bits"]])
+    return res.objective, res.proven, res.bound, res.nodes, res.candidates, winner
+
+
+@pytest.mark.parametrize("make, budget, want", [
+    # a fixing on a bit that varies between the blocks of one pass
+    (lambda: _criterion_6(fix=(8, 1.0)), 10 ** 7,
+     (0.8022222222222221, True, 0.8022222222222221, 131328, 53248,
+      "1001101110001111110")),
+    (lambda: _criterion_6(fix=(7, 1.0)), 10 ** 7,
+     (0.8022222222222221, True, 0.8022222222222221, 131392, 65536,
+      "1001101110001111110")),
+    # a post-build row that moves the winner
+    (lambda: _criterion_6(inject=("b[0][1]", -0.5)), 10 ** 7,
+     (0.8241975308641976, True, 0.8241975308641976, 262656, 153600,
+      "1111101111100010001")),
+    # budgets that run out after the first and after the second block of
+    # the first pass: the open bound is that of the blocks left undone
+    (_criterion_6, 2058,
+     (1.4511111111111115, False, 0.01, 1035, 256, "1000000000011011001")),
+    (_criterion_6, 3084,
+     (1.4511111111111115, False, 0.01, 2061, 256, "1000000000011011001")),
+    (_criterion_6, 100000,
+     (0.8022222222222221, False, 0.01, 99529, 40960, "1001101110001111110")),
+], ids=["fix-sibling-8", "fix-sibling-7", "injected-row", "budget-after-block-1",
+        "budget-after-block-2", "budget-mid-search"])
+def test_pass_decisions_match_the_per_block_search(make, budget, want):
+    build = make()
+    assert _outcome(build, branch_and_bound(build, budget=budget)) == want
+
+
+def test_search_memory_on_the_criterion_6_instance_stays_bounded():
+    """The traced peak of the search: about 700 KB with one screen call per
+    1,024-leaf block, and a pass may add at most 1.5 MB to it."""
+    build = quantized_dense_build(xor_data(), [2], bits=2)
+    tracemalloc.start()
+    try:
+        branch_and_bound(build)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (700 + 1536) * 1024
