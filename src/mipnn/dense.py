@@ -22,6 +22,7 @@ and the objective are emitted from that list by the functions below.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -49,8 +50,15 @@ def vn(base, *idx):
 
 
 def bit_vector(build, bits):
-    """A structural-bit assignment as an array in ``build.structural`` order."""
-    return np.array([bits[name] for name in build.structural], dtype=float)
+    """A structural-bit assignment as an array in ``build.structural`` order:
+    ``bits`` is a sequence in that order, or maps each name to its value."""
+    if isinstance(bits, Mapping):
+        bits = [bits[name] for name in build.structural]
+    values = np.array(bits, dtype=float)
+    if values.shape != (len(build.structural),):
+        raise BuildError("%d structural bits expected, got shape %r"
+                         % (len(build.structural), values.shape))
+    return values
 
 
 def decode_layers(build, values, runs=None):
@@ -106,9 +114,6 @@ class Tensor:
     gates: tuple
     label: str
     bias_col: tuple
-
-    def bias_key(self, row):
-        return (self.l, row) + self.bias_col
 
 
 def param_tensors(arch):

@@ -13,6 +13,7 @@ decision (see ``_Search``).
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -69,11 +70,12 @@ class SolveResult:
 
 
 def _structural_domains(build):
-    """(name, [values]) per structural binary, honoring bound fixings."""
+    """The values of each structural binary, in ``structural`` order,
+    honoring bound fixings."""
     cols = build.columns["bits"]
     lo, hi = (np.asarray(v)[cols].tolist() for v in (build.model.lo, build.model.hi))
-    return [(name, [1.0] if low > 0.5 else [0.0] if high < 0.5 else [0.0, 1.0])
-            for name, low, high in zip(build.structural, lo, hi)]
+    return [[1.0] if low > 0.5 else [0.0] if high < 0.5 else [0.0, 1.0]
+            for low, high in zip(lo, hi)]
 
 
 def _has_extras(build):
@@ -91,24 +93,14 @@ def _check_extras(build, bits, tol):
 
 
 def iter_candidates(build, tol=1e-6):
-    """All feasible structural candidates as (bits, objective), lexicographic."""
-    domains = _structural_domains(build)
+    """All feasible structural candidates as (bits, objective),
+    lexicographic, ``bits`` mapping each structural name to its value: the
+    scalar reference listing."""
     extras = _has_extras(build)
-
-    def rec(idx, bits):
-        if idx == len(domains):
-            obj, viol, _ = build.complete(bits, tol)
-            if viol <= tol and (not extras
-                                or _check_extras(build, bits, tol) <= tol):
-                yield dict(bits), obj
-            return
-        name, dom = domains[idx]
-        for val in dom:
-            bits[name] = val
-            yield from rec(idx + 1, bits)
-        del bits[name]
-
-    yield from rec(0, {})
+    for bits in itertools.product(*_structural_domains(build)):
+        obj, viol, _ = build.complete(bits, tol)
+        if viol <= tol and (not extras or _check_extras(build, bits, tol) <= tol):
+            yield dict(zip(build.structural, bits)), obj
 
 
 def enumerate_exact(build, limit_bits=24, tol=1e-6, timeout=None):
@@ -183,9 +175,9 @@ def _block_start(build, domains, leaves_max):
     none: the index is the bit count."""
     start, leaves = len(domains), 1
     while (start > len(build.gammas)
-           and leaves * len(domains[start - 1][1]) <= leaves_max):
+           and leaves * len(domains[start - 1]) <= leaves_max):
         start -= 1
-        leaves *= len(domains[start][1])
+        leaves *= len(domains[start])
     return start
 
 
@@ -207,7 +199,12 @@ class _Search:
     other leaf, in lexicographic order, is decided by the scalar
     ``complete`` and the injected-constraint check.
 
-    Enumeration passes no triggers.  Branch and bound passes the callbacks of
+    A candidate is the vector ``bits`` of structural bits in ``structural``
+    order, set position by position: a node at depth ``idx`` has fixed
+    ``bits[:idx]`` (the rest are stale, and no trigger reads past its own
+    position), and a block leaf is the slice ``bits[start:]``.
+
+    Enumeration passes no triggers.  Branch and bound passes the triggers of
     ``build_triggers``: a fixed bit may then cut its subtree as infeasible,
     and a subtree whose bound reaches the incumbent is pruned.  Inside a
     block both tests run on each leaf that reaches the scalar decision; as
@@ -233,19 +230,17 @@ class _Search:
         self.start = _block_start(build, self.domains, BLOCK_LEAVES)
         self.pass_start = _block_start(build, self.domains, PASS_LEAVES)
         self.siblings = self.domains[self.pass_start:self.start]
-        tail = self.domains[self.start:]
-        self.block_names = [name for name, _ in tail]
         # Python floats: the decided bits go on into complete and assemble
-        self.block_leaves = list(itertools.product(*(dom for _, dom in tail)))
+        self.block_leaves = list(itertools.product(*self.domains[self.start:]))
         # the leaves of a pass, sibling block after sibling block, one byte
         # per bit and stored column by column, as the screen reads them
-        heads = np.array(list(itertools.product(*(dom for _, dom in self.siblings))))
+        heads = np.array(list(itertools.product(*self.siblings)))
         block = np.array(self.block_leaves)
         self.values = np.empty((len(self.domains), len(heads) * len(block)), bool).T
         self.values[:, self.pass_start:self.start] = np.repeat(heads, len(block), axis=0)
         self.values[:, self.start:] = np.tile(block, (len(heads), 1))
         self.screen = None       # the current pass's masks (see _block)
-        self.bits = {}
+        self.bits = [0.0] * len(self.domains)
         self.nodes = 0
         self.candidates = 0
         self.best_obj = None
@@ -270,15 +265,17 @@ class _Search:
             self.open_bound = bound
         return self.exhausted
 
-    def _fire(self, name, bound):
-        """The bound after fixing ``name``, or None when a trigger cuts it."""
-        extra = 0.0
-        feasible = True
-        for fn in self.triggers.get(name, ()):
-            contrib, ok = fn(self.bits)
-            extra += contrib
-            feasible = feasible and ok
-        return bound + extra if feasible else None
+    def _fire(self, p, bound):
+        """The bound after fixing position ``p``, or None when its trigger
+        cuts it (see ``build_triggers``)."""
+        trigger = self.triggers[p]
+        if trigger is None:
+            return bound
+        digits, gate, costs, allowed = trigger
+        code = sum(int(self.bits[d]) << t for t, d in enumerate(digits))
+        if gate is not None and self.bits[gate] < 0.5 and not allowed[code]:
+            return None
+        return bound + costs[code]
 
     def _pruned(self, bound):
         return (self.triggers is not None and self.best_obj is not None
@@ -298,13 +295,11 @@ class _Search:
         if idx == self.start:
             self._block(bound)
             return
-        name, dom = self.domains[idx]
-        for val in dom:
-            self.bits[name] = val
-            child = bound if self.triggers is None else self._fire(name, bound)
+        for val in self.domains[idx]:
+            self.bits[idx] = val
+            child = bound if self.triggers is None else self._fire(idx, bound)
             if child is not None:
                 self._node(idx + 1, child)
-        del self.bits[name]
 
     def _decide(self):
         """Scalar verdict on the leaf in ``bits``: whether it satisfies the
@@ -317,7 +312,7 @@ class _Search:
                 and (not self.extras or _check_extras(
                     self.build, self.bits, self.tol) <= self.tol)):
             self.best_obj = obj
-            self.best_bits = dict(self.bits)
+            self.best_bits = list(self.bits)
         return True
 
     def _block(self, bound):
@@ -326,20 +321,19 @@ class _Search:
             return
         self.nodes += len(leaves)
         if self.screen is None:
-            self.values[:, :self.pass_start] = [
-                self.bits[name] for name, _ in self.domains[:self.pass_start]]
+            self.values[:, :self.pass_start] = self.bits[:self.pass_start]
             obj, viol = self.build.complete_batch(self.values)
             self.screen = (viol <= self.tol + _margin(viol),
                            viol <= self.tol - _margin(viol), obj - _margin(obj))
         # this block's slice of the pass: its sibling digits in mixed radix
         k = 0
-        for name, dom in self.siblings:
-            k = k * len(dom) + dom.index(self.bits[name])
+        for val, dom in zip(self.bits[self.pass_start:self.start], self.siblings):
+            k = k * len(dom) + dom.index(val)
         open_, sure, low = (x[k * len(leaves):(k + 1) * len(leaves)]
                             for x in self.screen)
         self.candidates += int(sure.sum())
         for i in np.flatnonzero(open_ & ~sure):
-            self._set_leaf(leaves[i])
+            self.bits[self.start:] = leaves[i]
             self.candidates += self.build.complete(self.bits, self.tol)[1] <= self.tol
         pos = 0
         while True:
@@ -349,66 +343,57 @@ class _Search:
                 break
             i = pos + int(hits[0])
             pos = i + 1
-            self._set_leaf(leaves[i])
+            self.bits[self.start:] = leaves[i]
             leaf_bound = bound
             if self.triggers is not None:
-                for name in self.block_names:
-                    leaf_bound = self._fire(name, leaf_bound)
+                for p in range(self.start, len(self.bits)):
+                    leaf_bound = self._fire(p, leaf_bound)
                     if leaf_bound is None:
                         break
                 if leaf_bound is None or self._pruned(leaf_bound):
                     continue
             self._decide()
-        for name in self.block_names:
-            self.bits.pop(name, None)
-
-    def _set_leaf(self, leaf):
-        for name, val in zip(self.block_names, leaf):
-            self.bits[name] = val
 
 
 def build_triggers(build, tol=1e-6):
-    """Map structural-bit name -> bound/feasibility callbacks fired when fixed.
+    """Per structural position, None or the trigger ``(digits, gate, costs,
+    allowed)`` that fixing it fires (``_Search._fire``): the bits at
+    ``digits``, least significant first, spell a code, which adds
+    ``costs[code]`` to the bound and, when the switch at ``gate`` is off,
+    cuts the node unless ``allowed[code]``.
 
-    A pruned layer's weight may be off zero by ``tol``, as in ``complete``
+    A switch is its own code, costing beta when on; in a switch chain the
+    first must be on (it gates itself) and each other may not be on under
+    the one before.  A parameter fires at its last digit (``_bit_columns``):
+    a weight costs its elastic-net term, a bias nothing, and under an off
+    switch a parameter must lie within ``tol`` of zero, as in ``complete``
     and the audit."""
     hyper = build.hyper
-    triggers = {}
+    gates, digits, _ = build._bit_columns
+    triggers = [None] * len(build.structural)
+    switches = np.concatenate(gates).tolist()
+    switch_cost = [hyper.beta * 0.0, hyper.beta * 1.0]
+    for k, p in enumerate(switches):
+        if not build.layer_chain:
+            triggers[p] = ((p,), None, switch_cost, None)
+        elif k == 0:
+            triggers[p] = ((p,), p, switch_cost, (False, True))
+        else:
+            triggers[p] = ((p,), switches[k - 1], switch_cost, (True, False))
 
-    def add(name, fn):
-        triggers.setdefault(name, []).append(fn)
-
-    gammas = build.gammas
-    for g in gammas:
-        add(g, lambda bits, g=g: (hyper.beta * bits[g], True))
-    # root/ordering checks once the relevant switches are known
-    if build.layer_chain:
-        add(gammas[0], lambda bits: (0.0, bits[gammas[0]] >= 0.5))
-        for h in range(build.L - 1):
-            add(gammas[h + 1],
-                lambda bits, a=gammas[h], b=gammas[h + 1]:
-                    (0.0, bits[b] <= bits[a] + 0.5))
-
-    if build._digit_names:
-        quant = QuantSpec(hyper.bits, hyper.w_max)
+    if digits is not None:
+        grid = QuantSpec(hyper.bits, hyper.w_max).grid()
         al, fr = regularization(hyper)
-
-        def group(names, is_bias, gate):
-            def fn(bits):
-                w = float(quant.decode([bits[d] for d in names]))
-                contrib = 0.0 if is_bias else al * abs(w) + fr * w * w
-                ok = True
-                if gate is not None and gate in bits and bits[gate] < 0.5:
-                    ok = abs(w) <= tol
-                return contrib, ok
-
-            add(names[-1], fn)
-
-        for t in build.tensors:
-            for row in range(t.shape[0]):
-                gate = t.gates[row] if t.gates else None
-                for idx in np.ndindex(t.shape[1:]):
-                    group(build._digit_names[(t.l, row) + idx], False, gate)
-                if t.bias_key(row) in build._digit_names:
-                    group(build._digit_names[t.bias_key(row)], True, gate)
+        weight_cost = [al * abs(w) + fr * w * w for w in grid]
+        bias_cost = [0.0] * len(grid)
+        zero = [abs(w) <= tol for w in grid]
+        for t, params in zip(build.tensors, digits):
+            rows, size = t.shape[0], math.prod(t.shape[1:])
+            gate = (np.broadcast_to(gates[t.l], rows).tolist() if t.gates
+                    else [None] * rows)
+            # the weights, row by row, and then each row's bias
+            for k, cols in enumerate(params.tolist()):
+                row, cost = ((k // size, weight_cost) if k < rows * size
+                             else (k - rows * size, bias_cost))
+                triggers[cols[-1]] = (tuple(cols), gate[row], cost, zero)
     return triggers

@@ -56,9 +56,9 @@ def quantized_dense_build(data, hidden, bits=1, beta=0.01, symmetry=True,
 
 def tiny_conv_build(rng=None, n_samples=2, bits=1, mode=TRAIN_QUANTIZED,
                     pool=((2, 2), 2), filters=2, freeze=True, symmetry=False,
-                    shape=(1, 4, 4), kernel=(3, 3)):
+                    shape=(1, 4, 4), kernel=(3, 3), w_max=1.0):
     """A 1x4x4 input (or ``shape``), one conv layer, optionally pooled,
-    single-output head."""
+    single-output head; trained parameters lie in [-w_max, w_max]."""
     rng = rng or np.random.default_rng(0)
     arch = ConvArch(input_shape=shape,
                     conv_layers=(ConvLayer(filters=filters, kernel=kernel,
@@ -74,14 +74,14 @@ def tiny_conv_build(rng=None, n_samples=2, bits=1, mode=TRAIN_QUANTIZED,
         weights.append((rng.uniform(-1, 1, size=(1, head_dim_in)),
                         rng.uniform(-1, 1, size=1)))
     hyper = Hyper(alpha=0.1, lam=0.9, beta=0.01, big_m=20.0, mode=mode,
-                  bits=bits, w_max=1.0, quantize_biases=True, symmetry=symmetry)
+                  bits=bits, w_max=w_max, quantize_biases=True, symmetry=symmetry)
     flat = X.reshape(n_samples, -1)
     in_lo = flat.min(0).reshape(shape)
     in_hi = flat.max(0).reshape(shape)
     if weights is not None:
         bt = propagate_bounds(arch, in_lo, in_hi, 0.0, 0.0, fixed_weights=weights)
     else:
-        bt = propagate_bounds(arch, in_lo, in_hi, -1.0, 1.0)
+        bt = propagate_bounds(arch, in_lo, in_hi, -w_max, w_max)
     build = build_cnn(arch, data, hyper, bt, weights=weights)
     if freeze:
         build.model.freeze()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mipnn.dense import (DenseBuild, IllPosedBoundsError, build_dense,
+from mipnn.dense import (BuildError, DenseBuild, IllPosedBoundsError, build_dense,
                          encode_quantized_product, encode_relu, vn)
 from mipnn.ir import BINARY, CONTINUOUS, ModelIR, VarDef
 from mipnn.nnspec import Dataset, DenseArch, Hyper, TRAIN_QUANTIZED, VERIFY
@@ -226,6 +226,16 @@ def test_complete_objective_matches_full_evaluation(rng):
         if rep.ok:
             assert obj == pytest.approx(rep.objective, abs=1e-9)
             assert obj == pytest.approx(obj2, abs=1e-12)
+    # the criterion-6 winner by name and as the vector in structural order
+    build = quantized_dense_build(xor_data(), [2], bits=2)
+    vector = [float(c) for c in "1111100000011000011"]
+    by_name = dict(zip(build.structural, vector))
+    assert build.complete(by_name)[:2] == build.complete(vector)[:2] == (
+        0.5800000000000001, 0.0)
+    (asg, *got), (asg2, *want) = build.assemble(by_name), build.assemble(vector)
+    assert got == want and np.array_equal(asg.x, asg2.x)
+    with pytest.raises(BuildError):
+        build.complete(vector[:-1])
 
 
 def test_verify_needs_weights():
@@ -234,6 +244,5 @@ def test_verify_needs_weights():
     hyper = Hyper(mode=VERIFY)
     bt = propagate_bounds(arch, data.inputs.min(0), data.inputs.max(0),
                           -1.0, 1.0)
-    from mipnn.dense import BuildError
     with pytest.raises(BuildError):
         build_dense(arch, data, hyper, bt)

@@ -305,10 +305,8 @@ def _fixed(build, count):
         "conv-pooled-two-filters", "three-digit-parameters", "two-hidden-layers"])
 def test_batched_values_match_complete_on_every_leaf(make):
     build = make()
-    values = np.array(list(itertools.product(
-        *(dom for _, dom in _structural_domains(build)))))
-    got = [build.complete(dict(zip(build.structural, row)))
-           for row in values.tolist()]
+    values = np.array(list(itertools.product(*_structural_domains(build))))
+    got = [build.complete(row) for row in values.tolist()]
     # the whole listing in one batch, and in the passes of 128 leaves
     for passes in (1, len(values) // 128):
         obj, viol = map(np.concatenate, zip(*map(build.complete_batch,
@@ -457,6 +455,17 @@ def _outcome(build, res):
     return res.objective, res.proven, res.bound, res.nodes, res.candidates, winner
 
 
+def _conv_channel_off():
+    """Two filters of one 1x1 weight, pooled to one cell each, on a grid of
+    two digits whose inner levels lie within tol of zero: the switched-off
+    channel's triggers cut the leaves whose parameters take the outer ones."""
+    build = tiny_conv_build(bits=2, shape=(1, 1, 3), kernel=(1, 1),
+                            pool=((1, 3), 3), w_max=2e-6, freeze=False)
+    build.model.set_bounds("gamma[0][1]", 0.0, 0.0)
+    build.model.freeze()
+    return build
+
+
 @pytest.mark.parametrize("make, budget, want", [
     # a fixing on a bit that varies between the blocks of one pass
     (lambda: _criterion_6(fix=(8, 1.0)), 10 ** 7,
@@ -477,11 +486,39 @@ def _outcome(build, res):
      (1.4511111111111115, False, 0.01, 2061, 256, "1000000000011011001")),
     (_criterion_6, 100000,
      (0.8022222222222221, False, 0.01, 99529, 40960, "1001101110001111110")),
+    # per-channel switches and db bias digits, the second channel held off
+    (_conv_channel_off, 10 ** 7,
+     (0.2561569916559502, True, 0.2561569916559502, 20527, 2304,
+      "0010011001010111")),
+    # gamma[1] fires the layer-ordering trigger; the budget runs out
+    (lambda: quantized_dense_build(xor_data(), [1, 1], bits=2), 20000,
+     (1.1133333333333333, False, 0.02, 19498, 3072, "1100001100110101")),
+    # switch triggers only
+    (lambda: tiny_conv_build(mode="verify"), 10 ** 7,
+     (1.7734578912967418, True, 1.7734578912967418, 7, 1, "11")),
 ], ids=["fix-sibling-8", "fix-sibling-7", "injected-row", "budget-after-block-1",
-        "budget-after-block-2", "budget-mid-search"])
+        "budget-after-block-2", "budget-mid-search", "conv-channel-off",
+        "two-switches-budget", "conv-verify"])
 def test_pass_decisions_match_the_per_block_search(make, budget, want):
     build = make()
     assert _outcome(build, branch_and_bound(build, budget=budget)) == want
+
+
+@pytest.mark.parametrize("make, want", [
+    (_criterion_6,
+     (0.5800000000000001, True, 0.5800000000000001, 262656, 153600,
+      "1111100000011000011")),
+    (_conv_channel_off,
+     (0.2561569916559502, True, 0.2561569916559502, 20527, 2304,
+      "0010011001010111")),
+], ids=["criterion-6", "conv-channel-off"])
+def test_search_reads_no_digit_names(make, want):
+    """The search indexes structural bits by position: a build whose digit
+    names are gone decides as before.  On the criterion-6 instance no digit
+    trigger moves a count; on the conv build the gate cuts do."""
+    build = make()
+    build._digit_names.clear()
+    assert _outcome(build, branch_and_bound(build)) == want
 
 
 def test_search_memory_on_the_criterion_6_instance_stays_bounded():
