@@ -21,8 +21,7 @@ import numpy as np
 from .ir import EQ, GE, LE, ModelIR
 from .dense import (Build, BuildError, Field, Rows, SampleBlock, add_objective,
                     declare_params, emit_rows, head_rows, input_rows, l1_rows,
-                    name_template, net_quant, prune_rows, ref_columns, relu_layer,
-                    vn)
+                    name_template, net_quant, prune_rows, ref_columns, relu_layer)
 from .nnspec import TRAIN_QUANTIZED, VERIFY, conv_map_shapes
 from .recon import ConvNet
 
@@ -199,29 +198,28 @@ def build_cnn(arch, data, hyper, btable, weights=None):
 
     model = ModelIR("cnn")
     build = ConvBuild(model, arch, data, hyper, btable, weights)
-    M = hyper.big_m
-    declare_params(build)
+    params = declare_params(build)
 
-    # parameter-side constraints -------------------------------------------
+    # parameter-side constraints: per row of each tensor, each weight's l1
+    # and pruning rows, then the bias's pruning rows; symmetry on the kernels
+    cols, M = build.columns, hyper.big_m
     convs = build.tensors[:-1]
     for t in build.tensors:
-        for row in range(t.shape[0]):
-            g = model.var(t.gates[row]) if t.gates else None
-            for idx in np.ndindex(t.shape[1:]):
-                W = model.var(vn(t.w, t.l, row, *idx))
-                l1_rows(model, model.var(vn("u", t.l, row, *idx)), W)
-                if g is not None:
-                    prune_rows(model, W, g, M, "prune_weights")
-            if g is not None:
-                prune_rows(model, model.var(vn(t.b, t.l, row)), g, M, "prune_biases")
+        rows = l1_rows(cols["u", t.l], cols["W", t.l])
+        if t.gates:
+            gates = cols["gamma", t.l]
+            weights = prune_rows(cols["W", t.l], gates, M, "prune_weights")
+            rows = Rows.join(Rows.join(rows, weights).fold(len(t.shape) - 1),
+                             prune_rows(cols["b", t.l], gates, M, "prune_biases"))
+        params.append(rows)
     if hyper.symmetry:
         for t in convs:
-            for c in range(t.shape[0] - 1):
-                terms = []
-                for idx in np.ndindex(t.shape[1:]):
-                    terms.append((1.0, model.var(vn("u", t.l, c, *idx))))
-                    terms.append((-1.0, model.var(vn("u", t.l, c + 1, *idx))))
-                model.add_constraint(terms, GE, 0.0, "symmetry_breaking")
+            u = cols["u", t.l].reshape(t.shape[0], -1)
+            # per entry, channel c's term and then channel c + 1's
+            pairs = np.stack([u[:-1], u[1:]], axis=-1).reshape(len(u) - 1, -1)
+            params.append(Rows.of((len(pairs),), [pairs.shape[1]], [GE],
+                                  ["symmetry_breaking"], [pairs],
+                                  [[1.0, -1.0] * u.shape[1]], [[0.0]]))
 
     # per-sample network ----------------------------------------------------
     block = SampleBlock(build)
@@ -232,8 +230,7 @@ def build_cnn(arch, data, hyper, btable, weights=None):
             pool_rows(build, block, t.l, a)
     flat = flatten_rows(build, block, block.families[build.map_source(L)])
     head_rows(build, block, flat)
-    block.finish()
+    block.finish(params)
 
     add_objective(build)
-    build.built_constraints = len(model.constraints)
     return build

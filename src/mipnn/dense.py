@@ -200,22 +200,26 @@ class Rows:
                      for a in ("cols", "coefs", "rhs")))
 
 
-def emit_rows(model, rows, n=1, start=0, size=0):
-    """Append ``rows`` once per sample i < n, their columns from ``start`` on
-    moved by ``i * size``."""
-    rows = rows.fold()
-    cols = rows.cols[0]
-    cols = cols + np.where(cols >= start, size, 0) * np.arange(n)[:, None]
-    count = len(rows.lengths)
-    indptr = np.zeros(n * count + 1, dtype=np.int64)
-    np.cumsum(np.tile(rows.lengths, n), out=indptr[1:])
-    labels = {label: k for k, label in enumerate(dict.fromkeys(rows.labels))}
-    label = np.fromiter(map(labels.__getitem__, rows.labels), np.int64, count)
-    sense = np.fromiter(map(ir.SENSES.index, rows.senses), np.int8, count)
-    model.add_rows(indptr, cols.ravel(),
-                   np.broadcast_to(rows.coefs, cols.shape).ravel(), np.tile(sense, n),
-                   np.broadcast_to(rows.rhs, (n, count)).ravel(), np.tile(label, n),
-                   list(labels))
+def emit_rows(model, rows, n=1, start=0, size=0, once=None):
+    """Append the rows ``once`` and then ``rows`` once per sample i < n,
+    the columns of ``rows`` from ``start`` on moved by ``i * size``, in one
+    ``add_rows`` call."""
+    parts = [(r.fold(), k) for r, k in ((once, 1), (rows, n)) if r is not None]
+    labels = {label: k for k, label in enumerate(
+        dict.fromkeys(label for r, _ in parts for label in r.labels))}
+    flat = []
+    for r, k in parts:
+        cols = r.cols[0]
+        cols = cols + np.where(cols >= start, size, 0) * np.arange(k)[:, None]
+        count = len(r.lengths)
+        lengths = np.fromiter(r.lengths, np.int64, count)
+        label = np.fromiter(map(labels.__getitem__, r.labels), np.int64, count)
+        sense = np.fromiter(map(ir.SENSES.index, r.senses), np.int8, count)
+        flat.append((np.tile(lengths, k), cols.ravel(),
+                     np.broadcast_to(r.coefs, cols.shape).ravel(), np.tile(sense, k),
+                     np.broadcast_to(r.rhs, (k, count)).ravel(), np.tile(label, k)))
+    lengths, *arrays = map(np.concatenate, zip(*flat))
+    model.add_rows(np.concatenate(([0], np.cumsum(lengths))), *arrays, list(labels))
 
 
 def relu_rows(z, a, delta, z_lo, z_hi):
@@ -257,6 +261,22 @@ def gate_rows(z, a, g, big_m):
     return Rows.of(z.shape[:-1], (2, 2, 2), (LE, LE, LE),
                    ("pruning_activation",) * 3, [a, g, z, g, z, g],
                    [[1.0, -big_m, 1.0, -big_m, -1.0, -big_m]], [[0.0, 0.0, 0.0]])
+
+
+def l1_rows(u, w):
+    """u >= |w| for the parameters with columns w and auxiliaries u."""
+    u, w = (c[..., None] for c in np.broadcast_arrays(u, w))
+    return Rows.of(u.shape[:-1], (2, 2), (GE, GE), ("l1_linearization",) * 2,
+                   [u, w, u, w], [[1.0, -1.0, 1.0, 1.0]], [[0.0, 0.0]])
+
+
+def prune_rows(ref, gate, big_m, label):
+    """|ref| <= big_m * gate for the parameters with columns ref, the
+    switches gate aligned with ref's leading axes (one per row)."""
+    gate = np.reshape(gate, np.shape(gate) + (1,) * (np.ndim(ref) - np.ndim(gate)))
+    ref, gate = (c[..., None] for c in np.broadcast_arrays(ref, gate))
+    return Rows.of(ref.shape[:-1], (2, 2), (LE, LE), (label,) * 2,
+                   [ref, gate, ref, gate], [[1.0, -big_m, -1.0, -big_m]], [[0.0, 0.0]])
 
 
 def ref_columns(model, *refs):
@@ -357,10 +377,12 @@ class SampleBlock:
                                    count))
         return cols
 
-    def finish(self):
-        """Append every sample's variables, rows and bilinear rows to the
-        model, and record every family's columns in ``build.columns``,
-        shaped (samples,) + units + the field's shape."""
+    def finish(self, params):
+        """Append every sample's variables to the model; then the parameter
+        rows ``params`` (a list of ``Rows``) once, ahead of every sample's
+        rows, and every sample's bilinear rows.  Record the row count in
+        ``build.built_constraints`` and every family's columns in
+        ``build.columns``, shaped (samples,) + units + the field's shape."""
         build, model = self.build, self.build.model
         n = build.data.n
 
@@ -369,7 +391,10 @@ class SampleBlock:
                             np.concatenate(self.hi, axis=1).ravel(),
                             np.tile(np.concatenate(self.binary), n))
         emit_rows(model, Rows.join(*(r.fold() for r in self.rows if r is not None)),
-                  n, self.start, self.size)
+                  n, self.start, self.size, once=Rows.join(*(r.fold() for r in params)))
+        # callers may still inject extra constraints or tighten bounds before
+        # freezing; the watermark tells the solver which rows came later
+        build.built_constraints = len(model.sense)
 
         def ref(c, i):
             c = int(c)
@@ -404,9 +429,10 @@ def declare_params(build):
     row's weights ("W", l) then its bias ("b", l), per tensor; every l1
     auxiliary ("u", l); the pruning switches; in train-quantized mode each
     row's weight digits ("d", l), shaped the tensor's + (bits,), and then
-    its bias digits, and per parameter the row defining it.  The switches
-    and digits are the structural bits ("bits").  Parameters are fixed in
-    verification mode and boxed by ``param_box`` otherwise."""
+    its bias digits.  The switches and digits are the structural bits
+    ("bits").  Parameters are fixed in verification mode and boxed by
+    ``param_box`` otherwise.  Returns, per tensor in train-quantized mode,
+    the ``Rows`` that define each row's parameters from their digits."""
     model, hyper, cols = build.model, build.hyper, build.columns
     box = param_box(hyper)
 
@@ -433,11 +459,12 @@ def declare_params(build):
         if t.gates:
             cols["gamma", t.l] = np.array([gamma[g] for g in dict.fromkeys(t.gates)])
     if hyper.mode != TRAIN_QUANTIZED:
-        return
+        return []
 
     bits = hyper.bits
     quant = QuantSpec(bits, hyper.w_max)
     steps = [-quant.step * (2 ** s) for s in range(bits)]
+    defs = []
     for t in build.tensors:
         rows, size = t.shape[0], math.prod(t.shape[1:])
         # per row, the digit key (less the row) and base of each parameter
@@ -457,24 +484,12 @@ def declare_params(build):
         if hyper.quantize_biases:
             cols["db", t.l] = digits[:, size]
         params = np.column_stack([cols["W", t.l].reshape(rows, size), cols["b", t.l]])
-        for target, row, label in zip(params[:, :len(per_row)].ravel().tolist(),
-                                      digits.reshape(-1, bits).tolist(),
-                                      [label for _, _, label in per_row] * rows):
-            model.add_constraint([(1.0, model.ref(target))]
-                                 + list(zip(steps, map(model.ref, row))),
-                                 EQ, -quant.w_max, label)
-
-
-def l1_rows(model, u, w):
-    """u >= |w|."""
-    model.add_constraint([(1.0, u), (-1.0, w)], GE, 0.0, "l1_linearization")
-    model.add_constraint([(1.0, u), (1.0, w)], GE, 0.0, "l1_linearization")
-
-
-def prune_rows(model, ref, gate, big_m, label):
-    """|ref| <= big_m * gate."""
-    model.add_constraint([(1.0, ref), (-big_m, gate)], LE, 0.0, label)
-    model.add_constraint([(-1.0, ref), (-big_m, gate)], LE, 0.0, label)
+        terms = np.concatenate([params[:, :len(per_row), None], digits], axis=-1)
+        defs.append(Rows.of((rows,), [1 + bits] * len(per_row), [EQ] * len(per_row),
+                            [label for _, _, label in per_row], [terms.reshape(rows, -1)],
+                            [([1.0] + steps) * len(per_row)],
+                            [[-quant.w_max] * len(per_row)]))
+    return defs
 
 
 def input_rows(build, block):
@@ -609,29 +624,28 @@ def head_rows(build, block, src):
 
 def add_objective(build):
     """Loss + alpha * (lam * l1 + (1 - lam) / 2 * frobenius) + beta * switches."""
-    model, hyper = build.model, build.hyper
-    head = build.tensors[-1]
-    for i in range(build.data.n):
-        for j in range(head.shape[0]):
-            if hyper.loss == LOSS_ABS:
-                model.add_objective_linear(1.0, model.var(vn("r", i, j)))
-            else:
-                out = model.var(vn("a", i, head.l + 1, j))
-                y = float(build.data.targets[i, j])
-                model.add_objective_quadratic(1.0, out, out)
-                model.add_objective_linear(-2.0 * y, out)
-                model.add_objective_constant(y * y)
+    model, hyper, cols, ref = build.model, build.hyper, build.columns, build.model.ref
+    if hyper.loss == LOSS_ABS:
+        for r in cols["r"].ravel().tolist():
+            model.add_objective_linear(1.0, ref(r))
+    else:
+        targets = np.asarray(build.data.targets, dtype=float).ravel().tolist()
+        for c, y in zip(cols["a", build.L + 1].ravel().tolist(), targets):
+            out = ref(c)
+            model.add_objective_quadratic(1.0, out, out)
+            model.add_objective_linear(-2.0 * y, out)
+            model.add_objective_constant(y * y)
     al, fr = regularization(hyper)
     for t in build.tensors:
-        for idx in np.ndindex(t.shape):
+        for u, w in zip(cols["u", t.l].ravel().tolist(), cols["W", t.l].ravel().tolist()):
             if al:
-                model.add_objective_linear(al, model.var(vn("u", t.l, *idx)))
+                model.add_objective_linear(al, ref(u))
             if fr:
-                W = model.var(vn(t.w, t.l, *idx))
+                W = ref(w)
                 model.add_objective_quadratic(fr, W, W)
     if hyper.beta:
-        for g in build.gammas:
-            model.add_objective_linear(hyper.beta, model.var(g))
+        for g in cols["bits"][:len(build.gammas)].tolist():
+            model.add_objective_linear(hyper.beta, ref(g))
 
 
 class Build:
@@ -941,33 +955,28 @@ def build_dense(arch, data, hyper, btable, weights=None):
 
     model = ModelIR("dense")
     build = DenseBuild(model, arch, data, hyper, btable, weights)
-    M = hyper.big_m
-    declare_params(build)
+    params = declare_params(build)
 
-    # parameter-side constraints -------------------------------------------
+    # parameter-side constraints: every tensor's l1 rows, then per hidden
+    # row its weights' and bias's pruning rows, the switch chain, symmetry
+    cols, M = build.columns, hyper.big_m
     hidden = build.tensors[:-1]
-    for t in build.tensors:
-        for idx in np.ndindex(t.shape):
-            l1_rows(model, model.var(vn("u", t.l, *idx)), model.var(vn("W", t.l, *idx)))
-    for t in hidden:
-        for j in range(t.shape[0]):
-            g = model.var(t.gates[j])
-            for k in range(t.shape[1]):
-                prune_rows(model, model.var(vn("W", t.l, j, k)), g, M, "prune_weights")
-            prune_rows(model, model.var(vn("b", t.l, j)), g, M, "prune_biases")
-    gammas = [model.var(g) for g in build.gammas]
-    for h in range(len(gammas) - 1):
-        model.add_constraint([(1.0, gammas[h + 1]), (-1.0, gammas[h])],
-                             LE, 0.0, "layer_ordering")
-    model.add_constraint([(1.0, gammas[0])], EQ, 1.0, "root_layer_active")
+    params += [l1_rows(cols["u", t.l], cols["W", t.l]) for t in build.tensors]
+    params += [Rows.join(prune_rows(cols["W", t.l], cols["gamma", t.l], M,
+                                    "prune_weights").fold(1),
+                         prune_rows(cols["b", t.l], cols["gamma", t.l], M, "prune_biases"))
+               for t in hidden]
+    gammas = cols["bits"][:len(build.gammas), None]
+    params += [Rows.of((len(gammas) - 1,), [2], [LE], ["layer_ordering"],
+                       [gammas[1:], gammas[:-1]], [[1.0, -1.0]], [[0.0]]),
+               Rows.of((1,), [1], [EQ], ["root_layer_active"], [gammas[:1]], [[1.0]],
+                       [[1.0]])]
     if hyper.symmetry:
         for t in hidden:
-            n_out, n_in = t.shape
-            for j in range(n_out - 1):
-                terms = [(1.0, model.var(vn("W", t.l, j, k))) for k in range(n_in)]
-                terms += [(-1.0, model.var(vn("W", t.l, j + 1, k)))
-                          for k in range(n_in)]
-                model.add_constraint(terms, GE, 0.0, "symmetry_breaking")
+            W, n_in = cols["W", t.l], t.shape[1]
+            params.append(Rows.of((len(W) - 1,), [2 * n_in], [GE], ["symmetry_breaking"],
+                                  [W[:-1], W[1:]], [[1.0] * n_in + [-1.0] * n_in],
+                                  [[0.0]]))
 
     # per-sample network ----------------------------------------------------
     block = SampleBlock(build)
@@ -975,10 +984,7 @@ def build_dense(arch, data, hyper, btable, weights=None):
     for t in hidden:
         a = relu_layer(build, block, t, a)
     head_rows(build, block, a)
-    block.finish()
+    block.finish(params)
 
     add_objective(build)
-    # callers may still inject extra constraints or tighten bounds before
-    # freezing; the watermark tells the solver which rows came later
-    build.built_constraints = len(model.constraints)
     return build

@@ -284,7 +284,7 @@ class ModelIR:
         return _tuple_new(VarRef, (self.model_id, idx, name))
 
     def ref(self, index):
-        return VarRef(self.model_id, index, self.names[index])
+        return _tuple_new(VarRef, (self.model_id, index, self.names[index]))
 
     def _check_refs(self, refs):
         for r in refs:
@@ -299,34 +299,21 @@ class ModelIR:
         return lid
 
     def add_constraint(self, terms, sense, rhs, label):
-        """Append the row sum(coef * var) <sense> rhs; terms on the same
-        variable merge into the first, their coefficients summed in order."""
+        """Append the row sum(coef * var) <sense> rhs through ``add_rows``
+        and return its index."""
         self._check_mutable()
-        coefs, cols = (), ()
-        # transposed at C speed: the builders call this once per row
-        transposed = list(zip(*terms))
-        if transposed:
-            coefs, refs = transposed
-            models, cols, _ = zip(*refs)
-            if models.count(self.model_id) < len(models):
-                raise ForeignVariableError(next(
-                    r.name for r in refs if r.model_id != self.model_id))
-            if len(set(cols)) < len(cols):
-                cols, coefs = _merge_terms(cols, coefs)
-        self.cols.extend(cols)
-        self.coefs.extend(coefs)
-        self.indptr.append(len(self.cols))
-        self.sense.append(_sense_code(sense))
-        self.rhs.append(rhs)
-        self.row_label.append(self._label_id(label))
+        terms = list(terms)
+        self._check_refs(r for _, r in terms)
+        self.add_rows([0, len(terms)], [r.index for _, r in terms],
+                      [c for c, _ in terms], [_sense_code(sense)], [rhs], [0], [label])
         return len(self.sense) - 1
 
     def add_rows(self, indptr, cols, coefs, sense, rhs, label, labels):
         """Append many rows at once: the CSR ``indptr``/``cols``/``coefs``
         (column indices of this model), and per row a sense code (an index
         into ``SENSES``), a rhs and a label id (an index into ``labels``,
-        whose labels are taken up in that order).  Terms merge as in
-        ``add_constraint``."""
+        whose labels are taken up in that order).  Terms on the same
+        variable merge into the first, their coefficients summed in order."""
         self._check_mutable()
         indptr = np.asarray(indptr, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -359,6 +346,7 @@ class ModelIR:
         self._check_refs(r for _, r in lin_terms)
         for _, r1, r2 in quad_terms:
             self._check_refs((r1, r2))
+        _sense_code(sense)
         quad = [_order_pair(c, r1, r2) for c, r1, r2 in quad_terms]
         self.bilinear_constraints.append(
             (quad, _merge_refs(lin_terms), sense, rhs, label))
@@ -537,24 +525,9 @@ def _violation(lhs, sense, rhs):
     return abs(lhs - rhs)
 
 
-def _merge_terms(cols, coefs):
-    """One row's terms with repeated columns merged into the first."""
-    pos = {}
-    out_cols = []
-    out_coefs = []
-    for j, c in zip(cols, coefs):
-        k = pos.get(j)
-        if k is None:
-            pos[j] = len(out_cols)
-            out_cols.append(j)
-            out_coefs.append(c)
-        else:
-            out_coefs[k] += c
-    return out_cols, out_coefs
-
-
 def _merge_rows(indptr, cols, coefs):
-    """``_merge_terms`` over every row of a CSR matrix."""
+    """Every row of a CSR matrix with its repeated columns merged into the
+    first."""
     counts = np.diff(indptr)
     rows = np.repeat(np.arange(len(counts)), counts)
     key = rows * (int(cols.max(initial=0)) + 1) + cols

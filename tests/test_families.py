@@ -18,6 +18,8 @@ from test_cli import write_xor_cfg
 from test_golden_families import BUILDS
 
 STORE_CALLS = ("add_constraint", "add_variable", "add_rows")
+# calls that look a variable up by name
+NAME_CALLS = ("var",)
 
 
 def _quantized_dense(n):
@@ -32,10 +34,15 @@ def _verify_conv(n):
                            freeze=False)
 
 
+def _quantized_conv(n):
+    return tiny_conv_build(np.random.default_rng(4), n_samples=n, bits=2,
+                           freeze=False, symmetry=True)
+
+
 def _store_calls(monkeypatch, make, n):
-    counts = dict.fromkeys(STORE_CALLS, 0)
+    counts = dict.fromkeys(STORE_CALLS + NAME_CALLS, 0)
     with monkeypatch.context() as mp:
-        for name in STORE_CALLS:
+        for name in counts:
             def counted(self, *args, _name=name, _method=getattr(ModelIR, name)):
                 counts[_name] += 1
                 return _method(self, *args)
@@ -44,13 +51,19 @@ def _store_calls(monkeypatch, make, n):
     return counts, len(build.model.constraints)
 
 
-@pytest.mark.parametrize("make", [_quantized_dense, _verify_conv])
+@pytest.mark.parametrize("make", [_quantized_dense, _verify_conv, _quantized_conv])
 def test_store_calls_do_not_grow_with_samples(monkeypatch, make):
     (small, rows_small), (large, rows_large) = (
         _store_calls(monkeypatch, make, n) for n in (2, 6))
     assert rows_large > rows_small
     assert small == large
     assert small["add_rows"] == 1
+
+
+@pytest.mark.parametrize("make", [_quantized_dense, _verify_conv, _quantized_conv])
+def test_builds_name_no_variable_and_add_no_single_row(monkeypatch, make):
+    counts, _ = _store_calls(monkeypatch, make, 3)
+    assert counts["add_constraint"] == counts["var"] == 0
 
 
 @pytest.mark.parametrize("make", [_quantized_dense, _verify_conv])

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from mipnn.ir import (BINARY, CONTINUOUS, EQ, GE, LE, Assignment,
                       DuplicateNameError, ForeignVariableError,
                       FrozenModelError, InvertedBoundsError,
-                      MissingVariableError, ModelIR, VarDef, _violation,
-                      round_binaries)
+                      MissingVariableError, ModelError, ModelIR, VarDef,
+                      _violation, round_binaries)
 
 
 def small_model():
@@ -72,6 +72,33 @@ def test_term_merging():
     idx = m.add_constraint([(1.0, x), (2.0, y), (3.0, x)], EQ, 0.0, "c")
     terms = m.constraints[idx].terms
     assert [(c, r.name) for c, r in terms] == [(4.0, "x"), (2.0, "y")]
+
+
+def test_rejected_row_leaves_the_store_as_it_was():
+    m = ModelIR()
+    x = m.add_variable(VarDef("x"))
+    y = m.add_variable(VarDef("y"))
+    other = ModelIR().add_variable(VarDef("z"))
+    with pytest.raises(ModelError, match="unknown constraint sense"):
+        m.add_constraint([(1.0, x)], "<", 3.0, "bad")
+    with pytest.raises(ForeignVariableError):
+        m.add_constraint([(1.0, y), (1.0, other)], LE, 3.0, "bad")
+    assert len(m.indptr) - 1 == len(m.sense) == 0 and len(m.cols) == 0
+    assert m.add_constraint([(2.0, y)], LE, 3.0, "ok") == 0
+    assert len(m.indptr) - 1 == len(m.sense) == 1
+    row = m.constraints[0]
+    assert [(c, r.name) for c, r in row.terms] == [(2.0, "y")]
+    assert (row.sense, row.rhs, row.label) == (LE, 3.0, "ok")
+    assert m.labels == ["ok"]
+
+
+def test_bilinear_sense_is_checked_before_storing():
+    m = ModelIR()
+    x = m.add_variable(VarDef("x", CONTINUOUS, 0.0, 1.0))
+    y = m.add_variable(VarDef("y", CONTINUOUS, 0.0, 1.0))
+    with pytest.raises(ModelError, match="unknown constraint sense"):
+        m.add_bilinear_constraint([(1.0, x, y)], [(1.0, x)], "=<", 1.0, "prod")
+    assert m.bilinear_constraints == []
 
 
 def test_quadratic_pair_canonical_order():
