@@ -203,23 +203,34 @@ class Rows:
 def emit_rows(model, rows, n=1, start=0, size=0, once=None):
     """Append the rows ``once`` and then ``rows`` once per sample i < n,
     the columns of ``rows`` from ``start`` on moved by ``i * size``, in one
-    ``add_rows`` call."""
+    ``add_rows`` call.  Each part is written straight into the call's
+    arrays."""
     parts = [(r.fold(), k) for r, k in ((once, 1), (rows, n)) if r is not None]
     labels = {label: k for k, label in enumerate(
         dict.fromkeys(label for r, _ in parts for label in r.labels))}
-    flat = []
+    count = sum(k * len(r.lengths) for r, k in parts)
+    terms = sum(k * r.cols.shape[-1] for r, k in parts)
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    cols, coefs = np.empty(terms, dtype=np.int64), np.empty(terms)
+    sense, rhs = np.empty(count, dtype=np.int8), np.empty(count)
+    label = np.empty(count, dtype=np.int64)
+    row = term = 0
     for r, k in parts:
-        cols = r.cols[0]
-        cols = cols + np.where(cols >= start, size, 0) * np.arange(k)[:, None]
-        count = len(r.lengths)
-        lengths = np.fromiter(r.lengths, np.int64, count)
-        label = np.fromiter(map(labels.__getitem__, r.labels), np.int64, count)
-        sense = np.fromiter(map(ir.SENSES.index, r.senses), np.int8, count)
-        flat.append((np.tile(lengths, k), cols.ravel(),
-                     np.broadcast_to(r.coefs, cols.shape).ravel(), np.tile(sense, k),
-                     np.broadcast_to(r.rhs, (k, count)).ravel(), np.tile(label, k)))
-    lengths, *arrays = map(np.concatenate, zip(*flat))
-    model.add_rows(np.concatenate(([0], np.cumsum(lengths))), *arrays, list(labels))
+        width, per = r.cols.shape[-1], len(r.lengths)
+        at = slice(term, term + k * width)
+        part_cols = cols[at].reshape(k, width)
+        np.multiply(np.arange(k)[:, None], np.where(r.cols[0] >= start, size, 0),
+                    out=part_cols)
+        part_cols += r.cols[0]
+        coefs[at].reshape(k, width)[...] = r.coefs
+        at = slice(row, row + k * per)
+        for out, values in ((indptr[1:], r.lengths), (rhs, r.rhs),
+                            (sense, list(map(ir.SENSES.index, r.senses))),
+                            (label, list(map(labels.__getitem__, r.labels)))):
+            out[at].reshape(k, per)[...] = values
+        row, term = row + k * per, term + k * width
+    model.add_rows(np.cumsum(indptr, out=indptr), cols, coefs, sense, rhs, label,
+                   list(labels))
 
 
 def relu_rows(z, a, delta, z_lo, z_hi):

@@ -220,6 +220,24 @@ def _not_a_number(token):
     return None
 
 
+def _not_finite(token):
+    """A message when ``token`` is not a finite number, else None."""
+    try:
+        if math.isfinite(float(token)):
+            return None
+    except ValueError:
+        return "%r is not a number" % token
+    return "%r is not finite" % token
+
+
+def _finite(token, line):
+    """The number ``token`` on line ``line``, which must be finite."""
+    message = _not_finite(token)
+    if message:
+        raise EmitError("line %d: %s" % (line, message))
+    return float(token)
+
+
 # ---------------------------------------------------------------------------
 # LP format
 
@@ -362,6 +380,7 @@ class _LPReader:
         self.name = "model"
         self.section = None
         self.objective = []                  # tokens of the Minimize section
+        self.objective_line = []             # line of each of those tokens
         self.columns = {}                    # name -> provisional column
         self.indptr, self.cols, self.coefs = array("q", [0]), array("q"), array("d")
         self.sense, self.rhs, self.label = array("b"), array("d"), array("q")
@@ -401,9 +420,11 @@ class _LPReader:
                 for name in s.split():
                     self.binaries.setdefault(name, k)
         elif self.section == "minimize":
-            for s in text.split("\n"):
+            for k, s in enumerate(text.split("\n"), line):
                 s = s.strip()
-                self.objective += (s[4:] if s.startswith("obj:") else s).split()
+                toks = (s[4:] if s.startswith("obj:") else s).split()
+                self.objective += toks
+                self.objective_line += [k] * len(toks)
 
     def _add_rows(self, coefs, names, counts, senses, rhs, labels, lines):
         self.cols.frombytes(_ids(names, self.columns).tobytes())
@@ -442,9 +463,11 @@ class _LPReader:
             row = np.searchsorted(self.indptr, np.flatnonzero(cols == k)[0], "right") - 1
             raise EmitError("line %d: undeclared variable %r"
                             % (self.row_line[row], list(self.columns)[k]))
-        model.add_rows(self.indptr, declared[cols], self.coefs, self.sense,
+        cols = declared[cols]
+        self.cols = self.columns = None
+        model.add_rows(self.indptr, cols, self.coefs, self.sense,
                        self.rhs, self.label, list(self.labels))
-        _parse_objective(model, self.objective)
+        _parse_objective(model, self.objective, self.objective_line)
         model.freeze()
         return model
 
@@ -472,6 +495,8 @@ def _lp_rows_written(lines, line):
     if not set(signs) <= _SIGNS:
         raise ValueError("sign")
     values = np.fromiter(map(float, flat[1::3]), float, len(signs))
+    if not (np.isfinite(values).all() and np.isfinite(rhs).all()):
+        raise ValueError("not finite")
     # every sign is one character, "+" or "-"
     minus = np.frombuffer("".join(signs).encode(), dtype=np.uint8) == ord("-")
     return (np.where(minus, -values, values), flat[2::3], counts, senses, rhs,
@@ -496,12 +521,12 @@ def _lp_rows_by_term(lines, line):
             if len(toks) != at + 2:
                 raise EmitError("constraint %r does not end in '<sense> <rhs>'"
                                 % name.strip())
-            if _not_a_number(toks[at + 1]):
-                raise EmitError(_not_a_number(toks[at + 1]))
-            row_coefs, row_names, const = _parse_terms(toks[:at])
-            rhs.append(float(toks[at + 1]) - const)
+            if _not_finite(toks[at + 1]):
+                raise EmitError(_not_finite(toks[at + 1]))
         except EmitError as e:
             raise EmitError("line %d: %s" % (k, e)) from None
+        row_coefs, row_names, const = _parse_terms(toks[:at], [k] * at)
+        rhs.append(float(toks[at + 1]) - const)
         coefs += row_coefs
         names += row_names
         counts.append(len(row_names))
@@ -512,20 +537,26 @@ def _lp_rows_by_term(lines, line):
 
 
 def _parse_bound_line(toks, line):
+    """The name and bounds of a Bounds line; infinite bounds are legal,
+    NaN ones are not."""
     try:
         if len(toks) == 2 and toks[1] == "free":
-            return toks[0], -INF, INF
-        if len(toks) == 3 and toks[1] == "<=":
-            return toks[0], -INF, float(toks[2])
-        if len(toks) == 3 and toks[1] == ">=":
-            return toks[0], float(toks[2]), INF
-        if len(toks) == 3 and toks[1] == "=":
-            return toks[0], float(toks[2]), float(toks[2])
-        if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-            return toks[2], float(toks[0]), float(toks[4])
+            name, lo, hi = toks[0], -INF, INF
+        elif len(toks) == 3 and toks[1] == "<=":
+            name, lo, hi = toks[0], -INF, float(toks[2])
+        elif len(toks) == 3 and toks[1] == ">=":
+            name, lo, hi = toks[0], float(toks[2]), INF
+        elif len(toks) == 3 and toks[1] == "=":
+            name, lo, hi = toks[0], float(toks[2]), float(toks[2])
+        elif len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
+            name, lo, hi = toks[2], float(toks[0]), float(toks[4])
+        else:
+            raise ValueError
     except ValueError:
-        pass
-    raise EmitError("line %d: bad bound line %r" % (line, " ".join(toks)))
+        raise EmitError("line %d: bad bound line %r" % (line, " ".join(toks))) from None
+    if math.isnan(lo) or math.isnan(hi):
+        raise EmitError("line %d: a bound of %r is NaN" % (line, name))
+    return name, lo, hi
 
 
 def _inverted(line, name, lo, hi):
@@ -533,8 +564,9 @@ def _inverted(line, name, lo, hi):
             % (line, float(lo), name, float(hi)))
 
 
-def _parse_terms(tokens):
-    """Sign/coefficient/name token runs -> (coefficients, names, constant)."""
+def _parse_terms(tokens, lines):
+    """Sign/coefficient/name token runs -> (coefficients, names, constant);
+    ``lines`` holds the line of each token, for errors."""
     coefs, names = [], []
     const = 0.0
     sign = 1.0
@@ -552,7 +584,9 @@ def _parse_terms(tokens):
         try:
             coef = sign * float(t)
         except ValueError:
-            raise EmitError("term %r has no coefficient" % t) from None
+            raise EmitError("line %d: term %r has no coefficient" % (lines[i], t)) from None
+        if not math.isfinite(coef):
+            raise EmitError("line %d: %s" % (lines[i], _not_finite(t)))
         if i + 1 < len(tokens) and tokens[i + 1] not in _SIGNS:
             coefs.append(coef)
             names.append(tokens[i + 1])
@@ -564,7 +598,9 @@ def _parse_terms(tokens):
     return coefs, names, const
 
 
-def _parse_objective(model, tokens):
+def _parse_objective(model, tokens, lines):
+    """Add the objective of the Minimize section's ``tokens`` to ``model``;
+    ``lines`` holds the line of each token, for errors."""
     if tokens == ["0"]:
         return
 
@@ -579,9 +615,10 @@ def _parse_objective(model, tokens):
         bi = tokens.index("[")
         ei = tokens.index("]")
         lin_tokens = tokens[:bi] + tokens[ei + 3:]   # skip "] / 2"
+        lin_lines = lines[:bi] + lines[ei + 3:]
         if lin_tokens and lin_tokens[-1] == "+":
             lin_tokens = lin_tokens[:-1]
-        quad_tokens = tokens[bi + 1:ei]
+        quad_tokens, quad_lines = tokens[bi + 1:ei], lines[bi + 1:ei]
         i = 0
         sign = 1.0
         while i < len(quad_tokens):
@@ -590,7 +627,7 @@ def _parse_objective(model, tokens):
                 sign = 1.0 if t == "+" else -1.0
                 i += 1
                 continue
-            coef = sign * float(t)
+            coef = sign * _finite(t, quad_lines[i])
             v1 = var(quad_tokens[i + 1])
             if quad_tokens[i + 2] == "^":
                 model.add_objective_quadratic(coef / 2.0, v1, v1)
@@ -599,8 +636,8 @@ def _parse_objective(model, tokens):
             i += 4
             sign = 1.0
     else:
-        lin_tokens = tokens
-    coefs, names, const = _parse_terms(lin_tokens)
+        lin_tokens, lin_lines = tokens, lines
+    coefs, names, const = _parse_terms(lin_tokens, lin_lines)
     for c, name in zip(coefs, names):
         model.add_objective_linear(c, var(name))
     model.add_objective_constant(const)
@@ -839,10 +876,14 @@ class _MPSReader:
         self.var_of.frombytes(v.tobytes())
         self.row_of.frombytes(rows[entry].tobytes())
         try:
-            self.values.extend(map(float, _objects(tags)[entry].tolist()))
+            values = np.fromiter(map(float, _objects(tags)[entry].tolist()), float,
+                                 len(entry))
+            if not np.isfinite(values).all():
+                raise ValueError
         except ValueError:
             raise _locate(text, line, lambda t: None if t[1] == "'MARKER'" else (
-                _not_a_number(t[2]))) from None
+                _not_finite(t[2]))) from None
+        self.values.frombytes(values.tobytes())
 
     def _rhs(self, text, line):
         toks = text.split()
@@ -851,13 +892,16 @@ class _MPSReader:
         try:
             if len(toks) % 3 or rows.min(initial=0) < -1:
                 raise ValueError
-            self.rhs.extend(map(float, toks[2::3]))
+            values = np.fromiter(map(float, toks[2::3]), float, len(rows))
+            if not np.isfinite(values).all():
+                raise ValueError
         except ValueError:
             raise _locate(text, line, lambda t: (
                 "RHS lines must be '<set> <row> <value>'" if len(t) != 3
                 else "RHS names unknown row %r" % t[1] if self.rows.get(t[1], -2) < -1
-                else _not_a_number(t[2]))) from None
+                else _not_finite(t[2]))) from None
         self.rhs_of.frombytes(rows.tobytes())
+        self.rhs.frombytes(values.tobytes())
 
     def _bounds(self, text, line):
         nv = len(self.columns)
@@ -882,6 +926,8 @@ class _MPSReader:
                 if _not_a_number(t[3]):
                     raise EmitError("line %d: %s" % (k, _not_a_number(t[3])))
                 value = float(t[3])
+                if math.isnan(value):
+                    raise EmitError("line %d: a bound of %r is NaN" % (k, t[2]))
                 if tag != "UP":
                     lo[j] = value
                 if tag != "LO":
@@ -899,12 +945,11 @@ class _MPSReader:
         for k, ln in enumerate(text.split("\n"), line):
             t = ln.split()
             if t:
-                if (len(t) != 3 or t[0] not in self.columns or t[1] not in self.columns
-                        or _not_a_number(t[2])):
+                if len(t) != 3 or t[0] not in self.columns or t[1] not in self.columns:
                     raise EmitError("line %d: QUADOBJ lines must be "
                                     "'<column> <column> <value>' of known columns" % k)
                 self.quadratic.append((self.columns[t[0]], self.columns[t[1]],
-                                       float(t[2])))
+                                       _finite(t[2], k)))
 
     SECTIONS = {"ROWS": _rows, "COLUMNS": _columns, "RHS": _rhs, "BOUNDS": _bounds,
                 "QUADOBJ": _quadratic}
@@ -930,18 +975,21 @@ class _MPSReader:
         var_of = np.frombuffer(self.var_of, dtype=np.int64)
         row_of = np.frombuffer(self.row_of, dtype=np.int64)
         values = np.frombuffer(self.values)
-        on_obj = row_of == -1
-        for j in np.flatnonzero(on_obj)[np.argsort(var_of[on_obj], kind="stable")].tolist():
+        n = len(self.sense)
+        # the objective's entries (row -1) count in slot 0
+        counts = np.bincount(row_of + 1, minlength=n + 1)
+        on_obj = np.flatnonzero(row_of == -1)
+        for j in on_obj[np.argsort(var_of[on_obj], kind="stable")].tolist():
             if values[j]:
                 model.add_objective_linear(float(values[j]), model.ref(int(var_of[j])))
-        n = len(self.sense)
-        # the row entries, row by row, after the objective's (row -1)
-        order = np.lexsort((var_of, row_of))[np.count_nonzero(on_obj):]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of[order], minlength=n))))
-        # the objective's entry (row -1) lands in slot 0
+        # the row entries, row by row, after the objective's
+        order = np.lexsort((var_of, row_of))[counts[0]:]
+        cols, coefs = var_of[order], values[order]
+        del var_of, row_of, values, order
+        self.var_of = self.row_of = self.values = None
         rhs = np.zeros(n + 1)
         rhs[np.frombuffer(self.rhs_of, dtype=np.int64) + 1] = np.frombuffer(self.rhs)
-        model.add_rows(indptr, var_of[order], values[order], self.sense, rhs[1:],
+        model.add_rows(np.cumsum(counts) - counts[0], cols, coefs, self.sense, rhs[1:],
                        self.label, list(self.labels))
         for i, j, q in self.quadratic:
             model.add_objective_quadratic(q / 2.0, model.ref(i), model.ref(j))

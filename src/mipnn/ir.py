@@ -270,10 +270,10 @@ class ModelIR:
                                           if n in seen or seen.add(n)))
         self.var_index.update(new)
         self.names.extend(names)
-        self.lo.frombytes(lo.tobytes())
-        self.hi.frombytes(hi.tobytes())
-        self.is_binary.frombytes(
-            np.broadcast_to(np.asarray(is_binary, dtype=np.int8), count).tobytes())
+        _append(self.lo, lo)
+        _append(self.hi, hi)
+        _append(self.is_binary,
+                np.broadcast_to(np.asarray(is_binary, dtype=np.int8), count))
         return np.arange(start, start + count)
 
     def var(self, name):
@@ -334,12 +334,12 @@ class ModelIR:
             raise ModelError("label id out of range")
         indptr, cols, coefs = _merge_rows(indptr, cols, coefs)
         ids = np.array([self._label_id(name) for name in labels], dtype=np.int32)
-        self.indptr.frombytes((indptr[1:] + self.indptr[-1]).tobytes())
-        self.cols.frombytes(cols.tobytes())
-        self.coefs.frombytes(coefs.tobytes())
-        self.sense.frombytes(sense.tobytes())
-        self.rhs.frombytes(rhs.tobytes())
-        self.row_label.frombytes(ids[label].tobytes())
+        _append(self.indptr, indptr[1:] + self.indptr[-1])
+        _append(self.cols, cols)
+        _append(self.coefs, coefs)
+        _append(self.sense, sense)
+        _append(self.rhs, rhs)
+        _append(self.row_label, ids[label])
 
     def add_bilinear_constraint(self, quad_terms, lin_terms, sense, rhs, label):
         self._check_mutable()
@@ -525,17 +525,35 @@ def _violation(lhs, sense, rhs):
     return abs(lhs - rhs)
 
 
+def _append(buffer, values):
+    """Append a numpy array to an ``array`` buffer of its item type, in the
+    one copy that ``frombytes`` makes of a contiguous array's bytes."""
+    buffer.frombytes(np.ascontiguousarray(values).view(np.uint8))
+
+
 def _merge_rows(indptr, cols, coefs):
     """Every row of a CSR matrix with its repeated columns merged into the
-    first."""
+    first; the arrays as given when no row repeats a column.  Rows whose
+    columns strictly ascend, as the MPS reader gives them, take one pass."""
+    ascending = cols[1:] > cols[:-1]
+    # a row's first term may start below the last term of the row before it
+    starts = indptr[1:-1]
+    ascending[starts[(starts > 0) & (starts < len(cols))] - 1] = True
+    if ascending.all():
+        return indptr, cols, coefs
     counts = np.diff(indptr)
+    span = int(cols.max()) + 1
+    key = np.repeat(np.arange(len(counts)) * span, counts)
+    key += cols
+    key.sort()
+    if not (key[1:] == key[:-1]).any():
+        return indptr, cols, coefs
+    del key
     rows = np.repeat(np.arange(len(counts)), counts)
-    key = rows * (int(cols.max(initial=0)) + 1) + cols
+    key = rows * span + cols
     order = np.argsort(key, kind="stable")
     key = key[order]
     repeat = key[1:] == key[:-1]
-    if not repeat.any():
-        return indptr, cols, coefs
     # each repeated term adds, in stored order, into its first occurrence
     run_start = np.flatnonzero(np.concatenate(([True], ~repeat)))
     run = np.cumsum(np.concatenate(([True], ~repeat))) - 1

@@ -15,7 +15,7 @@ from mipnn.emit import lp_text, mps_text, parse_lp, parse_mps
 from mipnn.ir import (BINARY, CONTINUOUS, EQ, GE, LE, SENSES,
                       DuplicateNameError, ForeignVariableError,
                       FrozenModelError, InvertedBoundsError, ModelError,
-                      ModelIR, VarDef, _violation)
+                      ModelIR, VarDef, _merge_rows, _violation)
 
 from test_golden import BUILDS
 
@@ -124,6 +124,53 @@ def test_readers_merge_repeated_terms_in_order():
     con = parse_mps(mps).constraints[0]
     assert [(c, r.name) for c, r in con.terms] == [(0.1 + 0.2, "x"), (2.0, "y")]
     assert (con.sense, con.rhs, con.label) == (LE, 5.0, "c")
+
+
+# CSR rows and what the merge makes of them, recorded from the merge that
+# sorted every call; None where the rows come back as given
+MERGES = {
+    "ascending": (([0, 2, 3, 5], [0, 2, 1, 0, 3], [1.0, 2.0, 3.0, 4.0, 5.0]), None),
+    "unsorted": (([0, 3, 5], [2, 0, 1, 3, 1], [1.0, 2.0, 3.0, 4.0, 5.0]), None),
+    # summed into the first occurrence in stored order: (0.1 + 0.2) + 0.3
+    "repeats": (([0, 5, 8], [2, 0, 2, 1, 2, 3, 0, 3],
+                 [0.1, 0.5, 0.2, 1.5, 0.3, 1.0, 2.0, 0.7]),
+                ([0, 3, 5], [2, 0, 1, 3, 0], [0.6000000000000001, 0.5, 1.5, 1.7, 2.0])),
+    # the empty rows' boundaries must not mask the last pair of terms
+    "leading-empty": (([0, 0, 0, 3], [0, 2, 2], [0.5, 0.1, 0.2]),
+                      ([0, 0, 0, 2], [0, 2], [0.5, 0.30000000000000004])),
+    "trailing-empty": (([0, 2, 2], [1, 1], [0.25, 0.5]), ([0, 1, 1], [1], [0.75])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGES))
+def test_merge_rows_and_add_rows_keep_the_recorded_merge(name):
+    given, merged = MERGES[name]
+    rows = [np.array(a, dtype=t) for a, t in zip(given, (np.int64, np.int64, float))]
+    out = _merge_rows(*rows)
+    if merged is None:
+        assert all(a is b for a, b in zip(out, rows))
+        merged = given
+    assert [a.tolist() for a in out] == list(merged)
+    m = ModelIR()
+    m.add_variables(["x%d" % k for k in range(4)], 0.0, 1.0, False)
+    n = len(given[0]) - 1
+    m.add_rows(*given, [SENSES.index(LE)] * n, [1.0] * n, [0] * n, ["c"])
+    m.freeze()
+    assert [m.indptr.tolist(), m.cols.tolist(), m.coefs.tolist()] == list(merged)
+
+
+def test_add_constraint_is_a_one_row_add_rows():
+    m = ModelIR()
+    x = [m.add_variable(VarDef("x%d" % k)) for k in range(3)]
+    assert m.add_constraint([(0.1, x[2]), (1.0, x[0]), (0.2, x[2]), (0.3, x[2])],
+                            LE, 4.0, "one") == 0
+    assert m.add_constraint([(2.0, x[1])], GE, -1.0, "two") == 1
+    m.freeze()
+    assert m.indptr.tolist() == [0, 2, 3]
+    assert m.cols.tolist() == [2, 0, 1]
+    assert m.coefs.tolist() == [0.6000000000000001, 1.0, 2.0]
+    assert (m.sense.tolist(), m.rhs.tolist(), m.labels) == (
+        [SENSES.index(LE), SENSES.index(GE)], [4.0, -1.0], ["one", "two"])
 
 
 def test_bulk_paths_reject_what_the_row_paths_reject():
