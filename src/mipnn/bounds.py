@@ -5,11 +5,12 @@ for any weights inside the declared boxes.  Each interval is widened to include
 0 so the ReLU encoding stays well posed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nnspec import ConvArch, DenseArch, conv_map_shapes
+from .nnspec import ConvArch, DenseArch, patches, windows
 
 
 class BoundsError(Exception):
@@ -64,9 +65,7 @@ class BoundsTable:
         return "\n".join(lines) + "\n"
 
 
-def _widen(lo, hi, slack):
-    lo = np.where(lo < 0, lo * (1.0 + slack), lo)
-    hi = np.where(hi > 0, hi * (1.0 + slack), hi)
+def _widen(lo, hi):
     return np.minimum(lo, 0.0), np.maximum(hi, 0.0)
 
 
@@ -85,90 +84,45 @@ def propagate_bounds(arch, input_lo, input_hi, weight_lo, weight_hi,
     ``weight_lo``/``weight_hi`` are scalars boxing every weight and bias; pass
     ``fixed_weights`` (a list of (W, b) arrays) to use degenerate boxes
     instead, e.g. for verification of a given network.
+
+    Each hidden layer meets its input map at positions: a conv layer at each
+    of its output cells (``nnspec.patches``), a dense layer once, on the map
+    as it is.  A unit's bounds are the extremes over its positions.
     """
-    input_lo = np.asarray(input_lo, dtype=float)
-    input_hi = np.asarray(input_hi, dtype=float)
-    if np.any(~np.isfinite(input_lo)) or np.any(~np.isfinite(input_hi)):
+    a_lo = np.asarray(input_lo, dtype=float)
+    a_hi = np.asarray(input_hi, dtype=float)
+    if np.any(~np.isfinite(a_lo)) or np.any(~np.isfinite(a_hi)):
         raise BoundsError("input box must be finite")
     if isinstance(arch, DenseArch):
-        return _propagate_dense(arch, input_lo, input_hi, weight_lo, weight_hi,
-                                fixed_weights)
-    if isinstance(arch, ConvArch):
-        return _propagate_conv(arch, input_lo, input_hi, weight_lo, weight_hi,
-                               fixed_weights)
-    raise TypeError("unknown architecture %r" % (arch,))
-
-
-def _propagate_dense(arch, a_lo, a_hi, w_lo_s, w_hi_s, fixed):
-    widths = arch.widths
+        hidden = [(width, None) for width in arch.hidden_widths]
+    elif isinstance(arch, ConvArch):
+        hidden = [(layer.filters, layer) for layer in arch.conv_layers]
+    else:
+        raise TypeError("unknown architecture %r" % (arch,))
     layers = []
-    for l in range(arch.num_hidden + 1):
-        n_out, n_in = widths[l + 1], widths[l]
-        if fixed is not None:
-            W, b = fixed[l]
-            w_lo = w_hi = np.asarray(W, dtype=float)
-            b_lo = b_hi = np.asarray(b, dtype=float)
+    for l, (units, layer) in enumerate(hidden):
+        if layer is None:
+            pos, cells = (), (a_lo[None], a_hi[None])
         else:
-            w_lo = np.full((n_out, n_in), w_lo_s)
-            w_hi = np.full((n_out, n_in), w_hi_s)
-            b_lo = np.full(n_out, w_lo_s)
-            b_hi = np.full(n_out, w_hi_s)
-        z_lo, z_hi = _interval_dot(w_lo, w_hi, a_lo[None, :], a_hi[None, :])
-        z_lo, z_hi = z_lo + b_lo, z_hi + b_hi
-        if l < arch.num_hidden:
-            layers.append(LayerBounds(l, z_lo, z_hi, "interval"))
-            a_lo, a_hi = np.maximum(z_lo, 0.0), np.maximum(z_hi, 0.0)
-    table = BoundsTable(layers)
-    for lb in table.layers:
-        lb.unit_lo, lb.unit_hi = _widen(lb.unit_lo, lb.unit_hi, 0.0)
-    return table
-
-
-def _propagate_conv(arch, a_lo, a_hi, w_lo_s, w_hi_s, fixed):
-    map_shapes = conv_map_shapes(arch)
-    layers = []
-    for l, layer in enumerate(arch.conv_layers):
-        c_out, oh, ow = map_shapes[l]
-        c_in = a_lo.shape[0]
-        kh, kw = layer.kernel
-        if fixed is not None:
-            K, b = fixed[l]
-            k_lo = k_hi = np.asarray(K, dtype=float)
-            b_lo = b_hi = np.asarray(b, dtype=float)
+            cells = [patches(a, layer.kernel, layer.stride) for a in (a_lo, a_hi)]
+            pos = cells[0].shape[:2]
+            cells = [c.reshape(math.prod(pos), -1) for c in cells]    # (P, entries)
+        if fixed_weights is None:
+            w_lo, w_hi, b_lo, b_hi = weight_lo, weight_hi, weight_lo, weight_hi
         else:
-            k_lo = np.full((c_out, c_in, kh, kw), w_lo_s)
-            k_hi = np.full((c_out, c_in, kh, kw), w_hi_s)
-            b_lo = np.full(c_out, w_lo_s)
-            b_hi = np.full(c_out, w_hi_s)
-        z_lo = np.empty((c_out, oh, ow))
-        z_hi = np.empty((c_out, oh, ow))
-        s = layer.stride
-        for h in range(oh):
-            for w in range(ow):
-                patch_lo = a_lo[:, h * s:h * s + kh, w * s:w * s + kw].ravel()
-                patch_hi = a_hi[:, h * s:h * s + kh, w * s:w * s + kw].ravel()
-                lo, hi = _interval_dot(k_lo.reshape(c_out, -1),
-                                       k_hi.reshape(c_out, -1),
-                                       patch_lo[None, :], patch_hi[None, :])
-                z_lo[:, h, w] = lo + b_lo
-                z_hi[:, h, w] = hi + b_hi
-        ch_lo = z_lo.reshape(c_out, -1).min(axis=1)
-        ch_hi = z_hi.reshape(c_out, -1).max(axis=1)
-        ch_lo, ch_hi = _widen(ch_lo, ch_hi, 0.0)
-        layers.append(LayerBounds(l, ch_lo, ch_hi, "interval"))
-        a_lo = np.maximum(z_lo, 0.0)
-        a_hi = np.maximum(z_hi, 0.0)
-        if layer.pool is not None:
-            (ph, pw), ps = layer.pool
-            qh = (oh - ph) // ps + 1
-            qw = (ow - pw) // ps + 1
-            p_lo = np.empty((c_out, qh, qw))
-            p_hi = np.empty((c_out, qh, qw))
-            for h in range(qh):
-                for w in range(qw):
-                    win_lo = a_lo[:, h * ps:h * ps + ph, w * ps:w * ps + pw]
-                    win_hi = a_hi[:, h * ps:h * ps + ph, w * ps:w * ps + pw]
-                    p_lo[:, h, w] = win_lo.reshape(c_out, -1).max(axis=1)
-                    p_hi[:, h, w] = win_hi.reshape(c_out, -1).max(axis=1)
-            a_lo, a_hi = p_lo, p_hi
+            W, b = fixed_weights[l]
+            w_lo = w_hi = np.asarray(W, dtype=float).reshape(units, 1, -1)
+            b_lo = b_hi = np.asarray(b, dtype=float)[:, None]
+        z_lo, z_hi = _interval_dot(w_lo, w_hi, *cells)
+        # scalar boxes give every unit the same (P,) bounds
+        z_lo = np.broadcast_to(z_lo + b_lo, (units, len(cells[0])))
+        z_hi = np.broadcast_to(z_hi + b_hi, (units, len(cells[0])))
+        layers.append(LayerBounds(l, *_widen(z_lo.min(axis=1), z_hi.max(axis=1)),
+                                  "interval"))
+        a_lo = np.maximum(z_lo, 0.0).reshape((units,) + pos)
+        a_hi = np.maximum(z_hi, 0.0).reshape((units,) + pos)
+        if layer is not None and layer.pool is not None:
+            hh, ww = windows(pos, *layer.pool)
+            a_lo = a_lo[:, hh, ww].max(axis=(-2, -1))
+            a_hi = a_hi[:, hh, ww].max(axis=(-2, -1))
     return BoundsTable(layers)

@@ -22,7 +22,7 @@ from .ir import EQ, GE, LE, ModelIR
 from .dense import (Build, BuildError, Field, Rows, SampleBlock, add_objective,
                     declare_params, emit_rows, head_rows, input_rows, l1_rows,
                     name_template, net_quant, prune_rows, ref_columns, relu_layer)
-from .nnspec import TRAIN_QUANTIZED, VERIFY, conv_map_shapes
+from .nnspec import TRAIN_QUANTIZED, VERIFY, conv_map_shapes, patches, windows
 from .recon import ConvNet
 
 
@@ -47,16 +47,6 @@ def encode_maxpool(model, window_refs, p_ref, zeta_refs, big_m):
     emit_rows(model, maxpool_rows(ref_columns(model, *window_refs),
                                   ref_columns(model, p_ref)[0],
                                   ref_columns(model, *zeta_refs), big_m))
-
-
-def _pool_windows(pool, hw):
-    """Index arrays that take the (qh, qw, ph, pw) windows of a map of
-    height and width ``hw`` from its last two axes."""
-    (ph, pw), ps = pool
-    qh = (hw[0] - ph) // ps + 1
-    qw = (hw[1] - pw) // ps + 1
-    return ((ps * np.arange(qh))[:, None, None, None] + np.arange(ph)[:, None],
-            (ps * np.arange(qw))[:, None, None] + np.arange(pw))
 
 
 class ConvBuild(Build):
@@ -93,11 +83,12 @@ class ConvBuild(Build):
 
     def patches(self, l, a):
         """The cells of the map ``a`` that each kernel entry of conv layer l
-        meets at each output position (``_patches``); the head meets the
-        flattened map as it is."""
+        meets at each output position (``nnspec.patches``); the head meets
+        the flattened map as it is."""
         if l == self.L:
             return a
-        return _patches(a, self.arch.conv_layers[l], self.map_shapes[l][1:])
+        layer = self.arch.conv_layers[l]
+        return patches(a, layer.kernel, layer.stride)
 
     def pooled(self, l, act):
         """Each pool window's maximum of ``act``, laid out (c, h, w, ...),
@@ -105,7 +96,7 @@ class ConvBuild(Build):
         pool = self.arch.conv_layers[l].pool
         if pool is None:
             return act
-        hh, ww = _pool_windows(pool, act.shape[1:3])
+        hh, ww = windows(act.shape[1:3], *pool)
         return act[:, hh, ww].max(axis=(3, 4))
 
     def assemble_maps(self, x, trace):
@@ -120,31 +111,20 @@ class ConvBuild(Build):
     def _selectors(self, l, act):
         """zeta of conv layer l: each pool window selects its first maximal
         cell of the post-ReLU map ``act``; cells no window covers stay 0."""
-        hh, ww = _pool_windows(self.arch.conv_layers[l].pool, act.shape[2:])
-        windows = act[:, :, hh, ww]
-        flat = windows.reshape(windows.shape[:4] + (-1,))
+        hh, ww = windows(act.shape[2:], *self.arch.conv_layers[l].pool)
+        cells = act[:, :, hh, ww]
+        flat = cells.reshape(cells.shape[:4] + (-1,))
         zeta = np.zeros(act.shape)
         zeta[:, :, hh, ww] = (np.arange(flat.shape[-1])
-                              == flat.argmax(axis=-1)[..., None]).reshape(windows.shape)
+                              == flat.argmax(axis=-1)[..., None]).reshape(cells.shape)
         return zeta
-
-
-def _patches(a, layer, out_hw):
-    """patches[..., h, w, c, u, v] = a[..., c, h * stride + u, w * stride + v]:
-    the input cell kernel entry (c, u, v) meets at output position (h, w)."""
-    (kh, kw), s = layer.kernel, layer.stride
-    oh, ow = out_hw
-    rows = (s * np.arange(oh))[:, None, None, None, None] + np.arange(kh)[:, None]
-    cols = (s * np.arange(ow))[:, None, None, None] + np.arange(kw)
-    return a[..., np.arange(a.shape[-3])[:, None, None], rows, cols]
 
 
 def pool_rows(build, block, l, a):
     """Selectors zeta and outputs p of conv layer l's pool over its
     post-ReLU map, whose columns are ``a``, per channel; returns p's."""
     c_l, oh, ow = build.map_shapes[l]
-    pool = build.arch.conv_layers[l].pool
-    hh, ww = _pool_windows(pool, (oh, ow))
+    hh, ww = windows((oh, ow), *build.arch.conv_layers[l].pool)
     qh, qw = hh.shape[0], ww.shape[0]
     zeta, p = block.group(
         (c_l,),

@@ -608,31 +608,41 @@ def _parse_objective(model, tokens, lines):
         try:
             return model.var(name)
         except MissingVariableError:
-            raise EmitError("undeclared variable %r in the objective" % name) from None
+            raise EmitError("line %d: undeclared variable %r in the objective"
+                            % (lines[tokens.index(name)], name)) from None
 
     # split off the bracketed quadratic block, if any
     if "[" in tokens:
         bi = tokens.index("[")
-        ei = tokens.index("]")
-        lin_tokens = tokens[:bi] + tokens[ei + 3:]   # skip "] / 2"
-        lin_lines = lines[:bi] + lines[ei + 3:]
-        if lin_tokens and lin_tokens[-1] == "+":
-            lin_tokens = lin_tokens[:-1]
-        quad_tokens, quad_lines = tokens[bi + 1:ei], lines[bi + 1:ei]
-        i = 0
+        try:
+            ei = tokens.index("]", bi)
+        except ValueError:
+            raise EmitError("line %d: the objective's '[' has no ']'" % lines[bi]) from None
+        if tokens[ei + 1:ei + 3] != ["/", "2"]:
+            raise EmitError("line %d: the objective's ']' is not followed by '/ 2'"
+                            % lines[ei])
+        # the sign before "[" applies to the whole block
+        at = bi - 1 if bi and tokens[bi - 1] in _SIGNS else bi
+        block_sign = -1.0 if tokens[at:bi] == ["-"] else 1.0
+        lin_tokens = tokens[:at] + tokens[ei + 3:]   # skip "] / 2"
+        lin_lines = lines[:at] + lines[ei + 3:]
+        i = bi + 1
         sign = 1.0
-        while i < len(quad_tokens):
-            t = quad_tokens[i]
+        while i < ei:
+            t = tokens[i]
             if t in _SIGNS:
                 sign = 1.0 if t == "+" else -1.0
                 i += 1
                 continue
-            coef = sign * _finite(t, quad_lines[i])
-            v1 = var(quad_tokens[i + 1])
-            if quad_tokens[i + 2] == "^":
-                model.add_objective_quadratic(coef / 2.0, v1, v1)
-            else:
-                model.add_objective_quadratic(coef / 2.0, v1, var(quad_tokens[i + 3]))
+            # each term is "<coef> <name> ^ 2" or "<coef> <name> * <name>"
+            op = tokens[i + 2] if i + 4 <= ei else None
+            if not (op == "*" or op == "^" and tokens[i + 3] == "2"):
+                raise EmitError("line %d: bad quadratic term %r in the objective"
+                                % (lines[i], " ".join(tokens[i:min(i + 4, ei)])))
+            coef = block_sign * sign * _finite(t, lines[i])
+            v1 = var(tokens[i + 1])
+            model.add_objective_quadratic(coef / 2.0, v1,
+                                          v1 if op == "^" else var(tokens[i + 3]))
             i += 4
             sign = 1.0
     else:

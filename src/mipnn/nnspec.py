@@ -175,24 +175,46 @@ def preprocess(data, standardize=False, one_hot=False):
                    zero_variance=zero_var)
 
 
+def _positions(hw, window, stride):
+    """The positions, per axis, at which a ``window`` (height, width) moved
+    by ``stride`` fits inside a map of height and width ``hw``."""
+    return tuple((n - k) // stride + 1 for n, k in zip(hw, window))
+
+
+def windows(hw, window, stride):
+    """Index arrays that take the (qh, qw, ph, pw) windows of a map of
+    height and width ``hw`` from its last two axes: cell (u, v) of the
+    window at (h, w) is map cell (h * stride + u, w * stride + v)."""
+    (ph, pw), (qh, qw) = window, _positions(hw, window, stride)
+    return ((stride * np.arange(qh))[:, None, None, None] + np.arange(ph)[:, None],
+            (stride * np.arange(qw))[:, None, None] + np.arange(pw))
+
+
+def patches(a, kernel, stride):
+    """patches[..., h, w, c, u, v] = a[..., c, h * stride + u, w * stride + v]:
+    the cell of the map ``a`` (channels, height and width on its last three
+    axes) that kernel entry (c, u, v) meets at output position (h, w)."""
+    hh, ww = windows(a.shape[-2:], kernel, stride)
+    return a[..., np.arange(a.shape[-3])[:, None, None], hh[:, :, None], ww[:, :, None]]
+
+
+def _conv_shapes(shape, layer):
+    """The pre-pool map shape and the output shape (post-pool where a pool
+    stage exists) of one conv layer over a map of ``shape`` (C, H, W)."""
+    hw = _positions(shape[1:], layer.kernel, layer.stride)
+    if min(hw) < 1:
+        raise SpecError("kernel %r does not fit input %r" % (layer.kernel, tuple(shape[1:])))
+    out = hw
+    if layer.pool is not None:
+        out = _positions(hw, *layer.pool)
+        if min(out) < 1:
+            raise SpecError("pool %r does not fit map %r" % (layer.pool, hw))
+    return (layer.filters,) + hw, (layer.filters,) + out
+
+
 def conv_output_shape(shape, layer):
     """Feature-map shape after one conv layer (and its pool stage, if any)."""
-    c, h, w = shape
-    kh, kw = layer.kernel
-    s = layer.stride
-    oh = (h - kh) // s + 1
-    ow = (w - kw) // s + 1
-    if h - kh < 0 or w - kw < 0 or oh < 1 or ow < 1:
-        raise SpecError("kernel %r does not fit input %r" % (layer.kernel, (h, w)))
-    shape = (layer.filters, oh, ow)
-    if layer.pool is not None:
-        (ph, pw), ps = layer.pool
-        qh = (oh - ph) // ps + 1
-        qw = (ow - pw) // ps + 1
-        if oh - ph < 0 or ow - pw < 0 or qh < 1 or qw < 1:
-            raise SpecError("pool %r does not fit map %r" % (layer.pool, (oh, ow)))
-        shape = (layer.filters, qh, qw)
-    return shape
+    return _conv_shapes(shape, layer)[1]
 
 
 def validate_arch(arch):
@@ -215,15 +237,8 @@ def conv_map_shapes(arch):
     shapes = []
     cur = arch.input_shape
     for layer in arch.conv_layers:
-        c, h, w = cur
-        kh, kw = layer.kernel
-        s = layer.stride
-        oh = (h - kh) // s + 1
-        ow = (w - kw) // s + 1
-        if h - kh < 0 or w - kw < 0:
-            raise SpecError("kernel %r does not fit input %r" % (layer.kernel, (h, w)))
-        shapes.append((layer.filters, oh, ow))
-        cur = conv_output_shape(cur, layer)
+        pre_pool, cur = _conv_shapes(cur, layer)
+        shapes.append(pre_pool)
     return shapes
 
 

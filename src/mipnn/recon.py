@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ir import Violation, round_binaries
-from .nnspec import LOSS_ABS
+from .nnspec import LOSS_ABS, patches, windows
 
 SPARSITY_TOL = 1e-6
 
@@ -100,34 +100,21 @@ def _forward_dense(net, x):
 
 
 def _conv2d(a, K, b, stride):
-    c_out, _, kh, kw = K.shape[-4:]
-    h, w = a.shape[-2:]
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+    cells = patches(a, K.shape[-2:], stride)           # (..., n, oh, ow, c, u, v)
+    oh, ow = cells.shape[-5:-3]
+    # rows (..., oh * ow, n, entries), contiguous, times the kernels: one
+    # BLAS call per position, the same whether or not a candidate axis
+    # leads; a single (n * oh * ow, entries) product would round otherwise
+    rows = np.ascontiguousarray(np.moveaxis(
+        cells.reshape(cells.shape[:-5] + (oh * ow, -1)), -2, -3))
     kernels = K.reshape(K.shape[:-3] + (-1,)).swapaxes(-1, -2)
-    z = np.empty(np.broadcast_shapes(a.shape[:-3], K.shape[:-4] + (1,))
-                 + (c_out, oh, ow))
-    for hh in range(oh):
-        for ww in range(ow):
-            patch = a[..., hh * stride:hh * stride + kh, ww * stride:ww * stride + kw]
-            # one row per sample, as np.tensordot lays it out: the same
-            # BLAS call per position whether or not a candidate axis leads
-            rows = np.ascontiguousarray(patch).reshape(patch.shape[:-3] + (-1,))
-            z[..., hh, ww] = rows @ kernels
-    return z + np.asarray(b)[..., None, :, None, None]
+    z = np.moveaxis(rows @ kernels[..., None, :, :], -3, -1)
+    return z.reshape(z.shape[:-1] + (oh, ow)) + np.asarray(b)[..., None, :, None, None]
 
 
 def maxpool2d(a, window, stride):
-    ph, pw = window
-    h, w = a.shape[-2:]
-    qh = (h - ph) // stride + 1
-    qw = (w - pw) // stride + 1
-    p = np.empty(a.shape[:-2] + (qh, qw))
-    for hh in range(qh):
-        for ww in range(qw):
-            win = a[..., hh * stride:hh * stride + ph, ww * stride:ww * stride + pw]
-            p[..., hh, ww] = win.reshape(win.shape[:-2] + (-1,)).max(axis=-1)
-    return p
+    hh, ww = windows(a.shape[-2:], window, stride)
+    return a[..., hh, ww].max(axis=(-2, -1))
 
 
 def _forward_conv(net, x):

@@ -1,21 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from mipnn.bounds import (BoundsError, BoundsTable, LayerBounds, _widen,
                           propagate_bounds)
-from mipnn.nnspec import ConvArch, ConvLayer, DenseArch
-from mipnn.recon import DenseNet, forward_preactivations
+from mipnn.nnspec import ConvArch, ConvLayer, DenseArch, validate_arch
+from mipnn.recon import ConvNet, DenseNet, forward_preactivations
 
 from conftest import random_dense_weights
 
 
-def test_widen_expands_away_from_zero_and_includes_zero():
-    lo, hi = _widen(1.0, 2.0, 0.5)
-    assert lo == 0.0 and hi == 3.0
-    lo, hi = _widen(-2.0, -1.0, 0.5)
-    assert lo == -3.0 and hi == 0.0
-    lo, hi = _widen(-1.0, 1.0, 0.5)
-    assert lo == -1.5 and hi == 1.5
+def test_widen_clamps_each_interval_to_include_zero():
+    lo, hi = _widen(np.array([1.0, -2.0, -1.0]), np.array([2.0, -1.0, 1.0]))
+    assert lo.tolist() == [0.0, -2.0, -1.0]
+    assert hi.tolist() == [2.0, 0.0, 1.0]
 
 
 def test_interval_propagation_fixed_weights_exact_on_point_input():
@@ -51,26 +50,50 @@ def test_interval_soundness_dense(rng):
             assert np.all(z <= lb.unit_hi[None, :] + 1e-9)
 
 
-def test_interval_soundness_conv(rng):
-    arch = ConvArch(input_shape=(1, 5, 5),
-                    conv_layers=(ConvLayer(filters=2, kernel=(3, 3),
-                                           pool=((2, 2), 1)),),
-                    head_dim=1)
-    in_lo = np.zeros((1, 5, 5))
-    in_hi = np.ones((1, 5, 5))
-    bt = propagate_bounds(arch, in_lo, in_hi, -1.0, 1.0)
-    lb = bt.layer(0)
-    from mipnn.recon import ConvNet
+@pytest.mark.parametrize("layers,shape", [
+    ((ConvLayer(filters=2, kernel=(3, 3), pool=((2, 2), 1)),), (1, 5, 5)),
+    # 17x17 -> 8x8 by a stride-2 kernel, pooled to 4x4, -> 2x2 by another
+    ((ConvLayer(filters=2, kernel=(3, 3), stride=2, pool=((2, 2), 2)),
+      ConvLayer(filters=3, kernel=(2, 2), stride=2)), (2, 17, 17)),
+], ids=["one-layer-pooled", "strided-two-layers-pooled-between"])
+def test_interval_soundness_conv(rng, layers, shape):
+    arch = ConvArch(input_shape=shape, conv_layers=layers, head_dim=1)
+    bt = propagate_bounds(arch, np.zeros(shape), np.ones(shape), -1.0, 1.0)
+    shapes = validate_arch(arch)
     for _ in range(50):
-        K = rng.uniform(-1, 1, size=(2, 1, 3, 3))
-        b = rng.uniform(-1, 1, size=2)
-        net = ConvNet(kernels=[(K, b)], head=(np.zeros((1, 2 * 4)), np.zeros(1)),
-                      gamma=[np.ones(2)], pools=[((2, 2), 1)])
-        X = rng.uniform(0, 1, size=(20, 1, 5, 5))
-        z = forward_preactivations(net, X)[0]
-        for c in range(2):
-            assert np.all(z[:, c] >= lb.unit_lo[c] - 1e-9)
-            assert np.all(z[:, c] <= lb.unit_hi[c] + 1e-9)
+        kernels = [(rng.uniform(-1, 1, size=(layer.filters, c) + layer.kernel),
+                    rng.uniform(-1, 1, size=layer.filters))
+                   for layer, (c, _, _) in zip(layers, shapes)]
+        net = ConvNet(kernels=kernels,
+                      head=(np.zeros((1, math.prod(shapes[-1]))), np.zeros(1)),
+                      gamma=[np.ones(layer.filters) for layer in layers],
+                      pools=[layer.pool for layer in layers],
+                      strides=[layer.stride for layer in layers])
+        X = rng.uniform(0, 1, size=(20,) + shape)
+        for l, z in enumerate(forward_preactivations(net, X)):
+            lb = bt.layer(l)
+            assert np.all(z >= lb.unit_lo[:, None, None] - 1e-9)
+            assert np.all(z <= lb.unit_hi[:, None, None] + 1e-9)
+
+
+def test_conv_point_box_bounds_are_the_forward_extremes(rng):
+    """A point input box with fixed kernels: each channel's interval is the
+    forward pass's extremes over its positions, clamped to include 0, on
+    two strided layers with a pool between them."""
+    layers = (ConvLayer(filters=2, kernel=(3, 3), stride=2, pool=((2, 2), 2)),
+              ConvLayer(filters=3, kernel=(2, 2), stride=2))
+    arch = ConvArch(input_shape=(2, 17, 17), conv_layers=layers, head_dim=1)
+    kernels = [(rng.uniform(-1, 1, size=(2, 2, 3, 3)), rng.uniform(-1, 1, size=2)),
+               (rng.uniform(-1, 1, size=(3, 2, 2, 2)), rng.uniform(-1, 1, size=3))]
+    x = rng.uniform(-1, 1, size=(2, 17, 17))
+    bt = propagate_bounds(arch, x, x, 0.0, 0.0, fixed_weights=kernels)
+    net = ConvNet(kernels=kernels, head=(np.zeros((1, 12)), np.zeros(1)),
+                  gamma=[np.ones(2), np.ones(3)], pools=[((2, 2), 2), None],
+                  strides=[2, 2])
+    for l, z in enumerate(forward_preactivations(net, x[None])):
+        z = z[0].reshape(len(z[0]), -1)
+        assert np.allclose(bt.layer(l).unit_lo, np.minimum(z.min(axis=1), 0.0))
+        assert np.allclose(bt.layer(l).unit_hi, np.maximum(z.max(axis=1), 0.0))
 
 
 def test_monotone_in_box_width():

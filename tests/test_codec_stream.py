@@ -147,11 +147,24 @@ MPS = ("NAME m\nROWS\n N OBJ\n L c.0\nCOLUMNS\n    x OBJ 1\n    x c.0 1\n"
     (parse_mps, MPS.replace("x OBJ 1", "x OBJ -inf") % ("", ""),
      r"line 6: '-inf' is not finite"),
     (parse_mps, MPS % ("", " LO BND y nan"), r"line 14: a bound of 'y' is NaN"),
+    # a malformed quadratic block, or an undeclared name, in the objective
+    (parse_lp, LP.replace("obj: 1 x", "obj: 1 x + [ 2 x ^ 2") % "",
+     r"line 3: the objective's '\[' has no '\]'"),
+    (parse_lp, LP.replace("obj: 1 x", "obj: 1 x\n + [ 2 x ^ ] / 2") % "",
+     r"line 4: bad quadratic term '2 x \^' in the objective"),
+    (parse_lp, LP.replace("obj: 1 x", "obj: [ 2 x * ] / 2") % "",
+     r"line 3: bad quadratic term '2 x \*' in the objective"),
+    (parse_lp, LP.replace("obj: 1 x", "obj: [ 2 x ^ 2 ]\n + 1 y") % "",
+     r"line 3: the objective's '\]' is not followed by '/ 2'"),
+    (parse_lp, LP.replace("obj: 1 x", "obj: 1 x\n + 1 z") % "",
+     r"line 4: undeclared variable 'z' in the objective"),
 ], ids=["lp-no-sense", "lp-undeclared", "lp-no-coefficient", "lp-undeclared-binary",
         "mps-rhs-row", "mps-bounds-column", "mps-ranges", "lp-bound-twice",
         "mps-row-twice", "lp-inverted-bounds", "mps-inverted-bounds",
         "lp-nan-coefficient", "lp-inf-rhs", "lp-nan-objective", "lp-nan-bound",
-        "mps-nan-coefficient", "mps-inf-rhs", "mps-inf-objective", "mps-nan-bound"])
+        "mps-nan-coefficient", "mps-inf-rhs", "mps-inf-objective", "mps-nan-bound",
+        "lp-objective-unclosed", "lp-objective-no-exponent", "lp-objective-no-factor",
+        "lp-objective-no-halving", "lp-objective-undeclared"])
 def test_malformed_input_names_its_line(parse, text, message, block, monkeypatch):
     monkeypatch.setattr(emit, "_BLOCK", block)
     with pytest.raises(EmitError, match=message):
@@ -176,6 +189,10 @@ def test_well_formed_variants_of_the_malformed_inputs_parse(block, monkeypatch):
                       % ("* x", "*"))
     assert [(c, r.name) for c, r in noted.constraints[0].terms] == [(1.0, "x"), (2.0, "y")]
     assert_same_model(noted, parse_mps(MPS % ("", "")))
+    # a minus before the objective's quadratic block negates the block
+    lp = parse_lp(LP.replace("obj: 1 x", "obj: 1 x - [ 2 x ^ 2 ] / 2 + 3") % "")
+    assert [c for c, _, _ in lp.objective.quadratic] == [-1.0]
+    assert lp.objective.constant == 3.0
 
 
 def _traced(fn, *args):

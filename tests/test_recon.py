@@ -24,18 +24,55 @@ def test_forward_dense_matches_manual():
     assert np.allclose(forward(net, x), want)
 
 
-def test_conv_forward_matches_scipy(rng):
-    """Unrolled convolution against an independent correlation implementation."""
-    K = rng.uniform(-1, 1, size=(2, 3, 3, 3))
+@pytest.mark.parametrize("c_in,stride,pool", [
+    (3, 1, None), (1, 2, None), (2, 2, ((2, 2), 2)), (4, 1, ((3, 2), 3))])
+def test_conv_forward_matches_scipy(rng, c_in, stride, pool):
+    """Unrolled convolution against an independent correlation implementation,
+    and its pool stage against each window's maximum taken by hand."""
+    K = rng.uniform(-1, 1, size=(2, c_in, 3, 3))
     b = rng.uniform(-1, 1, size=2)
-    x = rng.uniform(-1, 1, size=(1, 3, 8, 8))
-    net = ConvNet(kernels=[(K, b)], head=(np.zeros((1, 2 * 36)), np.zeros(1)),
-                  gamma=[np.ones(2)], pools=[None])
-    z = forward_trace(net, x)[0][0]
-    for c in range(2):
-        want = sum(correlate(x[0, cp], K[c, cp], mode="valid")
-                   for cp in range(3)) + b[c]
-        assert np.allclose(z[0, c], want, atol=1e-12)
+    x = rng.uniform(-1, 1, size=(2, c_in, 9, 8))
+    oh, ow = (9 - 3) // stride + 1, (8 - 3) // stride + 1
+    window, ps = pool or ((1, 1), 1)
+    qh, qw = (oh - window[0]) // ps + 1, (ow - window[1]) // ps + 1
+    net = ConvNet(kernels=[(K, b)], head=(np.zeros((1, 2 * qh * qw)), np.zeros(1)),
+                  gamma=[np.ones(2)], pools=[pool], strides=[stride])
+    (z, p), _ = forward_trace(net, x)
+    assert z.shape == (2, 2, oh, ow) and p.shape == (2, 2, qh, qw)
+    for i in range(2):
+        for c in range(2):
+            want = sum(correlate(x[i, cp], K[c, cp], mode="valid")
+                       for cp in range(c_in))[::stride, ::stride] + b[c]
+            assert np.allclose(z[i, c], want, atol=1e-12)
+            a = np.maximum(z[i, c], 0.0)
+            for h in range(qh):
+                for w in range(qw):
+                    cell = a[h * ps:h * ps + window[0], w * ps:w * ps + window[1]]
+                    assert p[i, c, h, w] == cell.max()
+
+
+def test_candidate_trace_is_each_candidates_own_trace(rng):
+    """A conv net whose parameters carry a leading candidate axis traces
+    each candidate bit for bit as that candidate's own net does: two
+    strided layers with a pool between them, 17x17 -> 8x8 -> 4x4 -> 2x2."""
+    B = 3
+    kernels = [(rng.uniform(-1, 1, size=(B, 2, 2, 3, 3)), rng.uniform(-1, 1, size=(B, 2))),
+               (rng.uniform(-1, 1, size=(B, 3, 2, 2, 2)), rng.uniform(-1, 1, size=(B, 3)))]
+    head = (rng.uniform(-1, 1, size=(B, 2, 12)), rng.uniform(-1, 1, size=(B, 2)))
+    x = rng.uniform(-1, 1, size=(5, 2, 17, 17))
+
+    def net(params, head, lead):
+        return ConvNet(kernels=params, head=head, gamma=[np.ones(lead + (2,)),
+                                                         np.ones(lead + (3,))],
+                       pools=[((2, 2), 2), None], strides=[2, 2])
+
+    trace = forward_trace(net(kernels, head, (B,)), x)
+    assert trace[0][0].shape == (B, 5, 2, 8, 8) and trace[1][0].shape == (B, 5, 3, 2, 2)
+    for k in range(B):
+        own = forward_trace(net([(K[k], b[k]) for K, b in kernels],
+                                (head[0][k], head[1][k]), ()), x)
+        for (z, a), (z_own, a_own) in zip(trace, own, strict=True):
+            assert np.array_equal(z[k], z_own) and np.array_equal(a[k], a_own)
 
 
 def test_maxpool2d(rng):
