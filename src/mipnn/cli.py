@@ -292,10 +292,14 @@ def solve(prep):
                                      tol=cfg.tolerance, timeout=cfg.timeout)
         gap = 0.0
     else:
+        started = time.monotonic()
         res = oracle.branch_and_bound(prep.build, budget=cfg.budget,
                                       limit_bits=cfg.limit_bits,
                                       tol=cfg.tolerance, timeout=cfg.timeout)
         if res.assignment is None:
+            if cfg.timeout is not None and time.monotonic() - started > cfg.timeout:
+                raise oracle.TimeoutExceededError(
+                    "search reached its %gs timeout without an incumbent" % cfg.timeout)
             raise oracle.InfeasibleError(
                 "search exhausted its budget without an incumbent")
         gap = 0.0 if res.proven else _gap(res.objective, res.bound)
@@ -515,6 +519,26 @@ def _apply_overrides(cfg, ns):
     return cfg
 
 
+# key -> whether a value can work (NaN fails each test), and what it must be
+_LIMITS = {
+    "subset": (lambda v: v >= 0, "at least 0"),
+    "tolerance": (lambda v: v >= 0, "a number at least 0"),
+    "timeout": (lambda v: v is None or v > 0, "a number above 0"),
+    "budget": (lambda v: v >= 1, "at least 1"),
+    "limit_bits": (lambda v: v >= 0, "at least 0"),
+}
+
+
+def _check_values(cfg):
+    """``cfg`` once every value in ``_LIMITS`` can work; a ConfigError
+    naming the first key whose value cannot."""
+    for key, (ok, what) in _LIMITS.items():
+        value = getattr(cfg, key)
+        if not ok(value):
+            raise ConfigError("%s must be %s, not %r" % (key, what, value))
+    return cfg
+
+
 def _dispatch(ns, cfg):
     if ns.command == "build":
         return cmd_build(cfg)
@@ -534,7 +558,7 @@ def _dispatch(ns, cfg):
 def _run_one(args):
     ns, path = args
     try:
-        cfg = _apply_overrides(parse_config(path), ns)
+        cfg = _check_values(_apply_overrides(parse_config(path), ns))
         return _dispatch(ns, cfg)
     except (ConfigError, nnspec.SpecError, nnspec.ParseError,
             emit.EmitError, BuildError) as e:

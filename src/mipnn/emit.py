@@ -385,9 +385,9 @@ class _LPReader:
         self.objective_line = []             # line of each of those tokens
         self.columns = {}                    # name -> provisional column
         self.indptr, self.cols, self.coefs = array("q", [0]), array("q"), array("d")
-        self.sense, self.rhs, self.label = array("b"), array("d"), array("q")
+        self.sense, self.rhs, self.label = array("b"), array("d"), array("i")
         self.labels = {}                     # label -> id
-        self.row_line = array("q")           # line of each row, for errors
+        self.row_line = array("i")           # line of each row, for errors
         self.names, self.lo, self.hi = [], array("d"), array("d")
         self.bound_line = array("q")         # line of each bound, for errors
         self.binaries = {}                   # name -> line of its first listing
@@ -435,7 +435,7 @@ class _LPReader:
                                + self.indptr[-1]).tobytes())
         self.sense.frombytes(bytes(senses))
         self.rhs.extend(rhs)
-        self.label.frombytes(_ids(labels, self.labels).tobytes())
+        _append(self.label, _ids(labels, self.labels).astype(np.intc))
         self.row_line.extend(lines)
 
     def model(self):
@@ -465,8 +465,9 @@ class _LPReader:
             row = np.searchsorted(self.indptr, np.flatnonzero(cols == k)[0], "right") - 1
             raise EmitError("line %d: undeclared variable %r"
                             % (self.row_line[row], list(self.columns)[k]))
-        cols = declared[cols]
         self.cols = self.columns = None
+        # each provisional column becomes its declared one, in place
+        np.take(declared, cols, out=cols, mode="clip")
         model.add_rows(self.indptr, cols, self.coefs, self.sense,
                        self.rhs, self.label, list(self.labels))
         _parse_objective(model, self.objective, self.objective_line)
@@ -1060,8 +1061,7 @@ class _MPSReader:
 
     def model(self):
         model = ModelIR(self.name)
-        names = list(self.columns)
-        nv = len(names)
+        columns, nv = self.columns, len(self.columns)
         self.rows = self.special = self.columns = None     # the name tables are spent
         binary = np.frombuffer(self.binary, dtype=bool)
         lo = np.array(self.lo + [0.0] * (nv - len(self.lo)))
@@ -1070,10 +1070,12 @@ class _MPSReader:
         lo = np.where(binary, np.maximum(lo, 0.0), lo)
         hi = np.where(binary, np.minimum(hi, 1.0), hi)
         try:
-            model.add_variables(names, lo, hi, binary)
+            # the column table numbers the names in order: the model keeps it
+            model.add_variables(columns, lo, hi, binary)
         except InvertedBoundsError:
             j = int(np.argmax(lo > hi))
-            raise EmitError(_inverted(self.inverted[j], names[j], lo[j], hi[j])) from None
+            raise EmitError(_inverted(self.inverted[j], list(columns)[j],
+                                      lo[j], hi[j])) from None
 
         # objective entries in column order, rows with their terms in column order
         var_of = np.frombuffer(self.var_of, dtype=np.intc)
@@ -1119,17 +1121,21 @@ class SolutionFile:
 
 
 def write_solution(model, asg, path, objective=None, gap=None):
-    lines = []
+    """Write ``asg``, a ``<name> <value>`` line per variable after the
+    optional ``# objective`` and ``# gap`` headers, to ``path`` a chunk at a
+    time; returns the byte count."""
+    return _write(_solution_chunks(model, model._own(asg), objective, gap), path)
+
+
+def _solution_chunks(model, x, objective, gap):
     if objective is not None:
-        lines.append("# objective %s\n" % fmt(objective))
+        yield "# objective %s\n" % fmt(objective)
     if gap is not None:
-        lines.append("# gap %s\n" % fmt(gap))
-    x = model._own(asg)
-    lines += (_objects(model.names) + _fmt_each(x, _Numbers(), " %s\n")).tolist()
-    data = "".join(lines).encode()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+        yield "# gap %s\n" % fmt(gap)
+    # values are mostly distinct: a chunk's numbers are formatted and forgotten
+    for a, b in _spans(len(x)):
+        yield "".join((_objects(model.names[a:b])
+                       + _fmt_each(x[a:b], _Numbers(), " %s\n")).tolist())
 
 
 def read_solution(model, path, fill_missing=False, tol=1e-6):

@@ -8,9 +8,13 @@ emitters, auditors and solvers.
 Storage is columnar.  Variables are a list of ``names`` and the arrays ``lo``,
 ``hi`` and ``is_binary``.  Linear rows are one CSR matrix (``indptr``, ``cols``,
 ``coefs``) with a ``sense`` code, a ``rhs`` and a ``row_label`` id (into
-``labels``) per row.  While a model is built these live in ``array`` buffers;
-``freeze`` turns them into read-only numpy arrays.  No object is kept per row
-or per variable, so a large model puts no load on the garbage collector.
+``labels``) per row.  A model keeps the arrays its first ``add_rows`` call is
+given, so one copy of the terms exists; later calls append to ``array``
+buffers.  ``freeze`` turns either into read-only numpy arrays.  No object is
+kept per row or per variable, so a large model puts no load on the garbage
+collector.  Every pass over the whole model (the repeat check of
+``add_rows``, ``row_violations``, ``max_abs_coef_by_label``) works in chunks
+of ``_ROWS`` rows, so its temporaries stay bounded whatever the model's size.
 ``variables`` and ``constraints`` are read-only views that build a ``VarDef``
 or a ``LinCon`` on each access.
 """
@@ -35,6 +39,11 @@ _LE, _EQ, _GE = range(3)
 
 # Default feasibility / integrality tolerance used throughout.
 DEFAULT_TOL = 1e-6
+
+# rows per chunk of a pass over the whole model
+_ROWS = 2 ** 12
+# the arrays that hold the rows
+_ROW_ARRAYS = ("indptr", "cols", "coefs", "sense", "rhs", "row_label")
 
 
 class ModelError(Exception):
@@ -253,7 +262,10 @@ class ModelIR:
     def add_variables(self, names, lo, hi, is_binary):
         """Append many variables at once and return their columns; ``lo``,
         ``hi`` and ``is_binary`` broadcast over ``names``, and the bounds are
-        taken as given, binaries included."""
+        taken as given, binaries included.  ``names`` may also be a dict that
+        numbers them from the model's variable count on, in order, as
+        ``var_index`` does; a model with no variables yet keeps that dict, or
+        the one it builds, as its ``var_index``."""
         self._check_mutable()
         count = len(names)
         lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), count) for v in (lo, hi))
@@ -261,14 +273,18 @@ class ModelIR:
         if bad.size:
             k = int(bad[0])
             raise InvertedBoundsError("%s: lo %r > hi %r"
-                                      % (names[k], float(lo[k]), float(hi[k])))
+                                      % (list(names)[k], float(lo[k]), float(hi[k])))
         start = len(self.names)
-        new = dict(zip(names, range(start, start + count)))
+        new = (names if isinstance(names, dict)
+               else dict(zip(names, range(start, start + count))))
         if len(new) < count or not new.keys().isdisjoint(self.var_index):
             seen = set(self.var_index)
             raise DuplicateNameError(next(n for n in names
                                           if n in seen or seen.add(n)))
-        self.var_index.update(new)
+        if self.var_index:
+            self.var_index.update(new)
+        else:
+            self.var_index = new
         self.names.extend(names)
         _append(self.lo, lo)
         _append(self.hi, hi)
@@ -313,14 +329,17 @@ class ModelIR:
         (column indices of this model), and per row a sense code (an index
         into ``SENSES``), a rhs and a label id (an index into ``labels``,
         whose labels are taken up in that order).  Terms on the same
-        variable merge into the first, their coefficients summed in order."""
+        variable merge into the first, their coefficients summed in order.
+        A model with no rows yet keeps the arrays as its own, once they have
+        its dtypes, so the caller hands them over; later rows are appended
+        in one copy."""
         self._check_mutable()
-        indptr = np.asarray(indptr, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        coefs = np.asarray(coefs, dtype=float)
-        sense = np.asarray(sense, dtype=np.int8)
-        rhs = np.asarray(rhs, dtype=float)
-        label = np.asarray(label, dtype=np.int64)
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        cols = np.ascontiguousarray(cols, dtype=np.int64)
+        coefs = np.ascontiguousarray(coefs, dtype=float)
+        sense = np.ascontiguousarray(sense, dtype=np.int8)
+        rhs = np.ascontiguousarray(rhs, dtype=float)
+        label = np.asarray(label)
         n = len(indptr) - 1
         if not (indptr[0] == 0 and indptr[-1] == len(cols) == len(coefs)
                 and len(sense) == len(rhs) == len(label) == n
@@ -334,12 +353,12 @@ class ModelIR:
             raise ModelError("label id out of range")
         indptr, cols, coefs = _merge_rows(indptr, cols, coefs)
         ids = np.array([self._label_id(name) for name in labels], dtype=np.int32)
-        _append(self.indptr, indptr[1:] + self.indptr[-1])
-        _append(self.cols, cols)
-        _append(self.coefs, coefs)
-        _append(self.sense, sense)
-        _append(self.rhs, rhs)
-        _append(self.row_label, ids[label])
+        rows = [indptr, cols, coefs, sense, rhs, ids[label]]
+        if len(self.sense):
+            rows[0] = indptr[1:] + self.indptr[-1]
+            rows = [_append(getattr(self, a), v) for a, v in zip(_ROW_ARRAYS, rows)]
+        for attr, values in zip(_ROW_ARRAYS, rows):
+            setattr(self, attr, values)
 
     def add_bilinear_constraint(self, quad_terms, lin_terms, sense, rhs, label):
         self._check_mutable()
@@ -393,17 +412,13 @@ class ModelIR:
         self.lo[idx] = lo
         self.hi[idx] = hi
 
-    def row_ids(self, start=0):
-        """The row of each stored term from row ``start`` on."""
-        counts = np.diff(np.asarray(self.indptr)[start:])
-        return np.repeat(np.arange(start, start + len(counts)), counts)
-
     def max_abs_coef_by_label(self):
         """The largest |coefficient| in the rows of each label: how large
         the big-M constants of each constraint family are."""
         best = np.zeros(len(self.labels))
-        labels = np.asarray(self.row_label)[self.row_ids()]
-        np.maximum.at(best, labels, np.abs(np.asarray(self.coefs)))
+        row_label, coefs = np.asarray(self.row_label), np.asarray(self.coefs)
+        for a, b, terms, row in _chunks(self.indptr):
+            np.maximum.at(best, row_label[a:b][row], np.abs(coefs[terms]))
         return dict(zip(self.labels, best.tolist()))
 
     # -- evaluation -------------------------------------------------------
@@ -429,19 +444,19 @@ class ModelIR:
         """The ``_violation`` of each row from ``start`` on at the variable
         vector ``x``.  Each lhs is summed term by term in stored order,
         starting from 0.0, as a plain left-to-right loop would."""
-        indptr = np.asarray(self.indptr)
-        first = indptr[start]
-        rows = self.row_ids(start) - start
-        rhs = np.asarray(self.rhs)[start:]
-        sense = np.asarray(self.sense)[start:]
-        # 0 * inf and inf - inf give NaN silently, as Python floats do
-        with np.errstate(invalid="ignore"):
-            products = np.asarray(self.coefs)[first:] * x[np.asarray(self.cols)[first:]]
-            lhs = np.bincount(rows, weights=products,
-                              minlength=len(indptr) - 1 - start)
-            d = np.where(sense == _GE, rhs - lhs, lhs - rhs)
-        # max(0.0, d) keeps 0.0 for a NaN d, as the scalar rule does
-        return np.where(sense == _EQ, np.abs(d), np.where(d > 0.0, d, 0.0))
+        coefs, cols = np.asarray(self.coefs), np.asarray(self.cols)
+        rhs, sense = np.asarray(self.rhs), np.asarray(self.sense)
+        out = np.empty(len(rhs) - start)
+        for a, b, terms, row in _chunks(self.indptr, start):
+            # 0 * inf and inf - inf give NaN silently, as Python floats do
+            with np.errstate(invalid="ignore"):
+                lhs = np.bincount(row, weights=coefs[terms] * x[cols[terms]],
+                                  minlength=b - a)
+                d = np.where(sense[a:b] == _GE, rhs[a:b] - lhs, lhs - rhs[a:b])
+            # max(0.0, d) keeps 0.0 for a NaN d, as the scalar rule does
+            out[a - start:b - start] = np.where(sense[a:b] == _EQ, np.abs(d),
+                                                np.where(d > 0.0, d, 0.0))
+        return out
 
     def evaluate_objective(self, x):
         """The objective at the variable vector ``x``, summed term by term
@@ -526,45 +541,64 @@ def _violation(lhs, sense, rhs):
 
 
 def _append(buffer, values):
-    """Append a numpy array to an ``array`` buffer of its item type, in the
-    one copy that ``frombytes`` makes of a contiguous array's bytes."""
+    """``buffer`` with a numpy array appended, in the one copy that
+    ``frombytes`` makes of a contiguous array's bytes.  A numpy array, as a
+    model keeps from its first ``add_rows``, first becomes an ``array``
+    buffer of its item type."""
+    if isinstance(buffer, np.ndarray):
+        buffer = _append(array(buffer.dtype.char), buffer)
     buffer.frombytes(np.ascontiguousarray(values).view(np.uint8))
+    return buffer
+
+
+def _chunks(indptr, start=0):
+    """The rows of the CSR ``indptr`` from ``start`` on in chunks of
+    ``_ROWS``: per chunk its first row and its end, the slice of its terms
+    and the row of each of them, counted from the chunk's first."""
+    indptr = np.asarray(indptr)
+    n = len(indptr) - 1
+    for a in range(start, n, _ROWS):
+        b = min(a + _ROWS, n)
+        yield (a, b, slice(indptr[a], indptr[b]),
+               np.repeat(np.arange(b - a), np.diff(indptr[a:b + 1])))
 
 
 def _merge_rows(indptr, cols, coefs):
     """Every row of a CSR matrix with its repeated columns merged into the
-    first; the arrays as given when no row repeats a column.  Rows whose
-    columns strictly ascend, as the MPS reader gives them, take one pass."""
-    ascending = cols[1:] > cols[:-1]
-    # a row's first term may start below the last term of the row before it
-    starts = indptr[1:-1]
-    ascending[starts[(starts > 0) & (starts < len(cols))] - 1] = True
-    if ascending.all():
+    first; the arrays as given when no row repeats a column.  A chunk whose
+    rows' columns strictly ascend, as the MPS reader gives them, takes one
+    pass."""
+    later, first = [], []        # each repeated term and its first occurrence
+    for a, b, terms, row in _chunks(indptr):
+        c = cols[terms]
+        ascending = c[1:] > c[:-1]
+        # a row's first term may start below the last term of the row before it
+        starts = indptr[a + 1:b] - terms.start
+        ascending[starts[(starts > 0) & (starts < len(c))] - 1] = True
+        if ascending.all():
+            continue
+        key = row * (int(c.max()) + 1) + c
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeat = key[1:] == key[:-1]
+        if not repeat.any():
+            continue
+        run_start = np.flatnonzero(np.concatenate(([True], ~repeat)))
+        run = np.cumsum(np.concatenate(([True], ~repeat))) - 1
+        later.append(order[1:][repeat] + terms.start)
+        first.append(order[run_start[run[1:][repeat]]] + terms.start)
+    if not later:
         return indptr, cols, coefs
-    counts = np.diff(indptr)
-    span = int(cols.max()) + 1
-    key = np.repeat(np.arange(len(counts)) * span, counts)
-    key += cols
-    key.sort()
-    if not (key[1:] == key[:-1]).any():
-        return indptr, cols, coefs
-    del key
-    rows = np.repeat(np.arange(len(counts)), counts)
-    key = rows * span + cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    repeat = key[1:] == key[:-1]
+    later, first = np.concatenate(later), np.concatenate(first)
     # each repeated term adds, in stored order, into its first occurrence
-    run_start = np.flatnonzero(np.concatenate(([True], ~repeat)))
-    run = np.cumsum(np.concatenate(([True], ~repeat))) - 1
-    later = order[1:][repeat]
     merged = coefs.copy()
-    np.add.at(merged, order[run_start[run[1:][repeat]]], coefs[later])
+    np.add.at(merged, first, coefs[later])
     keep = np.ones(len(cols), dtype=bool)
     keep[later] = False
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep],
-                                                        minlength=len(counts)))))
-    return indptr, cols[keep], merged[keep]
+    dropped = np.bincount(np.searchsorted(indptr, later, side="right") - 1,
+                          minlength=len(indptr) - 1)
+    return (np.concatenate(([0], np.cumsum(np.diff(indptr) - dropped))),
+            cols[keep], merged[keep])
 
 
 def _merge_refs(terms):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import mipnn
-from mipnn.cli import (EXIT_AUDIT, EXIT_CONFIG, ConfigError, RunConfig, main,
-                       parse_config, parse_conv_layers, prepare)
+from mipnn.cli import (EXIT_AUDIT, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_SOLVER,
+                       ConfigError, RunConfig, main, parse_config, parse_conv_layers,
+                       prepare)
 from mipnn.nnspec import ConvLayer
 
 XOR_CSV = "x1,x2,label\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n"
@@ -231,6 +232,37 @@ def test_removed_bounds_keys_rejected(tmp_path, capsys, key, value):
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
     assert "unknown key %r" % key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, flags", [
+    ("subset", "-3", []),
+    ("tolerance", "nan", []),
+    ("tolerance", "1e-6", ["--tolerance", "-1"]),
+    ("timeout", "-1", []),
+    ("timeout", "nan", []),
+    ("timeout", "5", ["--timeout", "0"]),
+    ("budget", "0", []),
+    ("limit_bits", "-1", []),
+])
+def test_values_that_cannot_work_are_config_errors(tmp_path, capsys, key, value, flags):
+    """Checked once the flags are applied, before any work: the message
+    names the key."""
+    cfg = write_xor_cfg(tmp_path, **{key: value})
+    assert main(["run", "--config", str(cfg)] + flags) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: %s must be " % key)
+    assert not (tmp_path / "out").exists()
+
+
+def test_bnb_deadline_without_incumbent_is_a_solver_error(tmp_path, capsys):
+    cfg = write_xor_cfg(tmp_path)
+    assert main(["run", "--config", str(cfg), "--timeout", "1e-9"]) == EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "solver error: search reached its 1e-09s timeout without an incumbent\n")
+    # a budget that runs out is still reported as before
+    cfg = write_xor_cfg(tmp_path, budget="1")
+    assert main(["run", "--config", str(cfg), "--timeout", "60"]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "infeasible: search exhausted its budget without an incumbent\n")
 
 
 def write_conv_cfg(tmp_path, **overrides):

@@ -10,7 +10,7 @@ import pytest
 from mipnn import emit
 from mipnn.emit import (EmitError, lp_text, mps_text, parse_lp, parse_mps,
                         read_lp, read_mps, write_lp, write_mps)
-from mipnn.ir import ModelIR
+from mipnn.ir import Assignment, ModelIR
 from mipnn.nnspec import TRAIN_QUANTIZED
 
 from test_emitters import random_model
@@ -287,10 +287,10 @@ def _traced(fn, *args):
 # Traced peaks on the model below (3.1 MB of LP text, 5.3 MB of MPS text),
 # each bound about 1.3 times what the streamed codec measured.  A codec that
 # holds the whole text costs more than the text itself: 14-28 MB for these
-# four calls.  The readers measure 6.4 and 6.6 MB since they hand each term
-# array to ``add_rows`` in one copy, after releasing their own term buffers,
-# and the MPS reader keeps no table of row names.
-PEAK_BOUNDS_MB = {"write_lp": 3.1, "read_lp": 8.3, "write_mps": 2.6, "read_mps": 8.6}
+# four calls.  The readers measure 5.0 and 5.2 MB (6.4 and 6.5 when the model
+# copied the arrays it was handed and the MPS reader's column table was built
+# a second time as ``var_index``).
+PEAK_BOUNDS_MB = {"write_lp": 3.1, "read_lp": 6.5, "write_mps": 2.6, "read_mps": 6.7}
 
 
 def _codec_model():
@@ -308,17 +308,58 @@ def test_codec_traced_peaks_stay_bounded(tmp_path):
     assert all(peaks[k] < bound for k, bound in PEAK_BOUNDS_MB.items()), peaks
 
 
-def test_add_rows_copies_each_term_array_once():
-    """``add_rows`` of the model's rows into a fresh model: 2.42 MB traced,
-    about 2 MB of it the stored arrays.  A staging copy of each array
-    reads 2.55 MB, and with a merge that sorts on every call 3.1 MB."""
+def test_add_rows_keeps_the_term_arrays_it_is_given():
+    """``add_rows`` of the model's rows into a fresh model: 0.49 MB traced,
+    the row labels and one chunk's repeat check.  Copying the arrays into
+    the model's own buffers read 2.42 MB, and a staging copy of each array
+    on top of that 2.55 MB."""
     model = _codec_model()
     rows = [np.array(getattr(model, a)) for a in ("indptr", "cols", "coefs", "sense",
                                                   "rhs", "row_label")]
     fresh = ModelIR()
     fresh.add_variables(model.names, model.lo, model.hi, model.is_binary)
     _, peak = _traced(fresh.add_rows, *rows, model.labels)
-    assert peak < 2.5, peak
+    assert peak < 0.65, peak
     fresh.freeze()
     for attr, given in zip(("indptr", "cols", "coefs", "sense", "rhs", "row_label"), rows):
         assert np.array_equal(getattr(fresh, attr), given), attr
+
+
+# Traced peaks of the model-wide passes on the model above (31,394 rows,
+# 85,973 terms), each bound about 1.25 times what was measured: 5.7, 0.56,
+# 0.29 and 0.52 MB.  With term-length temporaries, a model that copied the
+# arrays it was handed and one string for the whole solution file they read
+# 7.4, 2.5, 1.1 and 0.96 MB.
+PASS_BOUNDS_MB = {"build": 7.0, "evaluate_assignment": 0.7,
+                  "max_abs_coef_by_label": 0.36, "write_solution": 0.65}
+
+
+def test_model_passes_trace_bounded_peaks(tmp_path):
+    build, build_peak = _traced(lambda: _dense(TRAIN_QUANTIZED, hidden=(8, 8), n=40))
+    model = build.model.freeze()
+    asg = Assignment(model, np.zeros(len(model.names)))
+    peaks = {"build": build_peak}
+    for name, fn, args in (
+            ("evaluate_assignment", model.evaluate_assignment, (asg,)),
+            ("max_abs_coef_by_label", model.max_abs_coef_by_label, ()),
+            ("write_solution", emit.write_solution,
+             (model, asg, str(tmp_path / "s.txt"), 1.0, 0.0))):
+        _, peaks[name] = _traced(fn, *args)
+    assert all(peaks[k] < bound for k, bound in PASS_BOUNDS_MB.items()), peaks
+
+
+@pytest.mark.parametrize("name", ["random3", "conv-quantized-pooled-abs"])
+def test_solution_chunks_change_nothing(name, monkeypatch, tmp_path):
+    """One variable per chunk writes the bytes of one line per variable
+    formatted by ``fmt``."""
+    model = MODELS[name]()
+    x = np.random.default_rng(5).normal(size=len(model.names)).round(3)
+    x[::3] = 1.0
+    asg = Assignment(model, x)
+    want = "# objective 2.5\n" + "".join(
+        "%s %s\n" % (n, emit.fmt(v)) for n, v in zip(model.names, x.tolist()))
+    for chunk in (emit._CHUNK, 1):
+        monkeypatch.setattr(emit, "_CHUNK", chunk)
+        path = tmp_path / ("s%d.txt" % chunk)
+        assert emit.write_solution(model, asg, str(path), 2.5) == len(want)
+        assert path.read_text() == want

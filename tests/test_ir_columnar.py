@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mipnn
+from mipnn import emit, ir
 from mipnn.dense import BuildError
 from mipnn.emit import lp_text, mps_text, parse_lp, parse_mps
 from mipnn.ir import (BINARY, CONTINUOUS, EQ, GE, LE, SENSES,
@@ -139,12 +140,20 @@ MERGES = {
     "leading-empty": (([0, 0, 0, 3], [0, 2, 2], [0.5, 0.1, 0.2]),
                       ([0, 0, 0, 2], [0, 2], [0.5, 0.30000000000000004])),
     "trailing-empty": (([0, 2, 2], [1, 1], [0.25, 0.5]), ([0, 1, 1], [1], [0.75])),
+    # in chunks of one or two rows: repeats within rows on both sides of a
+    # chunk edge, and columns that rows on either side share but none repeats
+    "straddling": (([0, 3, 5, 9], [1, 0, 1, 1, 0, 0, 1, 0, 1],
+                    [0.1, 0.2, 0.3, 1.0, 2.0, 0.4, 0.5, 0.6, 0.7]),
+                   ([0, 2, 4, 6], [1, 0, 1, 0, 0, 1],
+                    [0.1 + 0.3, 0.2, 1.0, 2.0, 0.4 + 0.6, 0.5 + 0.7])),
 }
 
 
+@pytest.mark.parametrize("chunk", [1, 2, ir._ROWS])
 @pytest.mark.parametrize("name", sorted(MERGES))
-def test_merge_rows_and_add_rows_keep_the_recorded_merge(name):
+def test_merge_rows_and_add_rows_keep_the_recorded_merge(name, chunk, monkeypatch):
     given, merged = MERGES[name]
+    monkeypatch.setattr(ir, "_ROWS", chunk)
     rows = [np.array(a, dtype=t) for a, t in zip(given, (np.int64, np.int64, float))]
     out = _merge_rows(*rows)
     if merged is None:
@@ -157,6 +166,64 @@ def test_merge_rows_and_add_rows_keep_the_recorded_merge(name):
     m.add_rows(*given, [SENSES.index(LE)] * n, [1.0] * n, [0] * n, ["c"])
     m.freeze()
     assert [m.indptr.tolist(), m.cols.tolist(), m.coefs.tolist()] == list(merged)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_row_violations_are_bit_identical_at_any_chunk_size(name, monkeypatch):
+    """Each row's lhs is one in-order sum over its own terms, whichever
+    chunk holds it: every violation keeps its bits, from row 0 or from a
+    later start."""
+    model = BUILDS[name]().model.freeze()
+    rng = np.random.default_rng(sum(map(ord, name)))
+    x = rng.normal(size=len(model.names))
+    x[rng.random(len(x)) < 0.02] = np.inf
+    starts = (0, len(model.sense) // 3, len(model.sense))
+    seen = {}
+    for chunk in (1, 7, ir._ROWS):
+        monkeypatch.setattr(ir, "_ROWS", chunk)
+        got = [model.row_violations(x, start).tobytes() for start in starts]
+        assert got == seen.setdefault("bytes", got), chunk
+        assert model.max_abs_coef_by_label() == seen.setdefault(
+            "max", model.max_abs_coef_by_label()), chunk
+
+
+def test_add_rows_keeps_the_first_arrays_and_appends_the_rest():
+    m = ModelIR()
+    m.add_variables(["x", "y", "z"], 0.0, 1.0, False)
+    first = [np.array([0, 2, 3]), np.array([0, 2, 1]), np.array([1.0, 2.0, 3.0]),
+             np.array([0, 2], dtype=np.int8), np.array([4.0, 5.0])]
+    m.add_rows(*first, [0, 0], ["c"])
+    for attr, given in zip(("indptr", "cols", "coefs", "sense", "rhs"), first):
+        assert getattr(m, attr) is given, attr
+    m.add_rows([0, 2], [2, 0], [6.0, 7.0], [1], [8.0], [0], ["d"])
+    m.freeze()
+    assert m.indptr.tolist() == [0, 2, 3, 5]
+    assert m.cols.tolist() == [0, 2, 1, 2, 0]
+    assert m.coefs.tolist() == [1.0, 2.0, 3.0, 6.0, 7.0]
+    assert (m.sense.tolist(), m.rhs.tolist(), m.row_label.tolist(), m.labels) == (
+        [0, 2, 1], [4.0, 5.0, 8.0], [0, 0, 1], ["c", "d"])
+    # the arrays handed over are the first rows still
+    assert first[1].tolist() == [0, 2, 1] and first[0].tolist() == [0, 2, 3]
+
+
+def test_readers_hand_their_tables_to_the_model(monkeypatch):
+    """The MPS reader's column table becomes the model's ``var_index``; the
+    LP reader drops its provisional one and the model keeps the dict that
+    ``add_variables`` builds from the Bounds names."""
+    model = BUILDS["conv-quantized-pooled-abs"]().model.freeze()
+    tables = []
+    read = emit._MPSReader.model
+
+    def spy(reader):
+        tables.append(reader.columns)
+        return read(reader)
+
+    monkeypatch.setattr(emit._MPSReader, "model", spy)
+    back = parse_mps(mps_text(model))
+    assert back.var_index is tables[0]
+    assert list(back.var_index.items()) == list(model.var_index.items())
+    back = parse_lp(lp_text(model))
+    assert list(back.var_index.items()) == list(model.var_index.items())
 
 
 def test_add_constraint_is_a_one_row_add_rows():
