@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import emit, nnspec, oracle, recon
 from .cnn import build_cnn
-from .dense import BuildError, build_dense, param_box
+from .dense import BuildError, build_dense, param_box, param_tensors
 from .nnspec import (LOSS_ABS, LOSS_SQUARED, TRAIN_BILINEAR, TRAIN_QUANTIZED,
                      VERIFY, ConvArch, ConvLayer, DenseArch, Dataset, Hyper)
 
@@ -148,18 +148,24 @@ def parse_conv_layers(text):
 
 def load_weights_npz(path, arch):
     """Fixed weights from an npz: dense ``W0,b0,W1,b1,...``; conv ``K0,b0,...``
-    per conv layer plus head ``Wh,bh``."""
-    z = np.load(path)
-    try:
-        if isinstance(arch, DenseArch):
-            return [(z["W%d" % l], z["b%d" % l])
-                    for l in range(arch.num_hidden + 1)]
-        pairs = [(z["K%d" % l], z["b%d" % l])
-                 for l in range(len(arch.conv_layers))]
-        pairs.append((z["Wh"], z["bh"]))
-        return pairs
-    except KeyError as e:
-        raise ConfigError("%s: missing array %s" % (path, e))
+    per conv layer plus head ``Wh,bh``, each of the shape its tensor in
+    ``param_tensors(arch)`` has."""
+    tensors = param_tensors(arch)
+    if isinstance(arch, DenseArch):
+        keys = [("W%d" % t.l, "b%d" % t.l) for t in tensors]
+    else:
+        keys = [("K%d" % t.l, "b%d" % t.l) for t in tensors[:-1]] + [("Wh", "bh")]
+    with np.load(path) as z:
+        try:
+            pairs = [tuple(z[name] for name in names) for names in keys]
+        except KeyError as e:
+            raise ConfigError("%s: missing array %s" % (path, e))
+    for t, names, pair in zip(tensors, keys, pairs):
+        for name, array, shape in zip(names, pair, (t.shape, t.shape[:1])):
+            if array.shape != shape:
+                raise ConfigError("%s: array %s has shape %r, expected %r"
+                                  % (path, name, array.shape, shape))
+    return pairs
 
 
 @dataclass
@@ -197,6 +203,11 @@ def prepare(cfg):
         rng = np.random.default_rng(cfg.seed)
         idx = np.sort(rng.choice(data.n, size=cfg.subset, replace=False))
         data = nnspec.take(data, idx)
+    split = nnspec.split_indices(cfg.split) if cfg.split else None
+    bad = [i for i in split or () if not 0 <= i < data.n]
+    if bad:
+        raise ConfigError("%s: split index %d out of range for %d samples"
+                          % (cfg.split, bad[0], data.n))
 
     if cfg.arch == "dense":
         hidden = [int(s) for s in cfg.hidden.split(",") if s.strip()]
@@ -249,7 +260,6 @@ def prepare(cfg):
         build = build_cnn(arch, data, hyper, btable, weights=fixed)
     build.model.freeze()
 
-    split = nnspec.split_indices(cfg.split) if cfg.split else None
     return Prepared(cfg=cfg, arch=arch, data=data, hyper=hyper, btable=btable,
                     build=build, fixed_weights=fixed, eval_split=split)
 
@@ -561,7 +571,7 @@ def _run_one(args):
         cfg = _check_values(_apply_overrides(parse_config(path), ns))
         return _dispatch(ns, cfg)
     except (ConfigError, nnspec.SpecError, nnspec.ParseError,
-            emit.EmitError, BuildError) as e:
+            emit.EmitError, BuildError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     except oracle.InfeasibleError as e:

@@ -21,7 +21,7 @@ import numpy as np
 from .ir import EQ, GE, LE, ModelIR
 from .dense import (Build, BuildError, Field, Rows, SampleBlock, add_objective,
                     declare_params, emit_rows, head_rows, input_rows, l1_rows,
-                    name_template, net_quant, prune_rows, ref_columns, relu_layer)
+                    name_template, prune_rows, ref_columns, relu_layer)
 from .nnspec import TRAIN_QUANTIZED, VERIFY, conv_map_shapes, patches, windows
 from .recon import ConvNet
 
@@ -74,8 +74,7 @@ class ConvBuild(Build):
         layers = self.arch.conv_layers
         return ConvNet(kernels=params[:-1], head=params[-1], gamma=gammas,
                        pools=[layer.pool for layer in layers],
-                       strides=[layer.stride for layer in layers],
-                       quant=net_quant(self.hyper))
+                       strides=[layer.stride for layer in layers])
 
     # in the class's own namespace, where the benchmark's tracer wraps them
     complete = Build.complete

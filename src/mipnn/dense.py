@@ -92,12 +92,6 @@ def _lead(x, k):
     return x.transpose(tuple(range(x.ndim - k, x.ndim)) + tuple(range(x.ndim - k)))
 
 
-def net_quant(hyper):
-    """The weight grid of a train-quantized net, else None."""
-    return (QuantSpec(hyper.bits, hyper.w_max)
-            if hyper.mode == TRAIN_QUANTIZED else None)
-
-
 @dataclass(frozen=True)
 class Tensor:
     """The parameters of weight layer ``l``: weights ``w[l][row][...]`` of
@@ -745,26 +739,6 @@ class Build:
                   for t in self.tensors if t.gates]
         return self.net(params, gammas)
 
-    def evaluate(self, values):
-        """Parameters, ``recon.forward_trace``, objective and violation of the
-        B candidates ``values``, a (B, len(structural)) array of structural
-        bits; every array has a leading axis of B.
-
-        The net decodes as ``reconstruct`` would return it and is scored by
-        ``recon.objective_breakdown``; ``violation`` checks its trace.
-        """
-        h = self.hyper
-        gates = [values.T[cols] for cols in self._bit_columns[0]]
-        params = decode_layers(self, values)
-        first = [(_lead(W, 1), b.T) for W, b in params]
-        net = self.net(first, [g.T for g in gates])
-        trace = forward_trace(net, self.data.inputs)
-        obj = objective_breakdown(net, trace[-1][0], self.data.targets, h)["total"]
-        # each z (B, n, rows, *pos) as (rows, n, *pos, B)
-        viol = self.violation(gates, zip(self.tensors, params, [
-            np.moveaxis(z, (2, 0), (0, -1)) for z, _ in trace[:-1]]))
-        return first, trace, obj, viol
-
     def violation(self, gates, layers):
         """The worst amount, a (B,) array, by which each of B candidates
         breaks a constraint family that forward propagation does not satisfy
@@ -812,7 +786,7 @@ class Build:
         layer's states as a broadcast view (``_screen_layer``), and only the
         head and the loss are computed per row.  The state axis stays
         innermost throughout.  The sums round in another order than
-        ``evaluate``'s, so the numbers may differ from it in the last bits;
+        ``candidate``'s, so the numbers may differ from it in the last bits;
         the search only screens on them (``oracle.SCREEN_MARGIN``), and
         ``complete`` decides."""
         h = self.hyper
@@ -877,14 +851,24 @@ class Build:
 
     def candidate(self, bits):
         """(objective, violation, params, trace) of one structural-bit
-        assignment: ``evaluate`` on a batch of one, without the batch axis."""
-        params, trace, obj, viol = self.evaluate(bit_vector(self, bits)[None])
-        return (float(obj[0]), float(viol[0]), [(W[0], b[0]) for W, b in params],
-                [(z[0], a[0]) for z, a in trace])
+        assignment: the net decodes as ``reconstruct`` would return it, runs
+        through ``recon.forward_trace`` and is scored by
+        ``recon.objective_breakdown``; ``violation`` checks its trace."""
+        values = bit_vector(self, bits)[None]
+        gates = [values.T[cols] for cols in self._bit_columns[0]]
+        layers = decode_layers(self, values)
+        params = [(W[..., 0], b[..., 0]) for W, b in layers]
+        net = self.net(params, [g[:, 0] for g in gates])
+        trace = forward_trace(net, self.data.inputs)
+        obj = objective_breakdown(net, trace[-1][0], self.data.targets, self.hyper)
+        # each z (n, rows, *pos) as (rows, n, *pos, 1)
+        viol = self.violation(gates, zip(self.tensors, layers, [
+            np.moveaxis(z, 1, 0)[..., None] for z, _ in trace[:-1]]))
+        return obj["total"], float(viol[0]), params, trace
 
     def complete(self, bits, tol=1e-6):
         """Objective, violation and ``recon.forward_trace`` of the net a
-        structural-bit assignment determines (see ``evaluate``)."""
+        structural-bit assignment determines (see ``candidate``)."""
         obj, viol, _, trace = self.candidate(bits)
         return obj, viol, trace
 
@@ -940,8 +924,7 @@ class DenseBuild(Build):
     # solution handling ----------------------------------------------------
 
     def net(self, params, gammas):
-        return DenseNet(weights=params, gamma=np.concatenate(gammas, axis=-1),
-                        quant=net_quant(self.hyper))
+        return DenseNet(weights=params, gamma=np.concatenate(gammas))
 
     # in the class's own namespace, where the benchmark's tracer wraps them
     complete = Build.complete

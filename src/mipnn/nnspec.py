@@ -1,6 +1,7 @@
 """Architecture and dataset declarations: ingestion, preprocessing, dimension inference."""
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -134,6 +135,8 @@ def load_dataset(path, label_column="label"):
                 vals = [float(x) for x in row]
             except ValueError as e:
                 raise ParseError("%s:%d: non-numeric value (%s)" % (path, lineno, e))
+            if not all(map(math.isfinite, vals)):
+                raise ParseError("%s:%d: value that is not finite" % (path, lineno))
             labels.append(vals.pop(label_idx))
             feats.append(vals)
     if not feats:

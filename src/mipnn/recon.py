@@ -45,7 +45,6 @@ class QuantSpec:
 class DenseNet:
     weights: list                # [(W, b)] for layers 1..L+1
     gamma: np.ndarray            # retained flag per hidden layer
-    quant: QuantSpec = None
 
     @property
     def num_hidden(self):
@@ -59,7 +58,6 @@ class ConvNet:
     gamma: list                  # per conv layer, retained flag per channel
     pools: list                  # per conv layer, ((PH, PW), stride) or None
     strides: list = None         # conv stride per layer (default 1)
-    quant: QuantSpec = None
 
 
 def forward(net, x):
@@ -68,9 +66,7 @@ def forward(net, x):
 
 
 def forward_trace(net, x):
-    """Per-layer (z, a) pairs; for conv nets ``a`` is the post-pool map.  A
-    net whose parameters carry a leading candidate axis gives arrays with
-    that axis first."""
+    """Per-layer (z, a) pairs; for conv nets ``a`` is the post-pool map."""
     x = np.asarray(x, dtype=float)
     if isinstance(net, DenseNet):
         return _forward_dense(net, x)
@@ -83,7 +79,7 @@ def forward_preactivations(net, x):
 
 
 def _affine(a, W, b):
-    return a @ W.swapaxes(-1, -2) + np.asarray(b)[..., None, :]
+    return a @ W.T + b
 
 
 def _forward_dense(net, x):
@@ -100,16 +96,14 @@ def _forward_dense(net, x):
 
 
 def _conv2d(a, K, b, stride):
-    cells = patches(a, K.shape[-2:], stride)           # (..., n, oh, ow, c, u, v)
-    oh, ow = cells.shape[-5:-3]
-    # rows (..., oh * ow, n, entries), contiguous, times the kernels: one
-    # BLAS call per position, the same whether or not a candidate axis
-    # leads; a single (n * oh * ow, entries) product would round otherwise
-    rows = np.ascontiguousarray(np.moveaxis(
-        cells.reshape(cells.shape[:-5] + (oh * ow, -1)), -2, -3))
-    kernels = K.reshape(K.shape[:-3] + (-1,)).swapaxes(-1, -2)
-    z = np.moveaxis(rows @ kernels[..., None, :, :], -3, -1)
-    return z.reshape(z.shape[:-1] + (oh, ow)) + np.asarray(b)[..., None, :, None, None]
+    cells = patches(a, K.shape[-2:], stride)           # (n, oh, ow, c, u, v)
+    n, oh, ow = cells.shape[:3]
+    # rows (oh * ow, n, entries), contiguous, times the kernels: one BLAS
+    # call per position; a single (n * oh * ow, entries) product would
+    # round otherwise
+    rows = np.ascontiguousarray(cells.reshape(n, oh * ow, -1).swapaxes(0, 1))
+    z = (rows @ K.reshape(len(K), -1).T).transpose(1, 2, 0)
+    return z.reshape(z.shape[:2] + (oh, ow)) + b[:, None, None]
 
 
 def maxpool2d(a, window, stride):
@@ -128,7 +122,7 @@ def _forward_conv(net, x):
             window, ps = net.pools[l]
             a = maxpool2d(a, window, ps)
         trace.append((z, a))
-    flat = a.reshape(a.shape[:-3] + (-1,))          # channel-major flattening
+    flat = a.reshape(len(a), -1)                    # channel-major flattening
     out = _affine(flat, *net.head)
     trace.append((out, out))
     return trace
@@ -191,7 +185,7 @@ def canonicalize(net):
         weights[l] = (W[order], b[order])
         Wn, bn = weights[l + 1]
         weights[l + 1] = (Wn[:, order], bn)
-    return DenseNet(weights=weights, gamma=net.gamma.copy(), quant=net.quant)
+    return DenseNet(weights=weights, gamma=net.gamma.copy())
 
 
 @dataclass
@@ -276,26 +270,19 @@ def regularization(hyper):
 
 def objective_breakdown(net, outputs, targets, hyper):
     """The training objective of a net with head ``outputs`` on ``targets``:
-    its loss, l1, frobenius and structural parts, and their ``total``.  A
-    net and ``outputs`` with a leading candidate axis give each part as an
-    array over the candidates."""
+    its loss, l1, frobenius and structural parts, and their ``total``."""
     if isinstance(net, DenseNet):
         params, gammas = net.weights, [net.gamma]
     else:
         params, gammas = net.kernels + [net.head], net.gamma
-    lead = np.ndim(outputs) - np.ndim(targets)
-
-    def summed(x):
-        return x.sum(axis=tuple(range(lead, x.ndim))) if lead else float(x.sum())
-
     al, fr = regularization(hyper)
     res = outputs - targets
     parts = {
-        "loss": summed(np.abs(res) if hyper.loss == LOSS_ABS else res ** 2),
-        "l1": al * sum(summed(np.abs(W)) for W, _ in params),
-        "frobenius": fr * sum(summed(W ** 2) for W, _ in params),
-        "structural": hyper.beta * summed(np.concatenate(
-            [np.asarray(g, dtype=float) for g in gammas], axis=-1)),
+        "loss": float((np.abs(res) if hyper.loss == LOSS_ABS else res ** 2).sum()),
+        "l1": al * sum(float(np.abs(W).sum()) for W, _ in params),
+        "frobenius": fr * sum(float((W ** 2).sum()) for W, _ in params),
+        "structural": hyper.beta * float(np.concatenate(
+            [np.asarray(g, dtype=float) for g in gammas]).sum()),
     }
     # the dict order is the summation order, which the pinned optima rely on
     parts["total"] = sum(parts.values())

@@ -253,6 +253,68 @@ def test_values_that_cannot_work_are_config_errors(tmp_path, capsys, key, value,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_relative_data_path_resolves_against_the_working_directory(
+        tmp_path, capsys, monkeypatch):
+    cfg = write_xor_cfg(tmp_path, data="xor.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--config", str(cfg)]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'xor.csv'" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "eval", "report"])
+def test_an_unreadable_solution_file_is_a_config_error(tmp_path, capsys, command):
+    cfg = write_xor_cfg(tmp_path)
+    missing = tmp_path / "missing.txt"
+    assert main([command, "--config", str(cfg), "--solution", str(missing)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_a_data_value_that_is_not_finite_is_refused(tmp_path, capsys, value):
+    cfg = write_xor_cfg(tmp_path)
+    (tmp_path / "xor.csv").write_text(XOR_CSV.replace("1,0,1", "%s,0,1" % value))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: %s:4: value that is not finite\n" % (tmp_path / "xor.csv"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subset, indices, bad, n", [
+    ("0", [0, 7, 9], 7, 4),
+    ("2", [1, 3], 3, 2),          # checked against the samples the subset keeps
+])
+def test_split_indices_out_of_range_are_config_errors(tmp_path, capsys, subset,
+                                                      indices, bad, n):
+    split = tmp_path / "split.txt"
+    split.write_text("".join("%d\n" % i for i in indices))
+    cfg = write_xor_cfg(tmp_path, split=str(split), subset=subset)
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: %s: split index %d out of range for %d samples\n" % (split, bad, n))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, shape", [("W0", (3, 2)), ("b1", (3,))])
+def test_fixed_weights_of_the_wrong_shape_are_config_errors(tmp_path, capsys, name, shape):
+    rng = np.random.default_rng(0)
+    arrays = {"W0": (2, 2), "b0": (2,), "W1": (2, 2), "b1": (2,)}
+    expected, arrays[name] = arrays[name], shape
+    weights = tmp_path / "w.npz"
+    np.savez(weights, **{k: rng.uniform(-1, 1, size=v) for k, v in arrays.items()})
+    cfg = write_xor_cfg(tmp_path, mode="verify", weights=str(weights))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: %s: array %s has shape %r, expected %r\n" % (
+        weights, name, shape, expected)
+    assert not (tmp_path / "out").exists()
+
+
 def test_bnb_deadline_without_incumbent_is_a_solver_error(tmp_path, capsys):
     cfg = write_xor_cfg(tmp_path)
     assert main(["run", "--config", str(cfg), "--timeout", "1e-9"]) == EXIT_SOLVER

@@ -25,54 +25,50 @@ def test_forward_dense_matches_manual():
 
 
 @pytest.mark.parametrize("c_in,stride,pool", [
-    (3, 1, None), (1, 2, None), (2, 2, ((2, 2), 2)), (4, 1, ((3, 2), 3))])
+    (3, 1, None), (1, 2, None), (2, 2, ((2, 2), 2)), (4, 1, ((3, 2), 3)),
+    # a pooled layer feeding a strided layer: 17x16 -> 15x14 -> 7x7 -> 3x3
+    pytest.param(2, (1, 2), (((2, 2), 2), None), id="pooled-then-strided")])
 def test_conv_forward_matches_scipy(rng, c_in, stride, pool):
     """Unrolled convolution against an independent correlation implementation,
-    and its pool stage against each window's maximum taken by hand."""
-    K = rng.uniform(-1, 1, size=(2, c_in, 3, 3))
-    b = rng.uniform(-1, 1, size=2)
-    x = rng.uniform(-1, 1, size=(2, c_in, 9, 8))
-    oh, ow = (9 - 3) // stride + 1, (8 - 3) // stride + 1
-    window, ps = pool or ((1, 1), 1)
-    qh, qw = (oh - window[0]) // ps + 1, (ow - window[1]) // ps + 1
-    net = ConvNet(kernels=[(K, b)], head=(np.zeros((1, 2 * qh * qw)), np.zeros(1)),
-                  gamma=[np.ones(2)], pools=[pool], strides=[stride])
-    (z, p), _ = forward_trace(net, x)
-    assert z.shape == (2, 2, oh, ow) and p.shape == (2, 2, qh, qw)
+    its pool stage against each window's maximum taken by hand, and the head
+    against each flattened cell's weight, layer by layer.  ``stride`` and
+    ``pool`` are one layer's, or a tuple of them per layer."""
+    strides, pools = (stride, pool) if isinstance(stride, tuple) else ((stride,), (pool,))
+    x = rng.uniform(-1, 1, size=(2, c_in, 17, 16))
+    kernels, (c, h, w) = [], x.shape[1:]
+    for l, (s, p) in enumerate(zip(strides, pools)):
+        kernels.append((rng.uniform(-1, 1, size=(2 + l, c, 3, 3)),
+                        rng.uniform(-1, 1, size=2 + l)))
+        window, ps = p or ((1, 1), 1)
+        oh, ow = (h - 3) // s + 1, (w - 3) // s + 1
+        c, h, w = 2 + l, (oh - window[0]) // ps + 1, (ow - window[1]) // ps + 1
+    head = (rng.uniform(-1, 1, size=(2, c * h * w)), rng.uniform(-1, 1, size=2))
+    net = ConvNet(kernels=kernels, head=head, gamma=[np.ones(len(b)) for _, b in kernels],
+                  pools=list(pools), strides=list(strides))
+    trace = forward_trace(net, x)
+    a = x
+    for (K, b), s, p, (z, q) in zip(kernels, strides, pools, trace):
+        window, ps = p or ((1, 1), 1)
+        qh, qw = ((size - span) // ps + 1 for size, span in zip(z.shape[2:], window))
+        assert z.shape[:2] == q.shape[:2] == (2, len(K)) and q.shape[2:] == (qh, qw)
+        for i in range(2):
+            for k in range(len(K)):
+                want = sum(correlate(a[i, cp], K[k, cp], mode="valid")
+                           for cp in range(K.shape[1]))[::s, ::s] + b[k]
+                assert z[i, k].shape == want.shape
+                assert np.allclose(z[i, k], want, atol=1e-12)
+                act = np.maximum(z[i, k], 0.0)
+                for u in range(qh):
+                    for v in range(qw):
+                        cell = act[u * ps:u * ps + window[0], v * ps:v * ps + window[1]]
+                        assert q[i, k, u, v] == cell.max()
+        a = q
+    assert a.shape[1:] == (c, h, w)
+    out, _ = trace[-1]
     for i in range(2):
-        for c in range(2):
-            want = sum(correlate(x[i, cp], K[c, cp], mode="valid")
-                       for cp in range(c_in))[::stride, ::stride] + b[c]
-            assert np.allclose(z[i, c], want, atol=1e-12)
-            a = np.maximum(z[i, c], 0.0)
-            for h in range(qh):
-                for w in range(qw):
-                    cell = a[h * ps:h * ps + window[0], w * ps:w * ps + window[1]]
-                    assert p[i, c, h, w] == cell.max()
-
-
-def test_candidate_trace_is_each_candidates_own_trace(rng):
-    """A conv net whose parameters carry a leading candidate axis traces
-    each candidate bit for bit as that candidate's own net does: two
-    strided layers with a pool between them, 17x17 -> 8x8 -> 4x4 -> 2x2."""
-    B = 3
-    kernels = [(rng.uniform(-1, 1, size=(B, 2, 2, 3, 3)), rng.uniform(-1, 1, size=(B, 2))),
-               (rng.uniform(-1, 1, size=(B, 3, 2, 2, 2)), rng.uniform(-1, 1, size=(B, 3)))]
-    head = (rng.uniform(-1, 1, size=(B, 2, 12)), rng.uniform(-1, 1, size=(B, 2)))
-    x = rng.uniform(-1, 1, size=(5, 2, 17, 17))
-
-    def net(params, head, lead):
-        return ConvNet(kernels=params, head=head, gamma=[np.ones(lead + (2,)),
-                                                         np.ones(lead + (3,))],
-                       pools=[((2, 2), 2), None], strides=[2, 2])
-
-    trace = forward_trace(net(kernels, head, (B,)), x)
-    assert trace[0][0].shape == (B, 5, 2, 8, 8) and trace[1][0].shape == (B, 5, 3, 2, 2)
-    for k in range(B):
-        own = forward_trace(net([(K[k], b[k]) for K, b in kernels],
-                                (head[0][k], head[1][k]), ()), x)
-        for (z, a), (z_own, a_own) in zip(trace, own, strict=True):
-            assert np.array_equal(z[k], z_own) and np.array_equal(a[k], a_own)
+        want = head[1] + sum(head[0][:, flatten_index(*cell, h, w)] * a[(i,) + cell]
+                             for cell in np.ndindex(c, h, w))
+        assert np.allclose(out[i], want, atol=1e-12)
 
 
 def test_maxpool2d(rng):
