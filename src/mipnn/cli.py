@@ -19,6 +19,7 @@ import shlex
 import subprocess
 import sys
 import time
+import zipfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -155,7 +156,13 @@ def load_weights_npz(path, arch):
         keys = [("W%d" % t.l, "b%d" % t.l) for t in tensors]
     else:
         keys = [("K%d" % t.l, "b%d" % t.l) for t in tensors[:-1]] + [("Wh", "bh")]
-    with np.load(path) as z:
+    with open(path, "rb") as fh:
+        try:
+            z = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            z = None
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ConfigError("%s: not an npz archive" % path)
         try:
             pairs = [tuple(z[name] for name in names) for names in keys]
         except KeyError as e:

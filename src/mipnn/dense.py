@@ -197,31 +197,47 @@ class Rows:
 def emit_rows(model, rows, n=1, start=0, size=0, once=None):
     """Append the rows ``once`` and then ``rows`` once per sample i < n,
     the columns of ``rows`` from ``start`` on moved by ``i * size``, in one
-    ``add_rows`` call.  Each part is written straight into the call's
-    arrays."""
-    parts = [(r.fold(), k) for r, k in ((once, 1), (rows, n)) if r is not None]
-    labels = {label: k for k, label in enumerate(
-        dict.fromkeys(label for r, _ in parts for label in r.labels))}
-    count = sum(k * len(r.lengths) for r, k in parts)
-    terms = sum(k * r.cols.shape[-1] for r, k in parts)
+    ``add_rows`` call.  Each is a ``Rows`` or a list of sections (``Rows``
+    or None) whose rows follow each other per sample.  Every section is
+    written straight into its slice of the call's arrays, and a list is
+    emptied, so that a section's arrays are freed once written."""
+    parts = []
+    for sections, k in ((once, 1), (rows, n)):
+        if sections is not None:
+            sections = sections if isinstance(sections, list) else [sections]
+            parts.append(([r.fold() for r in sections if r is not None], k))
+            sections.clear()
+    labels = {label: k for k, label in enumerate(dict.fromkeys(
+        label for part, _ in parts for r in part for label in r.labels))}
+    count = sum(k * len(r.lengths) for part, k in parts for r in part)
+    terms = sum(k * r.cols.shape[-1] for part, k in parts for r in part)
     indptr = np.zeros(count + 1, dtype=np.int64)
     cols, coefs = np.empty(terms, dtype=np.int64), np.empty(terms)
     sense, rhs = np.empty(count, dtype=np.int8), np.empty(count)
     label = np.empty(count, dtype=np.int64)
     row = term = 0
-    for r, k in parts:
-        width, per = r.cols.shape[-1], len(r.lengths)
-        at = slice(term, term + k * width)
-        part_cols = cols[at].reshape(k, width)
-        np.multiply(np.arange(k)[:, None], np.where(r.cols[0] >= start, size, 0),
-                    out=part_cols)
-        part_cols += r.cols[0]
-        coefs[at].reshape(k, width)[...] = r.coefs
-        at = slice(row, row + k * per)
-        for out, values in ((indptr[1:], r.lengths), (rhs, r.rhs),
-                            (sense, list(map(ir.SENSES.index, r.senses))),
-                            (label, list(map(labels.__getitem__, r.labels)))):
-            out[at].reshape(k, per)[...] = values
+    for part, k in parts:
+        width = sum(r.cols.shape[-1] for r in part)
+        per = sum(len(r.lengths) for r in part)
+        part_cols, part_coefs = (a[term:term + k * width].reshape(k, width)
+                                 for a in (cols, coefs))
+        part_rhs = rhs[row:row + k * per].reshape(k, per)
+        for out, values in (
+                (indptr[1:], [x for r in part for x in r.lengths]),
+                (sense, [ir.SENSES.index(x) for r in part for x in r.senses]),
+                (label, [labels[x] for r in part for x in r.labels])):
+            out[row:row + k * per].reshape(k, per)[...] = values
+        shift = np.arange(k)[:, None]
+        at = on = 0
+        for s in range(len(part)):
+            r, part[s] = part[s], None
+            w, p = r.cols.shape[-1], len(r.lengths)
+            c = part_cols[:, at:at + w]
+            np.multiply(shift, np.where(r.cols[0] >= start, size, 0), out=c)
+            c += r.cols[0]
+            part_coefs[:, at:at + w] = r.coefs
+            part_rhs[:, on:on + p] = r.rhs
+            at, on = at + w, on + p
         row, term = row + k * per, term + k * width
     model.add_rows(np.cumsum(indptr, out=indptr), cols, coefs, sense, rhs, label,
                    list(labels))
@@ -384,8 +400,8 @@ class SampleBlock:
 
     def finish(self, params):
         """Append every sample's variables to the model; then the parameter
-        rows ``params`` (a list of ``Rows``) once, ahead of every sample's
-        rows, and every sample's bilinear rows.  Record the row count in
+        rows ``params`` (a list of ``Rows``, emptied) once, ahead of every
+        sample's rows, and every sample's bilinear rows.  Record the row count in
         ``build.built_constraints`` and every family's columns in
         ``build.columns``, shaped (samples,) + units + the field's shape."""
         build, model = self.build, self.build.model
@@ -395,8 +411,8 @@ class SampleBlock:
                             np.concatenate(self.lo, axis=1).ravel(),
                             np.concatenate(self.hi, axis=1).ravel(),
                             np.tile(np.concatenate(self.binary), n))
-        emit_rows(model, Rows.join(*(r.fold() for r in self.rows if r is not None)),
-                  n, self.start, self.size, once=Rows.join(*(r.fold() for r in params)))
+        rows, self.rows = self.rows, None
+        emit_rows(model, rows, n, self.start, self.size, once=params)
         # callers may still inject extra constraints or tighten bounds before
         # freezing; the watermark tells the solver which rows came later
         build.built_constraints = len(model.sense)

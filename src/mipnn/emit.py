@@ -384,12 +384,14 @@ class _LPReader:
         self.objective = []                  # tokens of the Minimize section
         self.objective_line = []             # line of each of those tokens
         self.columns = {}                    # name -> provisional column
+        self.keys = []                       # its names in order, listed for Bounds
         self.indptr, self.cols, self.coefs = array("q", [0]), array("q"), array("d")
         self.sense, self.rhs, self.label = array("b"), array("d"), array("i")
         self.labels = {}                     # label -> id
         self.row_line = array("i")           # line of each row, for errors
         self.names, self.lo, self.hi = [], array("d"), array("d")
         self.bound_line = array("q")         # line of each bound, for errors
+        self.bound_column = array("q")       # provisional column of each bound
         self.binaries = {}                   # name -> line of its first listing
 
     def header(self, text, line):
@@ -409,14 +411,25 @@ class _LPReader:
                 rows = _lp_rows_by_term(lines, line)
             self._add_rows(*rows)
         elif self.section == "bounds":
+            names = []
             for k, s in enumerate(text.split("\n"), line):
                 toks = s.split()
                 if toks:
                     name, lo, hi = _parse_bound_line(toks, k)
-                    self.names.append(name)
+                    names.append(name)
                     self.lo.append(lo)
                     self.hi.append(hi)
                     self.bound_line.append(k)
+            # a name the rows use keeps their string, so that its token is
+            # freed; a name no row uses gets the next provisional column
+            columns, keys = self.columns, self.keys
+            at = np.fromiter(map(columns.get, names, repeat(-1)), np.int64, len(names))
+            if at.min(initial=0) < 0:
+                at = _ids(names, columns)
+            if len(keys) < len(columns):
+                keys += islice(columns, len(keys), None)
+            _append(self.bound_column, at)
+            self.names += map(keys.__getitem__, at.tolist())
         elif self.section == "binaries":
             for k, s in enumerate(text.split("\n"), line):
                 for name in s.split():
@@ -439,6 +452,17 @@ class _LPReader:
         self.row_line.extend(lines)
 
     def model(self):
+        # each provisional column's declared one, the Bounds position of its
+        # name; the provisional table goes before add_variables makes its own
+        declared = np.full(len(self.columns), -1, dtype=np.int64)
+        declared[np.frombuffer(self.bound_column, np.int64)] = np.arange(len(self.names))
+        cols = np.frombuffer(self.cols, dtype=np.int64)
+        if declared.min(initial=0) < 0:
+            k = int(np.argmax(declared < 0))
+            row = np.searchsorted(self.indptr, np.argmax(cols == k), "right") - 1
+            raise EmitError("line %d: undeclared variable %r"
+                            % (self.row_line[row], next(islice(self.columns, k, None))))
+        self.cols = self.columns = self.keys = None
         model = ModelIR(self.name)
         binaries = self.binaries
         binary = [name in binaries for name in self.names]
@@ -457,19 +481,10 @@ class _LPReader:
             name, k = next((name, k) for name, k in binaries.items()
                            if name not in model.var_index)
             raise EmitError("line %d: undeclared binary %r" % (k, name))
-        cols = np.frombuffer(self.cols, dtype=np.int64)
-        declared = np.fromiter(map(model.var_index.get, self.columns, repeat(-1)),
-                               np.int64, len(self.columns))
-        if declared.size and declared.min() < 0:
-            k = int(np.flatnonzero(declared < 0)[0])
-            row = np.searchsorted(self.indptr, np.flatnonzero(cols == k)[0], "right") - 1
-            raise EmitError("line %d: undeclared variable %r"
-                            % (self.row_line[row], list(self.columns)[k]))
-        self.cols = self.columns = None
         # each provisional column becomes its declared one, in place
         np.take(declared, cols, out=cols, mode="clip")
         model.add_rows(self.indptr, cols, self.coefs, self.sense,
-                       self.rhs, self.label, list(self.labels))
+                       self.rhs, self.label, [k.strip() for k in self.labels])
         _parse_objective(model, self.objective, self.objective_line)
         model.freeze()
         return model
@@ -493,7 +508,7 @@ def _lp_rows_written(lines, line):
         counts.append(len(toks) // 3)
         senses.append(_SENSE_OF[toks[-2]])
         rhs.append(float(toks[-1]))
-        labels.append(name.strip().rpartition(".")[0])
+        labels.append(name.rpartition(".")[0])     # stripped in model()
     signs = flat[0::3]
     if not set(signs) <= _SIGNS:
         raise ValueError("sign")
@@ -543,7 +558,9 @@ def _parse_bound_line(toks, line):
     """The name and bounds of a Bounds line; infinite bounds are legal,
     NaN ones are not."""
     try:
-        if len(toks) == 2 and toks[1] == "free":
+        if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
+            name, lo, hi = toks[2], float(toks[0]), float(toks[4])
+        elif len(toks) == 2 and toks[1] == "free":
             name, lo, hi = toks[0], -INF, INF
         elif len(toks) == 3 and toks[1] == "<=":
             name, lo, hi = toks[0], -INF, float(toks[2])
@@ -551,8 +568,6 @@ def _parse_bound_line(toks, line):
             name, lo, hi = toks[0], float(toks[2]), INF
         elif len(toks) == 3 and toks[1] == "=":
             name, lo, hi = toks[0], float(toks[2]), float(toks[2])
-        elif len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-            name, lo, hi = toks[2], float(toks[0]), float(toks[4])
         else:
             raise ValueError
     except ValueError:

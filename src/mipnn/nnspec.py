@@ -131,6 +131,9 @@ def load_dataset(path, label_column="label"):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ParseError("%s:%d: %d fields, the header has %d"
+                                 % (path, lineno, len(row), len(header)))
             try:
                 vals = [float(x) for x in row]
             except ValueError as e:

@@ -315,6 +315,44 @@ def test_fixed_weights_of_the_wrong_shape_are_config_errors(tmp_path, capsys, na
     assert not (tmp_path / "out").exists()
 
 
+def _cut_zip(path):
+    np.savez(path, W0=np.zeros((2, 2)))
+    path.write_bytes(path.read_bytes()[:40])
+
+
+@pytest.mark.parametrize("name, write", [
+    ("w.npy", lambda path: np.save(path, np.zeros((2, 2)))),
+    ("xor.csv", lambda path: path.write_text(XOR_CSV)),
+    ("empty.npz", lambda path: path.write_bytes(b"")),
+    ("cut.npz", _cut_zip),
+])
+def test_a_weights_file_that_is_not_an_npz_archive_is_a_config_error(
+        tmp_path, capsys, name, write):
+    weights = tmp_path / "weights" / name
+    weights.parent.mkdir()
+    write(weights)
+    cfg = write_xor_cfg(tmp_path, mode="verify", weights=str(weights))
+    assert main(["build", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: %s: not an npz archive\n" % weights
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, line, fields", [
+    (["0,0"], 2, 2),                                     # too few
+    (["0,0,0", "0,1,1", "1,0,1", "1,1,0,5"], 5, 4),      # one too many
+    (["0,0,0,1", "0,1,1,1", "1,0,1,1", "1,1,0,1"], 2, 4),  # a fourth on every row
+])
+def test_a_data_row_whose_field_count_differs_from_the_header_is_refused(
+        tmp_path, capsys, rows, line, fields):
+    cfg = write_xor_cfg(tmp_path)
+    data = tmp_path / "xor.csv"
+    data.write_text("x1,x2,label\n" + "".join(row + "\n" for row in rows))
+    assert main(["build", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: %s:%d: %d fields, the header has 3\n" % (data, line, fields))
+    assert not (tmp_path / "out").exists()
+
+
 def test_bnb_deadline_without_incumbent_is_a_solver_error(tmp_path, capsys):
     cfg = write_xor_cfg(tmp_path)
     assert main(["run", "--config", str(cfg), "--timeout", "1e-9"]) == EXIT_SOLVER

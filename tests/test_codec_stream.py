@@ -287,10 +287,12 @@ def _traced(fn, *args):
 # Traced peaks on the model below (3.1 MB of LP text, 5.3 MB of MPS text),
 # each bound about 1.3 times what the streamed codec measured.  A codec that
 # holds the whole text costs more than the text itself: 14-28 MB for these
-# four calls.  The readers measure 5.0 and 5.2 MB (6.4 and 6.5 when the model
+# four calls.  The readers measure 4.6 and 5.1 MB (6.4 and 6.5 when the model
 # copied the arrays it was handed and the MPS reader's column table was built
-# a second time as ``var_index``).
-PEAK_BOUNDS_MB = {"write_lp": 3.1, "read_lp": 6.5, "write_mps": 2.6, "read_mps": 6.7}
+# a second time as ``var_index``).  The LP reader's bound is tighter: it read
+# 5.0 MB while it kept each Bounds token beside the rows' string of the same
+# name and held its provisional table while ``add_variables`` built its own.
+PEAK_BOUNDS_MB = {"write_lp": 3.1, "read_lp": 4.9, "write_mps": 2.6, "read_mps": 6.7}
 
 
 def _codec_model():
@@ -306,6 +308,43 @@ def test_codec_traced_peaks_stay_bounded(tmp_path):
         back, peaks["read_" + ext] = _traced(read, str(path))
         assert FORMATS[ext][0](back) == path.read_text()
     assert all(peaks[k] < bound for k, bound in PEAK_BOUNDS_MB.items()), peaks
+
+
+def test_read_lp_holds_little_beside_the_model_it_returns(tmp_path):
+    """The reader's traced peak less the traced size of its model: 1.22 MB,
+    against 1.63 MB with a second string per name and two name tables."""
+    path = tmp_path / "m.lp"
+    write_lp(_codec_model(), str(path))
+    tracemalloc.start()
+    try:
+        model = read_lp(str(path))
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.names and (peak - size) / 2 ** 20 < 1.4, (peak - size) / 2 ** 20
+
+
+@pytest.mark.parametrize("block", [1, 2 ** 16])
+@pytest.mark.parametrize("rows, name, line", [
+    (" c.1: 1 z + 1 x <= 2\n c.2: 1 w + 1 z <= 1", "z", 6),
+    (" c.1: 1 x <= 2\n c.2: 1 w + 1 z <= 1\n c.3: 1 z <= 1", "w", 7),
+    (" c.1: 1 x <= 2\n c.2: 1 y + 1 w <= 1\n c.3: 1 z + 1 w <= 1", "w", 7),
+])
+def test_of_two_undeclared_variables_the_first_used_is_named(rows, name, line, block,
+                                                             monkeypatch):
+    monkeypatch.setattr(emit, "_BLOCK", block)
+    with pytest.raises(EmitError, match=r"^line %d: undeclared variable '%s'$"
+                       % (line, name)):
+        parse_lp(LP % rows)
+
+
+@pytest.mark.parametrize("block", [1, 7, 2 ** 16])
+def test_bounds_names_no_row_uses_keep_their_place(block, monkeypatch):
+    text = LP.replace("x free", "v free\n x free\n u <= 3") % " c.1: 1 y <= 1"
+    monkeypatch.setattr(emit, "_BLOCK", block)
+    model = parse_lp(text)
+    assert model.names == ["v", "x", "u", "y"]
+    assert lp_text(model) == text
 
 
 def test_add_rows_keeps_the_term_arrays_it_is_given():
@@ -329,8 +368,10 @@ def test_add_rows_keeps_the_term_arrays_it_is_given():
 # 85,973 terms), each bound about 1.25 times what was measured: 5.7, 0.56,
 # 0.29 and 0.52 MB.  With term-length temporaries, a model that copied the
 # arrays it was handed and one string for the whole solution file they read
-# 7.4, 2.5, 1.1 and 0.96 MB.
-PASS_BOUNDS_MB = {"build": 7.0, "evaluate_assignment": 0.7,
+# 7.4, 2.5, 1.1 and 0.96 MB.  The build now measures 4.0 MB, and its bound
+# is 1.2 times that: it read 5.1 MB while it joined its sections into one
+# more copy for ``add_rows``.
+PASS_BOUNDS_MB = {"build": 4.8, "evaluate_assignment": 0.7,
                   "max_abs_coef_by_label": 0.36, "write_solution": 0.65}
 
 

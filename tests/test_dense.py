@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mipnn.dense import (BuildError, DenseBuild, IllPosedBoundsError, build_dense,
+from mipnn import dense
+from mipnn.dense import (BuildError, DenseBuild, IllPosedBoundsError, Rows, build_dense,
                          encode_quantized_product, encode_relu, vn)
 from mipnn.ir import BINARY, CONTINUOUS, ModelIR, VarDef
 from mipnn.nnspec import Dataset, DenseArch, Hyper, TRAIN_QUANTIZED, VERIFY
@@ -10,6 +11,7 @@ from mipnn.bounds import propagate_bounds
 
 from conftest import (quantized_dense_build, random_dense_weights,
                       verify_dense_build, xor_data)
+from test_golden import POOLED, _conv, _dense
 
 
 def test_relu_encoding_feasible_set_is_exact():
@@ -246,3 +248,38 @@ def test_verify_needs_weights():
                           -1.0, 1.0)
     with pytest.raises(BuildError):
         build_dense(arch, data, hyper, bt)
+
+
+class _ModelStub:
+    """Stands in for a model: keeps the arrays of its one ``add_rows`` call."""
+
+    def add_rows(self, *arrays):
+        self.arrays = arrays
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _dense(TRAIN_QUANTIZED, hidden=(2, 2), n=3, loss="abs", symmetry=True),
+    lambda: _conv(TRAIN_QUANTIZED, [POOLED], n=3, loss="abs", symmetry=True),
+    lambda: _conv(VERIFY, [POOLED], n=2),
+], ids=["dense-quantized", "conv-quantized", "conv-verify"])
+def test_sections_are_written_as_their_join(build, monkeypatch):
+    """A build's sections and parameter rows, written in turn into the one
+    ``add_rows`` call, give the arrays of the rows they join into."""
+    calls, emit_rows = [], dense.emit_rows
+
+    def spy(model, rows, n=1, start=0, size=0, once=None):
+        if isinstance(rows, list):
+            calls.append((list(rows), list(once), n, start, size))
+        emit_rows(model, rows, n, start, size, once)
+
+    monkeypatch.setattr(dense, "emit_rows", spy)
+    build()
+    (sections, params, n, start, size), = calls
+    assert n > 1 and len(sections) > 1 and len(params) > 1
+    joined, written = _ModelStub(), _ModelStub()
+    emit_rows(joined, Rows.join(*(r.fold() for r in sections if r is not None)),
+              n, start, size, once=Rows.join(*(r.fold() for r in params)))
+    emit_rows(written, sections, n, start, size, once=params)
+    assert sections == params == []
+    for got, want in zip(written.arrays, joined.arrays):
+        assert np.array_equal(got, want)
