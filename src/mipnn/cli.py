@@ -28,8 +28,8 @@ from . import bounds as bounds_mod
 from . import emit, nnspec, oracle, recon
 from .cnn import build_cnn
 from .dense import BuildError, build_dense, param_box, param_tensors
-from .nnspec import (LOSS_ABS, LOSS_SQUARED, TRAIN_BILINEAR, TRAIN_QUANTIZED,
-                     VERIFY, ConvArch, ConvLayer, DenseArch, Dataset, Hyper)
+from .nnspec import (LOSS_SQUARED, MODES, VERIFY, ConvArch, ConvLayer, DenseArch,
+                     Dataset, Hyper)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,12 +44,25 @@ class ConfigError(Exception):
     pass
 
 
+def _key(default, key=None, flag=False, choices=None, one_of=None, limit=None):
+    """A RunConfig field with its config key's declaration: ``key``, its
+    spelling when not the field's name; ``flag``, whether ``--<key>``
+    overrides it, taking ``choices``; ``one_of``, choices a config value is
+    held to as well; ``limit``, a ``(test, what)`` pair that NaN fails.
+    ``_check_values`` applies both; Hyper checks the hyperparameters."""
+    if one_of:
+        choices = one_of
+        limit = (lambda v: v in one_of, "one of " + ", ".join(one_of))
+    return field(default=default, metadata={"key": key, "flag": flag,
+                                             "choices": choices, "limit": limit})
+
+
 @dataclass
 class RunConfig:
     data: str = None
     label: str = "label"
     split: str = None             # optional file of evaluation sample indices
-    out: str = "out"
+    out: str = _key("out", flag=True)
     arch: str = "dense"           # dense | conv
     hidden: str = ""              # comma list of dense hidden widths
     input_shape: str = ""         # C,H,W for conv
@@ -57,39 +70,45 @@ class RunConfig:
     weights: str = None           # npz of fixed weights (verification mode)
     standardize: bool = False
     one_hot: bool = False
-    subset: int = 0               # random sample subset size (0 = all)
-    mode: str = VERIFY
+    # random sample subset size (0 = all)
+    subset: int = _key(0, limit=(lambda v: v >= 0, "at least 0"))
+    mode: str = _key(VERIFY, flag=True, choices=MODES)
     loss: str = LOSS_SQUARED
-    alpha: float = 0.1
-    lam: float = 0.9
-    beta: float = 0.01
-    big_m: float = 10.0
-    bits: int = 2
-    w_max: float = 1.0
+    alpha: float = _key(0.1, flag=True)
+    lam: float = _key(0.9, key="lambda", flag=True)
+    beta: float = _key(0.01, flag=True)
+    big_m: float = _key(10.0, key="bigM", flag=True)
+    bits: int = _key(2, flag=True)
+    w_max: float = _key(1.0, key="wmax")
     quantize_biases: bool = True
     symmetry: bool = True
     pool_global_m: bool = False
-    engine: str = "bnb"           # oracle | bnb | external
-    solver: str = None            # external argv template
-    emit: str = "lp"              # lp | mps
-    tolerance: float = 1e-6
-    timeout: float = None
-    limit_bits: int = 24
-    budget: int = 10 ** 7
-    seed: int = 0
+    engine: str = _key("bnb", flag=True, one_of=("oracle", "bnb", "external"))
+    solver: str = _key(None, flag=True)   # external argv template
+    emit: str = _key("lp", flag=True, one_of=("lp", "mps"))
+    tolerance: float = _key(1e-6, flag=True,
+                            limit=(lambda v: v >= 0, "a number at least 0"))
+    timeout: float = _key(None, flag=True,
+                          limit=(lambda v: v is None or v > 0, "a number above 0"))
+    limit_bits: int = _key(24, limit=(lambda v: v >= 0, "at least 0"))
+    budget: int = _key(10 ** 7, limit=(lambda v: v >= 1, "at least 1"))
+    seed: int = _key(0, flag=True)
 
+
+# config key -> RunConfig field
+_FIELDS = {f.metadata.get("key") or f.name: f for f in fields(RunConfig)}
+_FLAGGED = [(key, f) for key, f in _FIELDS.items() if f.metadata.get("flag")]
+_LIMITED = [(key, f.name, f.metadata["limit"]) for key, f in _FIELDS.items()
+            if f.metadata.get("limit")]
 
 _BOOL = {"true": True, "yes": True, "1": True, "on": True,
          "false": False, "no": False, "0": False, "off": False}
 
-# config key -> RunConfig field for keys whose spelling differs
-_KEY_ALIASES = {"lambda": "lam", "bigM": "big_m", "wmax": "w_max"}
-
 
 def parse_config(path):
-    """Flat ``key = value`` lines into a RunConfig."""
+    """Flat ``key = value`` lines into a RunConfig, each value coerced to
+    its field's type."""
     cfg = RunConfig()
-    valid = {f.name: f for f in fields(RunConfig)}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#")[0].strip()
@@ -98,25 +117,25 @@ def parse_config(path):
             if "=" not in line:
                 raise ConfigError("%s:%d: expected 'key = value'" % (path, lineno))
             key, val = (s.strip() for s in line.split("=", 1))
-            key = _KEY_ALIASES.get(key, key)
-            if key not in valid:
+            f = _FIELDS.get(key)
+            if f is None:
                 raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
             try:
-                setattr(cfg, key, _coerce(valid[key], val))
+                value = _BOOL[val.lower()] if f.type is bool else f.type(val)
             except (ValueError, KeyError):
-                raise ConfigError("%s:%d: bad value %r for %s" % (path, lineno, val, key))
+                raise ConfigError("%s:%d: bad value %r for %s"
+                                  % (path, lineno, val, f.name))
+            setattr(cfg, f.name, value)
     return cfg
 
 
-def _coerce(fdef, val):
-    t = fdef.type
-    if t == "bool" or isinstance(fdef.default, bool):
-        return _BOOL[val.lower()]
-    if isinstance(fdef.default, int) and not isinstance(fdef.default, bool):
-        return int(val)
-    if isinstance(fdef.default, float) or fdef.name in ("timeout",):
-        return float(val)
-    return val
+def _check_values(cfg):
+    """A ConfigError naming the first key whose value is outside its
+    field's ``one_of`` or ``limit``."""
+    for key, name, (ok, what) in _LIMITED:
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ConfigError("%s must be %s, not %r" % (key, what, value))
 
 
 _CONV_RE = re.compile(
@@ -188,13 +207,11 @@ class Prepared:
 
 
 def prepare(cfg):
-    """Load data, derive the architecture and bounds, and build the model."""
+    """Check the values, load data, derive the architecture and bounds, and
+    build the model."""
+    _check_values(cfg)
     if cfg.data is None:
         raise ConfigError("no data file configured")
-    if cfg.emit not in ("lp", "mps"):
-        raise ConfigError("emission format must be lp or mps")
-    if cfg.engine not in ("oracle", "bnb", "external"):
-        raise ConfigError("unknown engine %r" % cfg.engine)
     if cfg.engine == "external":
         template = cfg.solver or os.environ.get(SOLVER_ENV)
         if not template:
@@ -491,92 +508,48 @@ def cmd_run(cfg):
 # argument plumbing
 
 
-def _add_common(p):
-    p.add_argument("--config", nargs="+", required=True)
-    p.add_argument("--mode", choices=[VERIFY, TRAIN_BILINEAR, TRAIN_QUANTIZED])
-    p.add_argument("--engine", choices=["oracle", "bnb", "external"])
-    p.add_argument("--emit", choices=["lp", "mps"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--bigM", dest="big_m", type=float)
-    p.add_argument("--bits", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--solver")
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_CONFIG on a usage error, not argparse's 2 (EXIT_AUDIT)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, "%s: error: %s\n" % (self.prog, message))
+
+
+# subcommand -> function; a function of two arguments also takes --solution
+_COMMANDS = {"build": cmd_build, "stats": cmd_stats, "solve": cmd_solve,
+             "run": cmd_run, "verify": cmd_verify, "eval": cmd_eval,
+             "report": cmd_report}
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mipnn",
         description="Compile network training and verification problems to "
                     "mixed-integer programs, solve, audit, and score them.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("build", "stats", "solve", "run"):
-        _add_common(sub.add_parser(name))
-    for name in ("verify", "eval", "report"):
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--solution", required=True)
+        p.add_argument("--config", nargs="+", required=True)
+        for key, f in _FLAGGED:
+            p.add_argument("--" + key, dest=f.name, type=f.type,
+                           choices=f.metadata["choices"])
+        p.add_argument("--jobs", type=int)
+        if command.__code__.co_argcount == 2:
+            p.add_argument("--solution", required=True)
     return ap
-
-
-_OVERRIDES = ("mode", "engine", "emit", "alpha", "lam", "beta", "big_m", "bits",
-              "tolerance", "timeout", "seed", "out", "solver")
-
-
-def _apply_overrides(cfg, ns):
-    for key in _OVERRIDES:
-        val = getattr(ns, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg
-
-
-# key -> whether a value can work (NaN fails each test), and what it must be
-_LIMITS = {
-    "subset": (lambda v: v >= 0, "at least 0"),
-    "tolerance": (lambda v: v >= 0, "a number at least 0"),
-    "timeout": (lambda v: v is None or v > 0, "a number above 0"),
-    "budget": (lambda v: v >= 1, "at least 1"),
-    "limit_bits": (lambda v: v >= 0, "at least 0"),
-}
-
-
-def _check_values(cfg):
-    """``cfg`` once every value in ``_LIMITS`` can work; a ConfigError
-    naming the first key whose value cannot."""
-    for key, (ok, what) in _LIMITS.items():
-        value = getattr(cfg, key)
-        if not ok(value):
-            raise ConfigError("%s must be %s, not %r" % (key, what, value))
-    return cfg
-
-
-def _dispatch(ns, cfg):
-    if ns.command == "build":
-        return cmd_build(cfg)
-    if ns.command == "stats":
-        return cmd_stats(cfg)
-    if ns.command == "solve":
-        return cmd_solve(cfg)
-    if ns.command == "run":
-        return cmd_run(cfg)
-    if ns.command == "verify":
-        return cmd_verify(cfg, ns.solution)
-    if ns.command == "eval":
-        return cmd_eval(cfg, ns.solution)
-    return cmd_report(cfg, ns.solution)
 
 
 def _run_one(args):
     ns, path = args
     try:
-        cfg = _check_values(_apply_overrides(parse_config(path), ns))
-        return _dispatch(ns, cfg)
+        cfg = parse_config(path)
+        for _, f in _FLAGGED:
+            if getattr(ns, f.name) is not None:
+                setattr(cfg, f.name, getattr(ns, f.name))
+        # looked up by name, so that a wrapper set on this module runs
+        command = globals()[_COMMANDS[ns.command].__name__]
+        return command(cfg, ns.solution) if "solution" in ns else command(cfg)
     except (ConfigError, nnspec.SpecError, nnspec.ParseError,
             emit.EmitError, BuildError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -9,6 +9,7 @@ import numpy as np
 VERIFY = "verify"
 TRAIN_BILINEAR = "train-bilinear"
 TRAIN_QUANTIZED = "train-quantized"
+MODES = (VERIFY, TRAIN_BILINEAR, TRAIN_QUANTIZED)
 
 LOSS_SQUARED = "squared"
 LOSS_ABS = "abs"
@@ -91,13 +92,18 @@ class Hyper:
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
             raise SpecError("lambda must lie in [0, 1]")
-        if self.alpha < 0 or self.beta < 0:
-            raise SpecError("alpha and beta must be >= 0")
-        if self.big_m <= 0:
-            raise SpecError("box bound must be > 0")
+        # each test is false for NaN; the messages name the config keys
+        for key, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0.0 <= value < math.inf:
+                raise SpecError("%s must be a finite number at least 0, not %r"
+                                % (key, value))
+        for key, value in (("bigM", self.big_m), ("wmax", self.w_max)):
+            if not 0.0 < value < math.inf:
+                raise SpecError("%s must be a finite number above 0, not %r"
+                                % (key, value))
         if self.bits < 1:
             raise SpecError("quantization needs at least 1 bit")
-        if self.mode not in (VERIFY, TRAIN_BILINEAR, TRAIN_QUANTIZED):
+        if self.mode not in MODES:
             raise SpecError("unknown mode %r" % self.mode)
         if self.loss not in (LOSS_SQUARED, LOSS_ABS):
             raise SpecError("unknown loss %r" % self.loss)

@@ -1,3 +1,4 @@
+import argparse
 import os
 import shutil
 import subprocess
@@ -7,12 +8,15 @@ import numpy as np
 import pytest
 
 import mipnn
+from mipnn import cli
 from mipnn.cli import (EXIT_AUDIT, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_SOLVER,
-                       ConfigError, RunConfig, main, parse_config, parse_conv_layers,
-                       prepare)
+                       ConfigError, RunConfig, build_parser, main, parse_config,
+                       parse_conv_layers, prepare)
 from mipnn.nnspec import ConvLayer
 
 XOR_CSV = "x1,x2,label\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n"
+SAMPLE_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "samples", "xor.cfg")
 
 
 def write_xor_cfg(tmp_path, **overrides):
@@ -252,6 +256,85 @@ def test_values_that_cannot_work_are_config_errors(tmp_path, capsys, key, value,
     assert capsys.readouterr().err.startswith("error: %s must be " % key)
     assert not (tmp_path / "out").exists()
 
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_a_wmax_that_cannot_work_is_a_config_error(tmp_path, capsys, value):
+    cfg = write_xor_cfg(tmp_path, wmax=value)
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: wmax must be ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "inf"),
+                                         ("--bigM", "nan")])
+def test_hyperparameters_that_are_not_finite_are_refused_before_the_build(
+        tmp_path, capsys, flag, value):
+    cfg = write_xor_cfg(tmp_path)
+    assert main(["run", "--config", str(cfg), flag, value]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: %s must be " % flag[2:])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["run", "--config", SAMPLE_CFG, "--emit", "foo"], EXIT_CONFIG),
+    (["run", "--config", SAMPLE_CFG, "--bits", "two"], EXIT_CONFIG),
+    (["frobnicate", "--config", SAMPLE_CFG], EXIT_CONFIG),
+    (["run", "--help"], 0),
+])
+def test_a_usage_error_exits_1_and_help_exits_0(capsys, args, code):
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == code
+    if code:
+        assert "error: " in capsys.readouterr().err
+
+
+# flag -> (value, the RunConfig field it sets, that field's value); each value
+# differs from samples/xor.cfg's own
+FLAG_FIELDS = {
+    "--mode": ("verify", "mode", "verify"),
+    "--engine": ("oracle", "engine", "oracle"),
+    "--emit": ("mps", "emit", "mps"),
+    "--alpha": ("0.5", "alpha", 0.5),
+    "--lambda": ("0.25", "lam", 0.25),
+    "--beta": ("0.125", "beta", 0.125),
+    "--bigM": ("7", "big_m", 7.0),
+    "--bits": ("3", "bits", 3),
+    "--tolerance": ("1e-4", "tolerance", 1e-4),
+    "--timeout": ("30", "timeout", 30.0),
+    "--seed": ("5", "seed", 5),
+    "--out": ("elsewhere", "out", "elsewhere"),
+    "--solver": ("s {model} {solution}", "solver", "s {model} {solution}"),
+}
+
+
+def test_every_flag_overrides_its_key(tmp_path, monkeypatch):
+    path = str(tmp_path / "xor.cfg")
+    shutil.copy(SAMPLE_CFG, path)
+    seen = []
+
+    def stop(cfg):
+        seen.append(cfg)
+        raise ConfigError("stopped before any work")
+
+    monkeypatch.setattr(cli, "prepare", stop)
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, parser in commands.items():
+        flags = [a.option_strings[-1] for a in parser._actions
+                 if not isinstance(a, argparse._HelpAction)]
+        # --config, --jobs and --solution set no RunConfig field
+        assert set(flags) - {"--config", "--jobs", "--solution"} == set(FLAG_FIELDS)
+        for flag, (value, name, expected) in FLAG_FIELDS.items():
+            assert getattr(parse_config(path), name) != expected
+            argv = [command, "--config", path, flag, value]
+            if "--solution" in flags:
+                argv += ["--solution", "s.txt"]
+            assert main(argv) == EXIT_CONFIG
+            assert getattr(seen.pop(), name) == expected, (command, flag)
 
 def test_a_relative_data_path_resolves_against_the_working_directory(
         tmp_path, capsys, monkeypatch):
