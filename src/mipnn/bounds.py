@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnspec import ConvArch, DenseArch, patches, windows
+from .nnspec import maxpool2d, param_tensors
 
 
 class BoundsError(Exception):
@@ -85,44 +85,32 @@ def propagate_bounds(arch, input_lo, input_hi, weight_lo, weight_hi,
     ``fixed_weights`` (a list of (W, b) arrays) to use degenerate boxes
     instead, e.g. for verification of a given network.
 
-    Each hidden layer meets its input map at positions: a conv layer at each
-    of its output cells (``nnspec.patches``), a dense layer once, on the map
-    as it is.  A unit's bounds are the extremes over its positions.
+    Each hidden layer of ``param_tensors(arch)`` meets its input map at
+    positions (``Tensor.patches``): a conv layer at each of its output
+    cells, a dense layer once, on the map as it is.  A unit's bounds are the
+    extremes over its positions.
     """
     a_lo = np.asarray(input_lo, dtype=float)
     a_hi = np.asarray(input_hi, dtype=float)
     if np.any(~np.isfinite(a_lo)) or np.any(~np.isfinite(a_hi)):
         raise BoundsError("input box must be finite")
-    if isinstance(arch, DenseArch):
-        hidden = [(width, None) for width in arch.hidden_widths]
-    elif isinstance(arch, ConvArch):
-        hidden = [(layer.filters, layer) for layer in arch.conv_layers]
-    else:
-        raise TypeError("unknown architecture %r" % (arch,))
     layers = []
-    for l, (units, layer) in enumerate(hidden):
-        if layer is None:
-            pos, cells = (), (a_lo[None], a_hi[None])
-        else:
-            cells = [patches(a, layer.kernel, layer.stride) for a in (a_lo, a_hi)]
-            pos = cells[0].shape[:2]
-            cells = [c.reshape(math.prod(pos), -1) for c in cells]    # (P, entries)
+    for t in param_tensors(arch)[:-1]:
+        units, pos = t.shape[0], math.prod(t.units[1:])
+        cells = [t.patches(a).reshape(pos, -1) for a in (a_lo, a_hi)]    # (P, entries)
         if fixed_weights is None:
             w_lo, w_hi, b_lo, b_hi = weight_lo, weight_hi, weight_lo, weight_hi
         else:
-            W, b = fixed_weights[l]
+            W, b = fixed_weights[t.l]
             w_lo = w_hi = np.asarray(W, dtype=float).reshape(units, 1, -1)
             b_lo = b_hi = np.asarray(b, dtype=float)[:, None]
         z_lo, z_hi = _interval_dot(w_lo, w_hi, *cells)
         # scalar boxes give every unit the same (P,) bounds
-        z_lo = np.broadcast_to(z_lo + b_lo, (units, len(cells[0])))
-        z_hi = np.broadcast_to(z_hi + b_hi, (units, len(cells[0])))
-        layers.append(LayerBounds(l, *_widen(z_lo.min(axis=1), z_hi.max(axis=1)),
+        z_lo = np.broadcast_to(z_lo + b_lo, (units, pos))
+        z_hi = np.broadcast_to(z_hi + b_hi, (units, pos))
+        layers.append(LayerBounds(t.l, *_widen(z_lo.min(axis=1), z_hi.max(axis=1)),
                                   "interval"))
-        a_lo = np.maximum(z_lo, 0.0).reshape((units,) + pos)
-        a_hi = np.maximum(z_hi, 0.0).reshape((units,) + pos)
-        if layer is not None and layer.pool is not None:
-            hh, ww = windows(pos, *layer.pool)
-            a_lo = a_lo[:, hh, ww].max(axis=(-2, -1))
-            a_hi = a_hi[:, hh, ww].max(axis=(-2, -1))
+        a_lo, a_hi = (np.maximum(z, 0.0).reshape(t.units) for z in (z_lo, z_hi))
+        if t.pool is not None:
+            a_lo, a_hi = (maxpool2d(a, *t.pool) for a in (a_lo, a_hi))
     return BoundsTable(layers)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration or usage error, 2 audit failure,
 
 import argparse
 import concurrent.futures
+import math
 import os
 import re
 import shlex
@@ -27,9 +28,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import emit, nnspec, oracle, recon
 from .cnn import build_cnn
-from .dense import BuildError, build_dense, param_box, param_tensors
+from .dense import BuildError, build_dense, param_box
 from .nnspec import (LOSS_SQUARED, MODES, VERIFY, ConvArch, ConvLayer, DenseArch,
-                     Dataset, Hyper)
+                     Dataset, Hyper, param_tensors)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -166,6 +167,16 @@ def parse_conv_layers(text):
     return tuple(layers)
 
 
+def _ints(cfg, key):
+    """The comma-separated integers of config key ``key``."""
+    text = getattr(cfg, key)
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise ConfigError("%s must be comma-separated integers, not %r"
+                          % (key, text)) from None
+
+
 def load_weights_npz(path, arch):
     """Fixed weights from an npz: dense ``W0,b0,W1,b1,...``; conv ``K0,b0,...``
     per conv layer plus head ``Wh,bh``, each of the shape its tensor in
@@ -234,18 +245,20 @@ def prepare(cfg):
                           % (cfg.split, bad[0], data.n))
 
     if cfg.arch == "dense":
-        hidden = [int(s) for s in cfg.hidden.split(",") if s.strip()]
+        hidden = _ints(cfg, "hidden")
         if not hidden:
             raise ConfigError("dense architecture needs hidden widths")
         arch = DenseArch(input_dim=data.inputs.shape[1],
-                         hidden_widths=tuple(hidden),
+                         hidden_widths=hidden,
                          output_dim=data.targets.shape[1])
     elif cfg.arch == "conv":
         if not cfg.input_shape or not cfg.conv:
             raise ConfigError("conv architecture needs input_shape and conv layers")
-        shape = tuple(int(s) for s in cfg.input_shape.split(","))
-        if len(shape) != 3:
-            raise ConfigError("input_shape must be C,H,W")
+        shape, features = _ints(cfg, "input_shape"), data.inputs.shape[1]
+        if len(shape) != 3 or min(shape) < 1 or math.prod(shape) != features:
+            raise ConfigError("input_shape must be C,H,W, sizes of at least 1 whose "
+                              "product is the %d features of a data row, not %r"
+                              % (features, cfg.input_shape))
         arch = ConvArch(input_shape=shape,
                         conv_layers=parse_conv_layers(cfg.conv),
                         head_dim=data.targets.shape[1])

@@ -22,7 +22,7 @@ from .ir import EQ, GE, LE, ModelIR
 from .dense import (Build, BuildError, Field, Rows, SampleBlock, add_objective,
                     declare_params, emit_rows, head_rows, input_rows, l1_rows,
                     name_template, prune_rows, ref_columns, relu_layer)
-from .nnspec import TRAIN_QUANTIZED, VERIFY, conv_map_shapes, patches, windows
+from .nnspec import TRAIN_QUANTIZED, VERIFY, windows
 from .recon import ConvNet
 
 
@@ -52,10 +52,6 @@ def encode_maxpool(model, window_refs, p_ref, zeta_refs, big_m):
 class ConvBuild(Build):
     symmetry_on_abs = True
 
-    def __init__(self, model, arch, data, hyper, btable, fixed_weights):
-        super().__init__(model, arch, data, hyper, btable, fixed_weights,
-                         conv_map_shapes(arch))
-
     def pool_big_m(self, l):
         if self.hyper.pool_global_m:
             return self.hyper.big_m
@@ -64,53 +60,34 @@ class ConvBuild(Build):
     def map_source(self, l):
         """The family (base, index), variables base[i][index][c][h][w], of
         the map conv layer l reads; at l = L, the map the flatten reads."""
-        if l > 0 and self.arch.conv_layers[l - 1].pool is not None:
+        if l > 0 and self.tensors[l - 1].pool is not None:
             return "p", l - 1
         return "a", l
 
     # solution handling ----------------------------------------------------
 
     def net(self, params, gammas):
-        layers = self.arch.conv_layers
+        convs = self.tensors[:-1]
         return ConvNet(kernels=params[:-1], head=params[-1], gamma=gammas,
-                       pools=[layer.pool for layer in layers],
-                       strides=[layer.stride for layer in layers])
+                       pools=[t.pool for t in convs], strides=[t.stride for t in convs])
 
     # in the class's own namespace, where the benchmark's tracer wraps them
     complete = Build.complete
     assemble = Build.assemble
 
-    def patches(self, l, a):
-        """The cells of the map ``a`` that each kernel entry of conv layer l
-        meets at each output position (``nnspec.patches``); the head meets
-        the flattened map as it is."""
-        if l == self.L:
-            return a
-        layer = self.arch.conv_layers[l]
-        return patches(a, layer.kernel, layer.stride)
-
-    def pooled(self, l, act):
-        """Each pool window's maximum of ``act``, laid out (c, h, w, ...),
-        where conv layer l pools."""
-        pool = self.arch.conv_layers[l].pool
-        if pool is None:
-            return act
-        hh, ww = windows(act.shape[1:3], *pool)
-        return act[:, hh, ww].max(axis=(3, 4))
-
     def assemble_maps(self, x, trace):
         """The pooled maps p and their selectors zeta, and the flattened map."""
-        for l, layer in enumerate(self.arch.conv_layers):
-            if layer.pool is not None:
-                z, pooled = trace[l]
-                x[self.columns["p", l]] = pooled
-                x[self.columns["zeta", l]] = self._selectors(l, np.maximum(z, 0.0))
+        for t in self.tensors[:-1]:
+            if t.pool is not None:
+                z, pooled = trace[t.l]
+                x[self.columns["p", t.l]] = pooled
+                x[self.columns["zeta", t.l]] = self._selectors(t.l, np.maximum(z, 0.0))
         x[self.columns["flat"]] = trace[-2][1].reshape(self.data.n, -1)
 
     def _selectors(self, l, act):
         """zeta of conv layer l: each pool window selects its first maximal
         cell of the post-ReLU map ``act``; cells no window covers stay 0."""
-        hh, ww = windows(act.shape[2:], *self.arch.conv_layers[l].pool)
+        hh, ww = windows(act.shape[2:], *self.tensors[l].pool)
         cells = act[:, :, hh, ww]
         flat = cells.reshape(cells.shape[:4] + (-1,))
         zeta = np.zeros(act.shape)
@@ -119,11 +96,11 @@ class ConvBuild(Build):
         return zeta
 
 
-def pool_rows(build, block, l, a):
-    """Selectors zeta and outputs p of conv layer l's pool over its
+def pool_rows(build, block, t, a):
+    """Selectors zeta and outputs p of conv layer ``t``'s pool over its
     post-ReLU map, whose columns are ``a``, per channel; returns p's."""
-    c_l, oh, ow = build.map_shapes[l]
-    hh, ww = windows((oh, ow), *build.arch.conv_layers[l].pool)
+    l, (c_l, oh, ow) = t.l, t.units
+    hh, ww = windows((oh, ow), *t.pool)
     qh, qw = hh.shape[0], ww.shape[0]
     zeta, p = block.group(
         (c_l,),
@@ -195,7 +172,7 @@ def build_cnn(arch, data, hyper, btable, weights=None):
         for t in convs:
             u = cols["u", t.l].reshape(t.shape[0], -1)
             # per entry, channel c's term and then channel c + 1's
-            pairs = np.stack([u[:-1], u[1:]], axis=-1).reshape(len(u) - 1, -1)
+            pairs = np.stack([u[:-1], u[1:]], axis=-1).reshape(len(u) - 1, 2 * u.shape[1])
             params.append(Rows.of((len(pairs),), [pairs.shape[1]], [GE],
                                   ["symmetry_breaking"], [pairs],
                                   [[1.0, -1.0] * u.shape[1]], [[0.0]]))
@@ -203,10 +180,10 @@ def build_cnn(arch, data, hyper, btable, weights=None):
     # per-sample network ----------------------------------------------------
     block = SampleBlock(build)
     input_rows(build, block)
-    for t, layer in zip(convs, arch.conv_layers):
+    for t in convs:
         a = relu_layer(build, block, t, block.families[build.map_source(t.l)])
-        if layer.pool is not None:
-            pool_rows(build, block, t.l, a)
+        if t.pool is not None:
+            pool_rows(build, block, t, a)
     flat = flatten_rows(build, block, block.families[build.map_source(L)])
     head_rows(build, block, flat)
     block.finish(params)

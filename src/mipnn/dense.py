@@ -15,15 +15,15 @@ products for solvers that accept nonconvex quadratics, and ``train-quantized``
 expands each weight into binary digits with exact product linearization,
 yielding a true MILP.
 
-Both builders describe their parameters as one ordered list of ``Tensor``s
-(``param_tensors``): the dense layers, or the conv layers and then the head.
-The declarations, the weight-times-input rows, the ReLU units, the head rows
-and the objective are emitted from that list by the functions below.
+Both builders describe their parameters as one ordered list of
+``nnspec.Tensor``s (``nnspec.param_tensors``): the dense layers, or the conv
+layers and then the head.  The declarations, the weight-times-input rows, the
+ReLU units, the head rows and the objective are emitted from that list by the
+functions below.
 """
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -32,7 +32,7 @@ import numpy as np
 from . import ir
 from .ir import EQ, GE, LE, ModelIR
 from .nnspec import (LOSS_ABS, TRAIN_BILINEAR, TRAIN_QUANTIZED, VERIFY,
-                     DenseArch, validate_arch)
+                     param_tensors, vn, windows)
 from .recon import (DenseNet, QuantSpec, forward_trace, objective_breakdown,
                     regularization)
 
@@ -43,10 +43,6 @@ class BuildError(Exception):
 
 class IllPosedBoundsError(BuildError):
     pass
-
-
-def vn(base, *idx):
-    return base + "[%d]" * len(idx) % idx
 
 
 def bit_vector(build, bits):
@@ -90,44 +86,6 @@ def _spread(op, coarse, fine):
 def _lead(x, k):
     """A view of ``x`` with its last ``k`` axes moved to the front."""
     return x.transpose(tuple(range(x.ndim - k, x.ndim)) + tuple(range(x.ndim - k)))
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """The parameters of weight layer ``l``: weights ``w[l][row][...]`` of
-    ``shape`` (rows first) and biases ``b[l][row]``.  ``gates[row]`` names
-    the pruning switch of each row (empty for the ungated head) and ``label``
-    the rows that apply the layer.  Weight digits are ``d[l][row][...][t]``,
-    keyed ``(l, row, ...)``; bias digits are keyed ``(l, row) + bias_col`` and
-    named ``d`` with that key when ``bias_col`` is set (dense puts the bias
-    at column n_in), else ``db[l][row][t]``."""
-    w: str
-    b: str
-    l: int
-    shape: tuple
-    gates: tuple
-    label: str
-    bias_col: tuple
-
-
-def param_tensors(arch):
-    """The parameter tensors of ``arch`` in declaration order: the dense
-    layers, or each conv layer's kernels and then the dense head."""
-    if isinstance(arch, DenseArch):
-        L, widths = arch.num_hidden, arch.widths
-        return [Tensor("W", "b", l, (widths[l + 1], widths[l]),
-                       (vn("gamma", l),) * widths[l + 1] if l < L else (),
-                       "affine_map" if l < L else "output_map", (widths[l],))
-                for l in range(L + 1)]
-    shapes = validate_arch(arch)
-    tensors = [Tensor("Wc", "bc", l,
-                      (layer.filters, shapes[l][0]) + tuple(layer.kernel),
-                      tuple(vn("gamma", l, c) for c in range(layer.filters)),
-                      "conv_map", ())
-               for l, layer in enumerate(arch.conv_layers)]
-    c, h, w = shapes[-1]
-    return tensors + [Tensor("W", "b", len(tensors), (arch.head_dim, c * h * w),
-                             (), "output_map", ())]
 
 
 # constraint families ----------------------------------------------------------
@@ -547,7 +505,7 @@ def product_rows(build, block, t, out, src, y=None):
     (row, *pos) of tensor ``t``, ``out`` holding the units' columns.
 
     ``src`` holds the columns of the map the tensor reads, which
-    ``build.patches`` maps to the cell each weight entry meets at each
+    ``t.patches`` maps to the cell each weight entry meets at each
     position.  Fixed weights and a first layer, whose inputs
     are data, give a linear row; otherwise the products stay bilinear (on the
     block's list), or in train-quantized mode are linearized digit by digit
@@ -567,10 +525,10 @@ def product_rows(build, block, t, out, src, y=None):
                        cols, coefs, [[0.0]])
 
     if hyper.mode != VERIFY and t.l == 0:
-        x = build.patches(t.l, np.asarray(build.data.inputs, dtype=float))
+        x = t.patches(np.asarray(build.data.inputs, dtype=float))
         return row(weights.reshape(rows_at + (-1,)),
                    -x.reshape((len(x), 1) + x.shape[1:len(units)] + (-1,)))
-    ins = build.patches(t.l, src)
+    ins = t.patches(src)
     pos = ins.shape[:len(units) - 1]
     if hyper.mode == VERIFY:
         W = np.asarray(build.fixed_weights[t.l][0], dtype=float)
@@ -602,7 +560,7 @@ def relu_layer(build, block, t, src):
     when the row's switch is off.  Returns the columns of a."""
     hyper = build.hyper
     l = t.l
-    units = build.map_shapes[l]
+    units = t.units
     rows_at = units[:1] + (1,) * (len(units) - 1)
     z_lo, z_hi = build.preactivation_bounds(l)
     z, a, delta, *y = block.group(
@@ -672,24 +630,25 @@ def add_objective(build):
 class Build:
     """The compiled program plus everything needed to interpret its solutions.
 
-    ``map_shapes[l]`` is the shape of ReLU layer l's units: (n_l,) dense,
-    (C, H, W) pre-pool conv.  Subclasses define ``net(params, gammas)``, the
-    recon net of (W, b) per tensor and the switches per gated tensor."""
+    ``map_shapes[l]`` is the shape of ReLU layer l's units, its tensor's
+    ``units``: (n_l,) dense, (C, H, W) pre-pool conv.  Subclasses define
+    ``net(params, gammas)``, the recon net of (W, b) per tensor and the
+    switches per gated tensor."""
 
     # the switches form a chain: the first held on, each at most the previous
     layer_chain = False
     # symmetry breaking orders rows by the sums of |W| rather than of W
     symmetry_on_abs = False
 
-    def __init__(self, model, arch, data, hyper, btable, fixed_weights, map_shapes):
+    def __init__(self, model, arch, data, hyper, btable, fixed_weights):
         self.model = model
         self.arch = arch
         self.data = data
         self.hyper = hyper
         self.btable = btable
         self.fixed_weights = fixed_weights    # [(W, b)] per tensor in verification mode
-        self.map_shapes = map_shapes
         self.tensors = param_tensors(arch)
+        self.map_shapes = [t.units for t in self.tensors[:-1]]
         self.gammas = list(dict.fromkeys(g for t in self.tensors for g in t.gates))
         self.structural = []          # binary names the oracle branches on
         self._digit_names = {}        # digit key (see Tensor) -> tuple of digit names
@@ -740,12 +699,6 @@ class Build:
             last = int(np.max(d, initial=last))
             ends.append(last + 1)
         return gates, digits, ends
-
-    def patches(self, l, a):
-        """The cells of the map ``a``, on its trailing axes, that the weight
-        entries of layer l meet at each of its positions, on trailing axes
-        pos + entry: dense layers have no positions and meet ``a`` as it is."""
-        return a
 
     def extract_net(self, x):
         """The net that the variable vector ``x`` of a full assignment holds."""
@@ -846,7 +799,7 @@ class Build:
         (*map, n, S'), accumulated one weight entry at a time.  S' divides
         S: map state s is spread, as a broadcast view, over the parameter
         states S/S' * s to S/S' * (s + 1) - 1."""
-        cells = self.patches(t.l, _lead(a, 2))            # (n, S', *pos, *entry)
+        cells = t.patches(_lead(a, 2))                   # (n, S', *pos, *entry)
         npos = cells.ndim - len(t.shape) - 1
         cells = cells.reshape(cells.shape[:2 + npos] + (-1,))
         cells = np.ascontiguousarray(
@@ -861,9 +814,13 @@ class Build:
 
     def pooled(self, l, act):
         """The map that ReLU layer l passes on, given its post-ReLU map
-        ``act`` laid out (units, *pos, ...); a dense layer passes it as it
-        is."""
-        return act
+        ``act`` laid out (units, *pos, ...): each pool window's maximum
+        where the layer pools, else ``act`` as it is."""
+        pool = self.tensors[l].pool
+        if pool is None:
+            return act
+        hh, ww = windows(act.shape[1:3], *pool)
+        return act[:, hh, ww].max(axis=(3, 4))
 
     def candidate(self, bits):
         """(objective, violation, params, trace) of one structural-bit
@@ -919,7 +876,7 @@ class Build:
             maps = [a for _, a in trace[:-1]]
             maps[-1] = maps[-1].reshape(self.data.n, -1)
             for t in self.tensors[1:]:
-                inputs = self.patches(t.l, maps[t.l - 1])   # (n, *pos, *entry)
+                inputs = t.patches(maps[t.l - 1])           # (n, *pos, *entry)
                 npos = inputs.ndim - len(t.shape)
                 on = x[cols["d", t.l]].reshape(t.shape[:1] + (1,) * npos + t.shape[1:] + (-1,))
                 x[cols["y", t.l]] = np.where(on >= 0.5, inputs[:, None, ..., None], 0.0)
@@ -932,10 +889,6 @@ class Build:
 
 class DenseBuild(Build):
     layer_chain = True
-
-    def __init__(self, model, arch, data, hyper, btable, fixed_weights):
-        super().__init__(model, arch, data, hyper, btable, fixed_weights,
-                         [(n,) for n in arch.hidden_widths])
 
     # solution handling ----------------------------------------------------
 

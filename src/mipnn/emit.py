@@ -37,6 +37,7 @@ import numpy as np
 
 from .ir import (SENSES, Assignment, DuplicateNameError, InvertedBoundsError,
                  MissingVariableError, ModelIR, _append, round_binaries)
+from .nnspec import TRAIN_QUANTIZED, param_tensors
 
 INF = float("inf")
 
@@ -1261,28 +1262,15 @@ def model_stats(model):
 
 
 def count_forecast(arch, n, hyper=None):
-    """Predicted binary-variable counts without building the model."""
-    from .nnspec import ConvArch, DenseArch, conv_map_shapes
-    out = {}
-    if isinstance(arch, DenseArch):
-        out["delta"] = n * sum(arch.hidden_widths)
-        out["gamma"] = arch.num_hidden
-        out["zeta"] = 0
-    elif isinstance(arch, ConvArch):
-        shapes = conv_map_shapes(arch)
-        out["delta"] = n * sum(c * h * w for c, h, w in shapes)
-        out["gamma"] = sum(layer.filters for layer in arch.conv_layers)
-        zeta = 0
-        for l, layer in enumerate(arch.conv_layers):
-            if layer.pool is not None:
-                c, h, w = shapes[l]
-                zeta += n * c * h * w
-        out["zeta"] = zeta
-    else:
-        raise TypeError("unknown architecture %r" % (arch,))
-    if hyper is not None and hyper.mode == "train-quantized":
-        from .dense import param_tensors
-        tensors = param_tensors(arch)
+    """Predicted binary-variable counts without building the model: per
+    sample a ReLU indicator per unit of each hidden tensor and a pool
+    selector per unit of each pooled one; the switches; and in
+    train-quantized mode ``bits`` digits per weight and quantized bias."""
+    tensors = param_tensors(arch)
+    out = {"delta": n * sum(math.prod(t.units) for t in tensors[:-1]),
+           "gamma": len({g for t in tensors for g in t.gates}),
+           "zeta": n * sum(math.prod(t.units) for t in tensors if t.pool is not None)}
+    if hyper is not None and hyper.mode == TRAIN_QUANTIZED:
         wcount = sum(math.prod(t.shape) for t in tensors)
         bcount = sum(t.shape[0] for t in tensors) if hyper.quantize_biases else 0
         out["digits"] = hyper.bits * (wcount + bcount)

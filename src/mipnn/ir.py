@@ -368,7 +368,7 @@ class ModelIR:
         _sense_code(sense)
         quad = [_order_pair(c, r1, r2) for c, r1, r2 in quad_terms]
         self.bilinear_constraints.append(
-            (quad, _merge_refs(lin_terms), sense, rhs, label))
+            (quad, _merge(lin_terms), sense, rhs, label))
 
     def add_objective_linear(self, coef, ref):
         self._check_mutable()
@@ -387,8 +387,8 @@ class ModelIR:
     def freeze(self):
         if self.frozen:
             return self
-        self.objective.linear = _merge_refs(self.objective.linear)
-        self.objective.quadratic = _merge_quadratic(self.objective.quadratic)
+        self.objective.linear = _merge(self.objective.linear)
+        self.objective.quadratic = _merge(self.objective.quadratic)
         for attr, dtype in (("lo", float), ("hi", float), ("is_binary", bool),
                             ("indptr", np.int64), ("cols", np.int64),
                             ("coefs", float), ("sense", np.int8),
@@ -601,35 +601,23 @@ def _merge_rows(indptr, cols, coefs):
             cols[keep], merged[keep])
 
 
-def _merge_refs(terms):
-    by_index = {}
-    order = []
-    for c, r in terms:
-        if r.index not in by_index:
-            by_index[r.index] = [c, r]
-            order.append(r.index)
+def _merge(terms):
+    """The terms ``(coef, *refs)`` with every repeat of the same refs added,
+    in order, into the coefficient of their first occurrence."""
+    merged = {}
+    for c, *refs in terms:
+        key = tuple(r.index for r in refs)
+        if key in merged:
+            merged[key][0] += c
         else:
-            by_index[r.index][0] += c
-    return [(c, r) for c, r in (by_index[i] for i in order)]
+            merged[key] = [c, *refs]
+    return [tuple(t) for t in merged.values()]
 
 
 def _order_pair(coef, r1, r2):
     if r2.name < r1.name:
         r1, r2 = r2, r1
     return (coef, r1, r2)
-
-
-def _merge_quadratic(terms):
-    by_key = {}
-    order = []
-    for c, r1, r2 in terms:
-        key = (r1.index, r2.index)
-        if key not in by_key:
-            by_key[key] = [c, r1, r2]
-            order.append(key)
-        else:
-            by_key[key][0] += c
-    return [(c, r1, r2) for c, r1, r2 in (by_key[k] for k in order)]
 
 
 def round_binaries(model, x, tol=DEFAULT_TOL):

@@ -253,12 +253,76 @@ def validate_arch(arch):
 
 def conv_map_shapes(arch):
     """Pre-pool feature-map shapes (C_l, H_l, W_l) per conv layer."""
-    shapes = []
-    cur = arch.input_shape
-    for layer in arch.conv_layers:
-        pre_pool, cur = _conv_shapes(cur, layer)
-        shapes.append(pre_pool)
-    return shapes
+    return [t.units for t in param_tensors(arch)[:-1]]
+
+
+def vn(base, *idx):
+    return base + "[%d]" * len(idx) % idx
+
+
+@dataclass(frozen=True)
+class Tensor:
+    """The parameters of weight layer ``l``: weights ``w[l][row][...]`` of
+    ``shape`` (rows first) and biases ``b[l][row]``.  ``gates[row]`` names
+    the pruning switch of each row (empty for the ungated head) and ``label``
+    the rows that apply the layer.  Weight digits are ``d[l][row][...][t]``,
+    keyed ``(l, row, ...)``; bias digits are keyed ``(l, row) + bias_col`` and
+    named ``d`` with that key when ``bias_col`` is set (dense puts the bias
+    at column n_in), else ``db[l][row][t]``.
+
+    ``units`` is the shape of the layer's map before its pool: (rows,) for a
+    2-d weight, which meets its input whole, and (C, H, W) for a conv
+    kernel, which meets it at each position ``stride`` apart (``patches``).
+    ``pool`` is the max-pool stage ((P_H, P_W), stride) after its ReLU, or
+    None."""
+    w: str
+    b: str
+    l: int
+    shape: tuple
+    gates: tuple
+    label: str
+    bias_col: tuple
+    units: tuple
+    stride: int = 1
+    pool: tuple = None
+
+    def patches(self, a):
+        """The cells of the map ``a``, on its trailing axes, that the weight
+        entries meet at each position, on trailing axes pos + entry: a 2-d
+        weight has no positions and meets ``a`` as it is."""
+        if len(self.shape) == 2:
+            return a
+        return patches(a, self.shape[-2:], self.stride)
+
+
+def param_tensors(arch):
+    """The parameter tensors of ``arch`` in declaration order: the dense
+    layers, or each conv layer's kernels and then the dense head."""
+    if isinstance(arch, DenseArch):
+        L, widths = arch.num_hidden, arch.widths
+        return [Tensor("W", "b", l, (widths[l + 1], widths[l]),
+                       (vn("gamma", l),) * widths[l + 1] if l < L else (),
+                       "affine_map" if l < L else "output_map", (widths[l],),
+                       (widths[l + 1],))
+                for l in range(L + 1)]
+    if not isinstance(arch, ConvArch):
+        raise TypeError("unknown architecture %r" % (arch,))
+    tensors, shape = [], arch.input_shape
+    for l, layer in enumerate(arch.conv_layers):
+        units, out = _conv_shapes(shape, layer)
+        tensors.append(Tensor("Wc", "bc", l, (layer.filters, shape[0]) + tuple(layer.kernel),
+                              tuple(vn("gamma", l, c) for c in range(layer.filters)),
+                              "conv_map", (), units, layer.stride, layer.pool))
+        shape = out
+    return tensors + [Tensor("W", "b", len(tensors), (arch.head_dim, math.prod(shape)),
+                             (), "output_map", (), (arch.head_dim,))]
+
+
+def maxpool2d(a, window, stride):
+    """Each ``window`` moved by ``stride``'s maximum of the map ``a``, on
+    its last two axes."""
+    hh, ww = windows(a.shape[-2:], window, stride)
+    return a[..., hh, ww].max(axis=(-2, -1))
 
 
 def split_indices(path):

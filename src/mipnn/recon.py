@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ir import Violation, round_binaries
-from .nnspec import LOSS_ABS, patches, windows
+from .nnspec import LOSS_ABS, maxpool2d, patches
 
 SPARSITY_TOL = 1e-6
 
@@ -50,6 +50,17 @@ class DenseNet:
     def num_hidden(self):
         return len(self.weights) - 1
 
+    @property
+    def params(self):
+        """(W, b) per weight layer."""
+        return self.weights
+
+    @property
+    def gates(self):
+        """The switches of each gated layer group: one array, a flag per
+        hidden layer."""
+        return [self.gamma]
+
 
 @dataclass
 class ConvNet:
@@ -59,6 +70,16 @@ class ConvNet:
     pools: list                  # per conv layer, ((PH, PW), stride) or None
     strides: list = None         # conv stride per layer (default 1)
 
+    @property
+    def params(self):
+        """(K, b) per conv layer, then the head's (W, b)."""
+        return self.kernels + [self.head]
+
+    @property
+    def gates(self):
+        """The switches of each conv layer, a flag per channel."""
+        return self.gamma
+
 
 def forward(net, x):
     """Plain forward pass; returns the raw head outputs for a batch."""
@@ -66,33 +87,27 @@ def forward(net, x):
 
 
 def forward_trace(net, x):
-    """Per-layer (z, a) pairs; for conv nets ``a`` is the post-pool map."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(net, DenseNet):
-        return _forward_dense(net, x)
-    return _forward_conv(net, x)
+    """Per-layer (z, a) pairs over ``net.params``; for conv layers ``a`` is
+    the post-pool map.  A 2-d weight meets the map before it whole,
+    flattened channel-major; a conv kernel meets it at each position."""
+    a, trace, params = np.asarray(x, dtype=float), [], net.params
+    for l, (W, b) in enumerate(params):
+        pool = None
+        if W.ndim == 2:
+            z = a.reshape(len(a), -1) @ W.T + b
+        else:
+            z = _conv2d(a, W, b, net.strides[l] if net.strides else 1)
+            pool = net.pools[l]
+        a = z if l == len(params) - 1 else np.maximum(z, 0.0)
+        if pool is not None:
+            a = maxpool2d(a, *pool)
+        trace.append((z, a))
+    return trace
 
 
 def forward_preactivations(net, x):
     """Hidden-layer pre-activation arrays, one per ReLU layer."""
     return [z for z, _ in forward_trace(net, x)[:-1]]
-
-
-def _affine(a, W, b):
-    return a @ W.T + b
-
-
-def _forward_dense(net, x):
-    trace = []
-    a = x
-    for l, (W, b) in enumerate(net.weights):
-        z = _affine(a, W, b)
-        if l < net.num_hidden:
-            a = np.maximum(z, 0.0)
-            trace.append((z, a))
-        else:
-            trace.append((z, z))
-    return trace
 
 
 def _conv2d(a, K, b, stride):
@@ -104,28 +119,6 @@ def _conv2d(a, K, b, stride):
     rows = np.ascontiguousarray(cells.reshape(n, oh * ow, -1).swapaxes(0, 1))
     z = (rows @ K.reshape(len(K), -1).T).transpose(1, 2, 0)
     return z.reshape(z.shape[:2] + (oh, ow)) + b[:, None, None]
-
-
-def maxpool2d(a, window, stride):
-    hh, ww = windows(a.shape[-2:], window, stride)
-    return a[..., hh, ww].max(axis=(-2, -1))
-
-
-def _forward_conv(net, x):
-    trace = []
-    strides = net.strides or [1] * len(net.kernels)
-    a = x
-    for l, (K, b) in enumerate(net.kernels):
-        z = _conv2d(a, K, b, strides[l])
-        a = np.maximum(z, 0.0)
-        if net.pools[l] is not None:
-            window, ps = net.pools[l]
-            a = maxpool2d(a, window, ps)
-        trace.append((z, a))
-    flat = a.reshape(len(a), -1)                    # channel-major flattening
-    out = _affine(flat, *net.head)
-    trace.append((out, out))
-    return trace
 
 
 def flatten_index(c, h, w, H, W):
@@ -221,23 +214,14 @@ class MetricsReport:
                  "-" if self.gap is None else _fmt1(self.gap)]
         return " / ".join(cells)
 
-    def render_cnn_block(self, conv_sparsity=None, dense_sparsity=None,
-                         hidden_neurons=None):
+    def render_cnn_block(self):
         total = len(self.retained)
         kept = sum(int(g) for g in self.retained)
-        if conv_sparsity is None:
-            conv_sparsity = self.layer_sparsity[0]
-        if dense_sparsity is None:
-            dense_sparsity = self.layer_sparsity[-1]
         lines = [
             ("Test Accuracy", _fmt1(self.accuracy) + "%"),
             ("Retained Filters", "%d of %d" % (kept, total)),
-        ]
-        if hidden_neurons is not None:
-            lines.append(("Hidden Neurons (Dense)", str(hidden_neurons)))
-        lines += [
-            ("CNN Weight Sparsity", _fmt1(conv_sparsity) + "%"),
-            ("Dense Weight Sparsity", _fmt1(dense_sparsity) + "%"),
+            ("CNN Weight Sparsity", _fmt1(self.layer_sparsity[0]) + "%"),
+            ("Dense Weight Sparsity", _fmt1(self.layer_sparsity[-1]) + "%"),
         ]
         if self.gap is not None:
             lines.append(("Final MIP Gap", _fmt1(self.gap) + "%"))
@@ -271,10 +255,7 @@ def regularization(hyper):
 def objective_breakdown(net, outputs, targets, hyper):
     """The training objective of a net with head ``outputs`` on ``targets``:
     its loss, l1, frobenius and structural parts, and their ``total``."""
-    if isinstance(net, DenseNet):
-        params, gammas = net.weights, [net.gamma]
-    else:
-        params, gammas = net.kernels + [net.head], net.gamma
+    params = net.params
     al, fr = regularization(hyper)
     res = outputs - targets
     parts = {
@@ -282,7 +263,7 @@ def objective_breakdown(net, outputs, targets, hyper):
         "l1": al * sum(float(np.abs(W).sum()) for W, _ in params),
         "frobenius": fr * sum(float((W ** 2).sum()) for W, _ in params),
         "structural": hyper.beta * float(np.concatenate(
-            [np.asarray(g, dtype=float) for g in gammas]).sum()),
+            [np.asarray(g, dtype=float) for g in net.gates]).sum()),
     }
     # the dict order is the summation order, which the pinned optima rely on
     parts["total"] = sum(parts.values())
@@ -301,21 +282,18 @@ def metrics(net, data, split=None, reported_gap=None, hyper=None):
     truth = np.argmax(targets, axis=1)
     accuracy = 100.0 * float(np.mean(pred == truth)) if len(pred) else 0.0
 
-    if isinstance(net, DenseNet):
-        param_layers = net.weights[:-1]
-        retained = [int(round(g)) for g in np.ravel(net.gamma)]
-    else:
-        param_layers = [(K.reshape(K.shape[0], -1), b) for K, b in net.kernels]
-        retained = [int(round(g)) for g in np.ravel(np.concatenate(net.gamma))]
+    retained = [int(round(g)) for g in np.concatenate([np.ravel(g) for g in net.gates])]
 
     sparsity = []
     neuron_counts = []
-    for l, (W, _) in enumerate(param_layers):
+    for l, (W, _) in enumerate(net.params[:-1]):
+        # a dense layer's one switch prunes it whole
         pruned = isinstance(net, DenseNet) and l < len(net.gamma) and net.gamma[l] < 0.5
         if pruned:
             sparsity.append(None)
             neuron_counts.append(0)
             continue
+        W = W.reshape(len(W), -1)
         frac = 100.0 * float(np.mean(np.abs(W) <= SPARSITY_TOL))
         sparsity.append(frac)
         neuron_counts.append(int(np.sum(np.abs(W).max(axis=1) > SPARSITY_TOL)))

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import mipnn
-from mipnn import cli
+from mipnn import cli, emit
 from mipnn.cli import (EXIT_AUDIT, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_SOLVER,
                        ConfigError, RunConfig, build_parser, main, parse_config,
                        parse_conv_layers, prepare)
-from mipnn.nnspec import ConvLayer
+from mipnn.nnspec import ConvLayer, vn
 
 XOR_CSV = "x1,x2,label\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n"
 SAMPLE_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -496,3 +496,71 @@ def test_python_dash_m_runs_the_cli():
                          text=True, env={"PYTHONPATH": src}, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: mipnn")
+
+
+@pytest.mark.parametrize("write, key, value", [
+    (write_xor_cfg, "hidden", "2,x"),
+    (write_conv_cfg, "input_shape", "1,a"),
+])
+def test_layer_widths_that_are_not_integers_are_config_errors(
+        tmp_path, capsys, write, key, value):
+    cfg = write(tmp_path, **{key: value})
+    assert main(["build", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: %s must be comma-separated integers, not %r\n" % (key, value))
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_conv_verify_run_fixes_its_weights_and_reports_the_conv_block(tmp_path):
+    """A verify-mode conv run reads its kernels and head from an npz, fixes
+    every parameter of the model at them and writes the conv report block."""
+    rng = np.random.default_rng(1)
+    arrays = {"K0": rng.uniform(-1, 1, size=(1, 1, 2, 2)), "b0": rng.uniform(-1, 1, size=1),
+              "Wh": rng.uniform(-1, 1, size=(2, 16)), "bh": rng.uniform(-1, 1, size=2)}
+    weights = tmp_path / "w.npz"
+    np.savez(weights, **arrays)
+    cfg = write_conv_cfg(tmp_path, mode="verify", weights=str(weights))
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert (out / "audit.txt").read_text().startswith("ok\n")
+    prep = prepare(parse_config(str(cfg)))
+    values = emit.read_solution(prep.build.model, str(out / "solution.txt")
+                                ).assignment.values
+    for (w, b, l), (K, bias) in zip([("Wc", "bc", 0), ("W", "b", 1)],
+                                    [(arrays["K0"], arrays["b0"]),
+                                     (arrays["Wh"], arrays["bh"])]):
+        for idx in np.ndindex(K.shape):
+            assert values[vn(w, l, *idx)] == K[idx]
+        for j in range(len(bias)):
+            assert values[vn(b, l, j)] == bias[j]
+    report = (out / "report.txt").read_text().splitlines()
+    assert [line.split("  ")[0] for line in report] == [
+        "Test Accuracy", "Retained Filters", "CNN Weight Sparsity",
+        "Dense Weight Sparsity", "Final MIP Gap"]
+    assert report[1].endswith("  1 of 1") and report[2].endswith("  0.0%")
+
+
+def test_report_with_a_solution_rewrites_the_runs_report(tmp_path, capsys):
+    cfg = write_xor_cfg(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    want = (out / "report.txt").read_text()
+    (out / "report.txt").unlink()
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg),
+                 "--solution", str(out / "solution.txt")]) == 0
+    assert capsys.readouterr().out == want == (out / "report.txt").read_text()
+    assert want.startswith("Dataset & Hidden Layers")
+
+
+@pytest.mark.parametrize("shape", ["1,4,4", "1,1,5", "1,-5,-5", "5,5"])
+def test_an_input_shape_that_does_not_hold_a_data_row_is_a_config_error(
+        tmp_path, capsys, shape):
+    """The conv data has 25 features a row: 1,1,5 would cut 4 rows into 20
+    samples, and 1,4,4 cannot cut them at all."""
+    cfg = write_conv_cfg(tmp_path, input_shape=shape)
+    assert main(["build", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: input_shape must be C,H,W, sizes of at least 1 whose product is "
+        "the 25 features of a data row, not %r\n" % shape)
+    assert not (tmp_path / "out").exists()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from mipnn.bounds import propagate_bounds
+from mipnn.emit import count_forecast
 from mipnn.nnspec import (ConvArch, ConvLayer, Dataset, DenseArch, Hyper,
                           ParseError, SpecError, conv_map_shapes,
-                          conv_output_shape, load_dataset, preprocess,
-                          split_indices, take, validate_arch)
+                          conv_output_shape, load_dataset, param_tensors,
+                          preprocess, split_indices, take, validate_arch)
 
 
 def test_dense_arch_widths():
@@ -113,3 +115,36 @@ def test_take():
     out = take(d, [2, 0])
     assert out.inputs.tolist() == [[4.0, 5.0], [0.0, 1.0]]
     assert out.targets.tolist() == [[2.0], [0.0]]
+
+
+def test_param_tensors_carry_each_layers_map_stride_and_pool():
+    """Each tensor's ``units`` is its map before the pool; a 2-d weight's
+    is its width, the head's included."""
+    dense = param_tensors(DenseArch(3, (4, 2), 2))
+    assert [(t.shape, t.units, t.pool) for t in dense] == [
+        ((4, 3), (4,), None), ((2, 4), (2,), None), ((2, 2), (2,), None)]
+    arch = ConvArch(input_shape=(2, 9, 9),
+                    conv_layers=(ConvLayer(filters=3, kernel=(3, 3), stride=2,
+                                           pool=((2, 2), 2)),
+                                 ConvLayer(filters=4, kernel=(2, 2))),
+                    head_dim=2)
+    conv = param_tensors(arch)
+    # 9x9 -> 4x4 at stride 2, pooled to 2x2 -> 1x1
+    assert [(t.shape, t.units) for t in conv] == [
+        ((3, 2, 3, 3), (3, 4, 4)), ((4, 3, 2, 2), (4, 1, 1)), ((2, 4), (2,))]
+    assert [(t.stride, t.pool) for t in conv[:-1]] == [(2, ((2, 2), 2)), (1, None)]
+    assert conv_map_shapes(arch) == [(3, 4, 4), (4, 1, 1)]
+    x = np.arange(2 * 9 * 9.0).reshape(2, 9, 9)
+    assert conv[-1].patches(x) is x
+    # entry (c, u, v) of the kernel at position (h, w) meets x[c, 2h + u, 2w + v]
+    assert conv[0].patches(x)[1, 3, 1, 2, 0] == x[1, 4, 6]
+
+
+@pytest.mark.parametrize("walk", [
+    param_tensors,
+    lambda arch: propagate_bounds(arch, np.zeros(2), np.ones(2), -1.0, 1.0),
+    lambda arch: count_forecast(arch, 1),
+], ids=["param_tensors", "propagate_bounds", "count_forecast"])
+def test_an_unknown_architecture_is_a_type_error(walk):
+    with pytest.raises(TypeError, match="unknown architecture"):
+        walk(object())

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mipnn import oracle
 from mipnn.dense import vn
 from mipnn.ir import LE
 from mipnn.nnspec import TRAIN_BILINEAR, ConvArch, ConvLayer, Dataset, DenseArch, Hyper
@@ -532,3 +533,68 @@ def test_search_memory_on_the_criterion_6_instance_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= (700 + 1536) * 1024
+
+
+def _conv_two_filters_empty():
+    """Conv verify: 3 samples of 1x4x4, one layer of 4 filters 3x3 with no
+    pool, weights drawn as ``tiny_conv_build`` draws them, and a switch
+    penalty of beta = 10.  Filters 2 and 3 have zero kernels and biases, so
+    their switches may go either way; every way costs 10 more per switch on."""
+    rng = np.random.default_rng(0)
+    shape, kernel, n = (1, 4, 4), (3, 3), 3
+    arch = ConvArch(input_shape=shape,
+                    conv_layers=(ConvLayer(filters=4, kernel=kernel),), head_dim=1)
+    X = rng.uniform(0, 1, size=(n,) + shape)
+    data = Dataset(inputs=X, targets=rng.uniform(-1, 1, size=(n, 1)))
+    K, b = rng.uniform(-1, 1, size=(4, 1) + kernel), rng.uniform(-1, 1, size=4)
+    K[2:], b[2:] = 0.0, 0.0
+    weights = [(K, b), (rng.uniform(-1, 1, size=(1, 16)), rng.uniform(-1, 1, size=1))]
+    hyper = Hyper(alpha=0.1, lam=0.9, beta=10.0, big_m=20.0, mode="verify",
+                  symmetry=False)
+    flat = X.reshape(n, -1)
+    bt = propagate_bounds(arch, flat.min(0).reshape(shape), flat.max(0).reshape(shape),
+                          0.0, 0.0, fixed_weights=weights)
+    build = build_cnn(arch, data, hyper, bt, weights=weights)
+    build.model.freeze()
+    return build
+
+
+def test_bnb_prunes_the_subtrees_whose_bound_reaches_the_incumbent():
+    """The first candidate found, filters 2 and 3 off, is the optimum; each
+    later subtree that turns one of them on starts at a bound 10 above the
+    filters-off penalty and is pruned at its root, so bnb decides one
+    candidate where enumeration decides all four."""
+    build = _conv_two_filters_empty()
+    bits, obj = _first_minimum(build)
+    assert obj == 24.71908662988976
+    enum, bnb = enumerate_exact(build), branch_and_bound(build)
+    for res in (enum, bnb):
+        assert res.proven and res.objective == obj
+        assert [res.assignment.values[n] for n in build.structural] == [
+            bits[n] for n in build.structural] == [1.0, 1.0, 0.0, 0.0]
+    assert bnb.nodes < enum.nodes
+    assert (enum.nodes, enum.candidates, bnb.nodes, bnb.candidates) == (31, 4, 29, 1)
+
+
+def test_leaves_near_the_screen_tolerance_are_checked_one_by_one(monkeypatch):
+    """A screen margin of 1e3 leaves no leaf sure or ruled out by the
+    batched numbers, so the scalar ``complete`` checks every leaf of every
+    block before deciding it; each engine still returns what it does with
+    the default margin."""
+    def outcome():
+        build = quantized_dense_build(xor_data(), [2], bits=1)
+        calls = []
+        complete = build.complete
+        build.complete = lambda *a: calls.append(1) or complete(*a)
+        out = []
+        for res in (enumerate_exact(build), branch_and_bound(build)):
+            out.append((res.objective, res.nodes, res.candidates,
+                        [res.assignment.values[n] for n in build.structural]))
+        return out, len(calls)
+
+    want, default_calls = outcome()
+    monkeypatch.setattr(oracle, "SCREEN_MARGIN", 1e3)
+    got, calls = outcome()
+    assert got == want
+    # enumeration alone checks and then decides each of the 2^10 leaves
+    assert calls >= 2 * 2 ** 10 > default_calls

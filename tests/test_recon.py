@@ -6,7 +6,7 @@ from mipnn.recon import (ConvNet, DenseNet, MetricsReport, QuantSpec,
                          ReconError, audit, canonicalize, flatten_index,
                          forward, forward_trace, maxpool2d, metrics,
                          reconstruct)
-from mipnn.nnspec import Dataset, Hyper, TRAIN_QUANTIZED, VERIFY
+from mipnn.nnspec import Dataset, Hyper, TRAIN_QUANTIZED, VERIFY, take
 
 from conftest import (quantized_dense_build, random_dense_weights,
                       tiny_conv_build, verify_dense_build, xor_data)
@@ -228,3 +228,25 @@ def test_metrics_total_is_the_complete_objective(make):
     net = reconstruct(build, asg)
     total = metrics(net, build.data, hyper=build.hyper).objective_breakdown["total"]
     assert total == obj == obj2
+
+
+def _split_nets(rng):
+    dense = DenseNet(weights=random_dense_weights(rng, (4, 3, 3)), gamma=np.ones(1))
+    conv = ConvNet(kernels=[(rng.uniform(-1, 1, size=(2, 1, 2, 2)),
+                             rng.uniform(-1, 1, size=2))],
+                   head=(rng.uniform(-1, 1, size=(3, 8)), rng.uniform(-1, 1, size=3)),
+                   gamma=[np.array([1.0, 0.0])], pools=[((2, 2), 2)])
+    return {"dense": (dense, (4,)), "conv": (conv, (1, 5, 5))}
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_metrics_on_a_split_are_the_metrics_of_its_samples(rng, kind):
+    net, shape = _split_nets(rng)[kind]
+    labels = rng.integers(0, 3, size=7)
+    data = Dataset(inputs=rng.uniform(-1, 1, size=(7,) + shape),
+                   targets=np.eye(3)[labels])
+    split = [5, 0, 5, 2]
+    kw = dict(reported_gap=1.5, hyper=Hyper(beta=0.5))
+    want = metrics(net, take(data, split), **kw)
+    assert metrics(net, data, split=split, **kw).to_kv_lines() == want.to_kv_lines()
+    assert want.to_kv_lines() != metrics(net, data, **kw).to_kv_lines()
